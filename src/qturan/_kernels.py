@@ -1,17 +1,18 @@
-"""Pure-Python combinatorial kernels: canonical labeling, clique search,
-subgraph embedding.
+"""Combinatorial kernels: canonical labeling, clique search, subgraph
+embedding.
 
 Graphs enter as ``(n, rows)`` where ``rows[v]`` is an integer bitmask of the
 neighbors of ``v``. These three routines dominate the runtime of enumeration
-and extremal sweeps; the compiled backend in ``_speed.pyx`` mirrors them
-operation-for-operation, so both must produce bit-identical output.
+and extremal sweeps.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-BACKEND_NAME = "pure"
+# canonical_labeling recurses once per vertex; larger orders would approach
+# the interpreter's recursion limit (and P_500 already takes ~30 s)
+CANONICAL_MAX_ORDER = 512
 
 
 def canonical_labeling(n: int, rows: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -24,6 +25,10 @@ def canonical_labeling(n: int, rows: Sequence[int]) -> Tuple[Tuple[int, ...], Tu
     ``canon_rows`` agree. Branches tied on tokens are pruned when two
     candidates are twins (swapping them is an automorphism).
     """
+    if n > CANONICAL_MAX_ORDER:
+        raise ValueError(
+            f"canonical labeling supports orders up to {CANONICAL_MAX_ORDER}, got n={n}"
+        )
     if n == 0:
         return (), ()
     if n == 1:
@@ -121,11 +126,6 @@ def canonical_labeling(n: int, rows: Sequence[int]) -> Tuple[Tuple[int, ...], Tu
             row |= 1 << inv[w]
         canon.append(row)
     return tuple(best_order), tuple(canon)
-
-
-def canonical_form(n: int, rows: Sequence[int]) -> Tuple[int, ...]:
-    """Canonical adjacency rows only (see :func:`canonical_labeling`)."""
-    return canonical_labeling(n, rows)[1]
 
 
 def find_clique(n: int, rows: Sequence[int], k: int) -> Optional[Tuple[int, ...]]:

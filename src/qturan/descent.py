@@ -80,7 +80,7 @@ def lemma_min_check(g: Graph, tol: Tolerance = DEFAULT_TOL) -> float:
     q = res.radius
     x = min(res.vector)
     delta = min(g.degrees())
-    return delta - x * x * (q * q - 2 * q * delta + g.n * delta)
+    return delta - x * x * (q ** 2 - 2 * q * delta + g.n * delta)
 
 
 def lemma_mind_check(
@@ -155,7 +155,7 @@ def descent_run(
         ties = tuple(v for v, xv in enumerate(res.vector) if xv <= x + tol.cmp_tol)
         u = ties[0]
         delta = min(g.degrees())
-        slack32 = delta - x * x * (res.radius ** 2 - 2 * res.radius * delta + n * delta)
+        slack32 = lemma_min_check(g, tol)
         ref_n = _reference_q(n, params.r, tol.eig_tol) if n >= params.r else 0.0
 
         stop = None

@@ -11,6 +11,7 @@ from itertools import combinations
 from typing import Optional, Tuple
 
 from .graphs import Graph, from_edges, join
+from .subgraph import has_clique
 
 
 class SearchBudgetError(RuntimeError):
@@ -143,18 +144,6 @@ def petersen() -> Graph:
 # -- (nearly-)regular triangle-free building blocks --------------------------
 
 
-def _has_triangle(rows) -> bool:
-    n = len(rows)
-    for v in range(n):
-        m = rows[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            if w > v and rows[v] & rows[w]:
-                return True
-    return False
-
-
 def _circulant(n: int, conn: Tuple[int, ...]) -> Graph:
     edges = []
     for v in range(n):
@@ -177,7 +166,7 @@ def _circulant_search(n: int, d: int) -> Optional[Graph]:
             if degree_of(conn) != d:
                 continue
             g = _circulant(n, conn)
-            if all(dv == d for dv in g.degrees()) and not _has_triangle(g.rows):
+            if all(dv == d for dv in g.degrees()) and not has_clique(g, 3):
                 return g
     return None
 

@@ -176,7 +176,7 @@ def delete_vertex(g: Graph, v: int) -> Graph:
 
 def canonical_form(g: Graph) -> Tuple[int, ...]:
     """Canonical adjacency rows; equal forms characterize isomorphism."""
-    return _kernels.canonical_form(g.n, g.rows)
+    return _kernels.canonical_labeling(g.n, g.rows)[1]
 
 
 def canonical_graph(g: Graph) -> Graph:

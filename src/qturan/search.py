@@ -11,18 +11,20 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import _kernels
 from .bounds import CriterionParams
 from .chromatic import chromatic_number
 from .families import turan
-from .graphs import Graph, Graph6Error, parse_graph6, to_graph6
+from .graphs import Graph, Graph6Error, canonical_form, delete_vertex, parse_graph6, to_graph6
 from .spectral import DEFAULT_TOL, Tolerance, q_value
-from .subgraph import is_free
+from .subgraph import has_clique, is_free
 
 ENUMERATION_CAP = 9
 CORPUS_DIR_ENV = "QTURAN_CORPUS_DIR"
+# below this many items a process pool costs more than it saves
+POOL_MIN_ITEMS = 256
 
 
 @dataclass
@@ -78,17 +80,6 @@ class DensityEstimate:
 # -- enumeration ---------------------------------------------------------------
 
 
-def _delete_rows(n: int, rows: Sequence[int], v: int) -> Tuple[int, ...]:
-    low = (1 << v) - 1
-    out = []
-    for u in range(n):
-        if u == v:
-            continue
-        r = rows[u]
-        out.append((r & low) | ((r >> (v + 1)) << v))
-    return tuple(out)
-
-
 @lru_cache(maxsize=16)
 def _classes(n: int) -> Tuple[Graph, ...]:
     """All isomorphism classes of order n, canonically labeled, generated by
@@ -110,7 +101,8 @@ def _classes(n: int) -> Tuple[Graph, ...]:
                 if (subset >> j) & 1:
                     rows[j] |= 1 << k
             rows.append(subset)
-            order, canon = _kernels.canonical_labeling(n, tuple(rows))
+            child = tuple(rows)
+            order, canon = _kernels.canonical_labeling(n, child)
             if canon in seen:
                 continue
             last = order[n - 1]
@@ -119,8 +111,7 @@ def _classes(n: int) -> Tuple[Graph, ...]:
                 seen.add(canon)
                 out.append(Graph(n, canon))
                 continue
-            reduced = _delete_rows(n, rows, last)
-            if _kernels.canonical_form(k, reduced) == prows:
+            if canonical_form(delete_vertex(Graph(n, child), last)) == prows:
                 seen.add(canon)
                 out.append(Graph(n, canon))
     return tuple(out)
@@ -181,12 +172,12 @@ def resolve_corpus_path(path: str) -> str:
     return path
 
 
-def _graph_source(n: int, corpus: Optional[str]) -> Iterable[Graph]:
+def _graph_source(n: int, corpus: Optional[str]) -> List[Graph]:
     if corpus is not None:
         # corpus files may bundle several orders; an (n, F) report only
         # concerns order-n entries
-        return (g for g in ingest_corpus(corpus) if g.n == n)
-    return enumerate_graphs(n)
+        return [g for g in ingest_corpus(corpus) if g.n == n]
+    return list(enumerate_graphs(n))
 
 
 # -- extremal scans --------------------------------------------------------------
@@ -232,13 +223,14 @@ def _q_chunk_worker(
     return best, winners, len(chunk)
 
 
-def _scan_chunks(worker, source: Iterable[Graph], jobs: int):
-    """Run a chunk worker over the stream; the merge (max plus argmax set)
-    is associative, so the result is identical for any worker count."""
-    items = list(source)
-    if jobs <= 1 or len(items) < 256:
+def map_chunks(worker, items: Sequence, jobs: int) -> List:
+    """Apply ``worker`` to consecutive chunks of ``items`` and return its
+    results in chunk order: one chunk in-process when ``jobs <= 1`` or the
+    input is small, else about four chunks per worker process. Callers merge
+    the results so that they do not depend on the chunking."""
+    if jobs <= 1 or len(items) < POOL_MIN_ITEMS:
         return [worker(items)]
-    size = max(1, (len(items) + 4 * jobs - 1) // (4 * jobs))
+    size = (len(items) + 4 * jobs - 1) // (4 * jobs)
     chunks = [items[i: i + size] for i in range(0, len(items), size)]
     with ProcessPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(worker, chunks))
@@ -260,7 +252,7 @@ def extremal_edges(
     best = -1
     winners: List[Graph] = []
     scanned = 0
-    for part_best, part_winners, part_scanned in _scan_chunks(
+    for part_best, part_winners, part_scanned in map_chunks(
         partial(_edge_chunk_worker, f=f), _graph_source(n, corpus), jobs
     ):
         scanned += part_scanned
@@ -300,7 +292,7 @@ def extremal_q(
     best = float("-inf")
     winners: List[Graph] = []
     scanned = 0
-    for part_best, part_winners, part_scanned in _scan_chunks(
+    for part_best, part_winners, part_scanned in map_chunks(
         partial(_q_chunk_worker, f=f, tol=tol, min_degree_above=min_degree_above),
         _graph_source(n, corpus),
         jobs,
@@ -404,18 +396,9 @@ def _block_degree_ok(degrees: Sequence[int], d: int) -> bool:
     return False
 
 
-def _has_triangle(g: Graph) -> bool:
-    for u, v in g.edges():
-        if g.rows[u] & g.rows[v]:
-            return True
-    return False
-
-
 def in_family_L(g: Graph, s: int, t: int) -> bool:
     """Is G the join of a clique K_{s-1} with a (nearly) (t-1)-regular
     triangle-free block? Peels s-1 universal vertices and checks the rest."""
-    from .graphs import delete_vertex
-
     uni = _universal_mask(g)
     if uni.bit_count() < s - 1:
         return False
@@ -428,15 +411,13 @@ def in_family_L(g: Graph, s: int, t: int) -> bool:
     h = g
     for v in sorted(peel, reverse=True):
         h = delete_vertex(h, v)
-    return _block_degree_ok(h.degrees(), t - 1) and not _has_triangle(h)
+    return _block_degree_ok(h.degrees(), t - 1) and not has_clique(h, 3)
 
 
 def in_family_Y(g: Graph, t: int) -> bool:
     """Is G the join of an independent set I_{t-1} with a (nearly)
     (t-1)-regular triangle-free block?"""
     from itertools import combinations
-
-    from .graphs import delete_vertex
 
     k = t - 1
     if g.n < k:
@@ -457,7 +438,7 @@ def in_family_Y(g: Graph, t: int) -> bool:
         h = g
         for v in sorted(subset, reverse=True):
             h = delete_vertex(h, v)
-        if _block_degree_ok(h.degrees(), t - 1) and not _has_triangle(h):
+        if _block_degree_ok(h.degrees(), t - 1) and not has_clique(h, 3):
             return True
     return False
 

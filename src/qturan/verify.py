@@ -9,7 +9,6 @@ observations that never affect exit codes.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -18,7 +17,14 @@ from . import bounds as B
 from . import families as F
 from .chromatic import is_r_partite
 from .graphs import Graph, is_isomorphic, parse_graph6, to_graph6
-from .search import enumerate_graphs, extremal_edges, extremal_q, sample_gnp, turan_density_estimate
+from .search import (
+    enumerate_graphs,
+    extremal_edges,
+    extremal_q,
+    map_chunks,
+    sample_gnp,
+    turan_density_estimate,
+)
 from .spectral import DEFAULT_TOL, Tolerance, q_value
 from .subgraph import has_clique, is_free
 from .descent import lemma_min_check
@@ -43,21 +49,6 @@ class VerifyResult:
         return f"[{self.suite}] checked {self.checked}: {status}"
 
 
-def _chunks(items: Sequence, k: int) -> List[Sequence]:
-    size = max(1, (len(items) + k - 1) // k)
-    return [items[i: i + size] for i in range(0, len(items), size)]
-
-
-def _pmap_chunked(worker: Callable, items: Sequence, jobs: int) -> List:
-    """Order-preserving chunked map; results merge deterministically
-    regardless of worker count."""
-    if jobs <= 1 or len(items) < 64:
-        return [worker(items)] if items else []
-    parts = _chunks(items, jobs * 4)
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(worker, parts))
-
-
 def _all_graphs(n_max: int, n_min: int = 1):
     for n in range(n_min, n_max + 1):
         yield from enumerate_graphs(n)
@@ -66,62 +57,35 @@ def _all_graphs(n_max: int, n_min: int = 1):
 # -- per-chunk workers (top level so they pickle) -----------------------------
 
 
-def _w_chain(graphs: Sequence[Graph], collect: bool = False):
+# suite -> (check, name of the flag that the entry's equality must match).
+# A check without a flag returns its entries; one with a flag returns a single
+# entry and the flag.
+_ENTRY_CHECKS: Dict[str, Tuple[Callable, Optional[str]]] = {
+    "chain": (B.check_bound_chain, None),
+    "merris": (lambda g: [B.check_merris(g)], None),
+    "lower-degree": (B.check_q_lower_degree, "edge-degree-sum constant"),
+    "hofmeister": (B.check_hofmeister, "regular/semiregular"),
+}
+
+
+def _w_entries(graphs: Sequence[Graph], suite: str, collect: bool = False):
+    check, flag_name = _ENTRY_CHECKS[suite]
     out = []
     reports = []
     for g in graphs:
-        entries = B.check_bound_chain(g)
+        g6 = to_graph6(g).decode()
+        if flag_name is None:
+            entries = check(g)
+        else:
+            entry, flag = check(g)
+            entries = [entry]
         for e in entries:
             if not e.holds:
-                out.append(f"{to_graph6(g).decode()}: {e.name} slack={e.slack:.3e}")
+                out.append(f"{g6}: {e.name} slack={e.slack:.3e}")
+        if flag_name is not None and entry.equality != flag:
+            out.append(f"{g6}: equality flag {entry.equality} != {flag_name} {flag}")
         if collect:
-            reports.append(B.BoundReport(to_graph6(g).decode(), entries))
-    return out, reports
-
-
-def _w_merris(graphs: Sequence[Graph], collect: bool = False):
-    out = []
-    reports = []
-    for g in graphs:
-        e = B.check_merris(g)
-        if not e.holds:
-            out.append(f"{to_graph6(g).decode()}: merris slack={e.slack:.3e}")
-        if collect:
-            reports.append(B.BoundReport(to_graph6(g).decode(), [e]))
-    return out, reports
-
-
-def _w_lower_degree(graphs: Sequence[Graph], collect: bool = False):
-    out = []
-    reports = []
-    for g in graphs:
-        e, constant = B.check_q_lower_degree(g)
-        if not e.holds:
-            out.append(f"{to_graph6(g).decode()}: q_lower_degree slack={e.slack:.3e}")
-        if e.equality != constant:
-            out.append(
-                f"{to_graph6(g).decode()}: equality flag {e.equality} != "
-                f"edge-degree-sum constant {constant}"
-            )
-        if collect:
-            reports.append(B.BoundReport(to_graph6(g).decode(), [e]))
-    return out, reports
-
-
-def _w_hofmeister(graphs: Sequence[Graph], collect: bool = False):
-    out = []
-    reports = []
-    for g in graphs:
-        e, flag = B.check_hofmeister(g)
-        if not e.holds:
-            out.append(f"{to_graph6(g).decode()}: hofmeister slack={e.slack:.3e}")
-        if e.equality != flag:
-            out.append(
-                f"{to_graph6(g).decode()}: equality flag {e.equality} != "
-                f"regular/semiregular {flag}"
-            )
-        if collect:
-            reports.append(B.BoundReport(to_graph6(g).decode(), [e]))
+            reports.append(B.BoundReport(g6, entries))
     return out, reports
 
 
@@ -178,9 +142,9 @@ def _w_graph6(graphs: Sequence[Graph]) -> List[str]:
 # -- suites -------------------------------------------------------------------
 
 
-def _run_entry_sweep(name, worker, graphs, jobs, collect, per_graph=1) -> VerifyResult:
+def _run_entry_sweep(name, graphs, jobs, collect, per_graph=1) -> VerifyResult:
     res = VerifyResult(name, len(graphs) * per_graph)
-    for viol, reports in _pmap_chunked(partial(worker, collect=collect), graphs, jobs):
+    for viol, reports in map_chunks(partial(_w_entries, suite=name, collect=collect), graphs, jobs):
         res.violations.extend(viol)
         res.reports.extend(reports)
     return res
@@ -188,22 +152,22 @@ def _run_entry_sweep(name, worker, graphs, jobs, collect, per_graph=1) -> Verify
 
 def suite_chain(n_max: int = 7, jobs: int = 1, collect_reports: bool = False, **_) -> VerifyResult:
     graphs = list(_all_graphs(n_max))
-    return _run_entry_sweep("chain", _w_chain, graphs, jobs, collect_reports, per_graph=3)
+    return _run_entry_sweep("chain", graphs, jobs, collect_reports, per_graph=3)
 
 
 def suite_merris(n_max: int = 7, jobs: int = 1, collect_reports: bool = False, **_) -> VerifyResult:
     graphs = [g for g in _all_graphs(n_max) if g.n and min(g.degrees()) >= 1]
-    return _run_entry_sweep("merris", _w_merris, graphs, jobs, collect_reports)
+    return _run_entry_sweep("merris", graphs, jobs, collect_reports)
 
 
 def suite_lower_degree(n_max: int = 7, jobs: int = 1, collect_reports: bool = False, **_) -> VerifyResult:
     graphs = [g for g in _all_graphs(n_max) if g.m >= 1]
-    return _run_entry_sweep("lower-degree", _w_lower_degree, graphs, jobs, collect_reports)
+    return _run_entry_sweep("lower-degree", graphs, jobs, collect_reports)
 
 
 def suite_hofmeister(n_max: int = 7, jobs: int = 1, collect_reports: bool = False, **_) -> VerifyResult:
     graphs = list(_all_graphs(n_max))
-    return _run_entry_sweep("hofmeister", _w_hofmeister, graphs, jobs, collect_reports)
+    return _run_entry_sweep("hofmeister", graphs, jobs, collect_reports)
 
 
 def suite_turan(n_max: int = 8, r: Optional[int] = None, jobs: int = 1, **_) -> VerifyResult:
@@ -270,7 +234,7 @@ def suite_degree_power(n_max: int = 8, jobs: int = 1, **_) -> VerifyResult:
     for n in range(1, n_max + 1):
         graphs = list(enumerate_graphs(n))
         res.checked += len(graphs)
-        for viol, equal in _pmap_chunked(_w_degree_power, graphs, jobs):
+        for viol, equal in map_chunks(_w_degree_power, graphs, jobs):
             res.violations.extend(viol)
             if n == 6:
                 equality_at_6.extend(equal)
@@ -291,7 +255,7 @@ def suite_degree_power(n_max: int = 8, jobs: int = 1, **_) -> VerifyResult:
 def suite_stability(n_max: int = 8, jobs: int = 1, **_) -> VerifyResult:
     graphs = list(_all_graphs(n_max))
     res = VerifyResult("stability", len(graphs))
-    for part in _pmap_chunked(_w_stability, graphs, jobs):
+    for part in map_chunks(_w_stability, graphs, jobs):
         res.violations.extend(part)
     return res
 
@@ -304,7 +268,7 @@ def suite_lemma_min(n_max: int = 7, jobs: int = 1, samples: int = 1000, **_) -> 
         p = rng.choice([0.15, 0.3, 0.5, 0.7, 0.85])
         graphs.append(sample_gnp(n, p, rng))
     res = VerifyResult("lemma-min", len(graphs))
-    for part in _pmap_chunked(_w_lemma_min, graphs, jobs):
+    for part in map_chunks(_w_lemma_min, graphs, jobs):
         res.violations.extend(part)
     return res
 
@@ -329,7 +293,7 @@ def suite_facts(samples: int = 10_000, **_) -> VerifyResult:
 def suite_graph6(n_max: int = 7, jobs: int = 1, **_) -> VerifyResult:
     graphs = list(_all_graphs(n_max, n_min=1))
     res = VerifyResult("graph6", len(graphs) + 3)
-    for part in _pmap_chunked(_w_graph6, graphs, jobs):
+    for part in map_chunks(_w_graph6, graphs, jobs):
         res.violations.extend(part)
     for text, expect in [(b"@", F.complete(1)), (b"A_", F.complete(2)), (b"Bw", F.complete(3))]:
         if parse_graph6(text) != expect:

@@ -1,4 +1,4 @@
-"""Backend agreement and kernel correctness against brute-force oracles."""
+"""Kernel correctness against brute-force oracles."""
 
 import random
 from itertools import combinations
@@ -6,11 +6,9 @@ from itertools import combinations
 import pytest
 
 from qturan import _kernels
-from qturan._kernels import pure
 from conftest import all_labeled_graphs, brute_canon_key, brute_contains, brute_max_clique
-from qturan.graphs import Graph
-
-speed = pytest.importorskip("qturan._kernels._speed", reason="compiled core not built")
+from qturan.families import empty, path
+from qturan.graphs import Graph, canonical_form
 
 
 def _rand_rows(rng, n, p):
@@ -24,12 +22,12 @@ def _rand_rows(rng, n, p):
 
 
 def test_canonical_classifies_isomorphism_exhaustively():
-    # pure canonical form induces exactly the brute-force classes, n <= 5
+    # the canonical form induces exactly the brute-force classes, n <= 5
     for n in range(6):
         by_canon = {}
         by_brute = {}
         for g in all_labeled_graphs(n):
-            cf = pure.canonical_form(n, g.rows)
+            cf = canonical_form(g)
             bf = brute_canon_key(g)
             by_canon.setdefault(cf, set()).add(bf)
             by_brute.setdefault(bf, set()).add(cf)
@@ -42,28 +40,12 @@ def test_canonical_labeling_is_a_relabeling():
     for _ in range(200):
         n = rng.randrange(1, 10)
         rows = _rand_rows(rng, n, rng.random())
-        order, canon = pure.canonical_labeling(n, rows)
+        order, canon = _kernels.canonical_labeling(n, rows)
         assert sorted(order) == list(range(n))
         for i in range(n):
             for j in range(n):
                 assert ((canon[i] >> j) & 1) == ((rows[order[i]] >> order[j]) & 1)
-        assert pure.canonical_form(n, canon) == canon  # idempotent
-
-
-def test_backends_agree_bit_for_bit():
-    rng = random.Random(7)
-    for _ in range(800):
-        n = rng.randrange(0, 13)
-        rows = _rand_rows(rng, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
-        assert pure.canonical_labeling(n, rows) == speed.canonical_labeling(n, rows)
-        for k in range(n + 2):
-            assert pure.find_clique(n, rows, k) == speed.find_clique(n, rows, k)
-    for _ in range(400):
-        gn = rng.randrange(1, 12)
-        g = _rand_rows(rng, gn, rng.random())
-        fn = rng.randrange(1, 7)
-        f = _rand_rows(rng, fn, rng.random())
-        assert pure.find_embedding(fn, f, gn, g) == speed.find_embedding(fn, f, gn, g)
+        assert _kernels.canonical_labeling(n, canon)[1] == canon  # idempotent
 
 
 def test_find_clique_against_subset_bruteforce():
@@ -74,7 +56,7 @@ def test_find_clique_against_subset_bruteforce():
         g = Graph(n, rows)
         omega = brute_max_clique(g)
         for k in range(1, n + 2):
-            got = pure.find_clique(n, rows, k)
+            got = _kernels.find_clique(n, rows, k)
             assert (got is not None) == (k <= omega)
             if got is not None:
                 assert len(got) == k
@@ -88,7 +70,7 @@ def test_find_embedding_against_permutation_bruteforce():
         g = Graph(gn, _rand_rows(rng, gn, rng.random()))
         fn = rng.randrange(1, min(gn, 5) + 1)
         f = Graph(fn, _rand_rows(rng, fn, rng.random()))
-        got = pure.find_embedding(fn, f.rows, gn, g.rows)
+        got = _kernels.find_embedding(fn, f.rows, gn, g.rows)
         assert (got is not None) == brute_contains(g, f)
         if got is not None:
             assert len(set(got)) == fn
@@ -96,9 +78,12 @@ def test_find_embedding_against_permutation_bruteforce():
                 assert g.has_edge(got[i], got[j])
 
 
-def test_dispatcher_backend_is_compiled_here():
-    import os
-
-    if os.environ.get("QTURAN_PURE"):
-        pytest.skip("pure backend forced via QTURAN_PURE")
-    assert _kernels.BACKEND == "cython"
+def test_canonical_form_order_cap():
+    # the labeling recurses once per vertex: up to the cap it must finish,
+    # past it it must refuse with a ValueError, never a RecursionError
+    cap = _kernels.CANONICAL_MAX_ORDER
+    assert canonical_form(empty(cap)) == (0,) * cap
+    with pytest.raises(ValueError, match=f"n={cap + 1}"):
+        canonical_form(empty(cap + 1))
+    with pytest.raises(ValueError, match="n=1100"):
+        canonical_form(path(1100))

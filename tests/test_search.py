@@ -10,6 +10,7 @@ from qturan import families as F
 from qturan.bounds import CriterionParams
 from qturan.graphs import Graph6Error, is_isomorphic, parse_graph6
 from qturan.search import (
+    POOL_MIN_ITEMS,
     count_classes,
     enumerate_graphs,
     explore_kst_conjecture,
@@ -170,15 +171,17 @@ def test_sample_gnp_deterministic():
     assert a == b
 
 
-def test_scan_results_independent_of_job_count():
-    seq = extremal_edges(6, F.complete(3), jobs=1)
-    par = extremal_edges(6, F.complete(3), jobs=2)
-    assert (seq.ex_edges, seq.extremal_graphs, seq.scanned) == (
-        par.ex_edges,
-        par.extremal_graphs,
-        par.scanned,
-    )
-    seq = extremal_q(6, F.complete(4), jobs=1)
-    par = extremal_q(6, F.complete(4), jobs=2)
-    assert seq.extremal_graphs == par.extremal_graphs
-    assert seq.max_q == pytest.approx(par.max_q, abs=1e-12)
+def _without_elapsed(rep):
+    return {k: v for k, v in vars(rep).items() if k != "elapsed"}
+
+
+def test_scan_results_independent_of_job_count(opened_pools):
+    # 1044 classes at n = 7: enough for map_chunks to fan out
+    assert count_classes(7) >= POOL_MIN_ITEMS
+    for scan, f in ((extremal_edges, F.complete(3)), (extremal_q, F.complete(4))):
+        seq = scan(7, f, jobs=1)
+        assert not opened_pools
+        par = scan(7, f, jobs=2)
+        assert len(opened_pools) == 1
+        assert _without_elapsed(seq) == _without_elapsed(par)
+        opened_pools.clear()
