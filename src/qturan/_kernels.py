@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-# canonical_labeling recurses once per vertex; larger orders would approach
-# the interpreter's recursion limit (and P_500 already takes ~30 s)
+# canonical_labeling recurses once per vertex, find_clique once per clique
+# vertex and find_embedding once per F vertex; deeper searches would approach
+# the interpreter's recursion limit (and labeling P_500 already takes ~30 s),
+# so all three refuse a depth above this cap with a ValueError
 CANONICAL_MAX_ORDER = 512
 
 
@@ -139,6 +141,10 @@ def find_clique(n: int, rows: Sequence[int], k: int) -> Optional[Tuple[int, ...]
         return ()
     if k > n:
         return None
+    if k > CANONICAL_MAX_ORDER:
+        raise ValueError(
+            f"clique search supports clique sizes up to {CANONICAL_MAX_ORDER}, got k={k}"
+        )
     if k == 1:
         return (0,)
     allowed = 0
@@ -189,6 +195,10 @@ def find_embedding(
         return ()
     if fn > gn:
         return None
+    if fn > CANONICAL_MAX_ORDER:
+        raise ValueError(
+            f"embedding search supports F of order up to {CANONICAL_MAX_ORDER}, got order {fn}"
+        )
     fdeg = [f_rows[v].bit_count() for v in range(fn)]
     gdeg = [g_rows[v].bit_count() for v in range(gn)]
     order = sorted(range(fn), key=lambda v: (-fdeg[v], v))

@@ -60,23 +60,19 @@ def turan(n: int, r: int) -> Graph:
     """Complete r-partite graph on n vertices with balanced part sizes.
 
     Part i (0-indexed) has size ceil((n - i) / r), so earlier parts are the
-    larger ones and the labeling is deterministic.
+    larger ones and the labeling is deterministic. Parts are consecutive
+    vertex ranges, and every vertex of part i gets the row
+    ``full & ~part_mask_i``: O(n) big-int operations in all.
     """
     if not (1 <= r <= n):
         raise ValueError(f"turan graph needs 1 <= r <= n, got r={r}, n={n}")
-    sizes = [(n - i + r - 1) // r for i in range(r)]
-    bounds = [0]
-    for s in sizes:
-        bounds.append(bounds[-1] + s)
-    part = [0] * n
+    full = (1 << n) - 1
+    rows = []
+    start = 0
     for i in range(r):
-        for v in range(bounds[i], bounds[i + 1]):
-            part[v] = i
-    rows = [0] * n
-    for v in range(n):
-        for w in range(n):
-            if part[v] != part[w]:
-                rows[v] |= 1 << w
+        size = (n - i + r - 1) // r
+        rows += [full & ~(((1 << size) - 1) << start)] * size
+        start += size
     return Graph(n, tuple(rows))
 
 
@@ -270,29 +266,40 @@ def family_Y_sample(n: int, t: int) -> Optional[Graph]:
 
 # -- textual family specs -----------------------------------------------------
 
+# kind -> (parameter count, constructor); each constructor is listed once
 _FAMILY_TABLE = {
-    "turan": (2, lambda n, r: turan(n, r)),
-    "complete": (1, lambda n: complete(n)),
-    "clique": (1, lambda n: complete(n)),
-    "empty": (1, lambda n: empty(n)),
-    "cycle": (1, lambda n: cycle(n)),
-    "path": (1, lambda n: path(n)),
-    "complete_bipartite": (2, lambda s, t: complete_bipartite(s, t)),
-    "kst": (2, lambda s, t: complete_bipartite(s, t)),
-    "star": (1, lambda n: star(n)),
-    "split": (2, lambda n, k: split(n, k)),
-    "book": (2, lambda r, k: generalized_book(r, k)),
-    "generalized_book": (2, lambda r, k: generalized_book(r, k)),
-    "wheel": (2, lambda r, k: wheel(r, k)),
-    "kstplus": (2, lambda s, t: kst_plus(s, t)),
-    "kst_plus": (2, lambda s, t: kst_plus(s, t)),
-    "h": (3, lambda n, r, k: h_graph(n, r, k)),
-    "h_graph": (3, lambda n, r, k: h_graph(n, r, k)),
-    "L": (3, lambda n, s, t: family_L_sample(n, s, t)),
-    "L_family": (3, lambda n, s, t: family_L_sample(n, s, t)),
-    "Y": (2, lambda n, t: family_Y_sample(n, t)),
-    "Y_family": (2, lambda n, t: family_Y_sample(n, t)),
-    "petersen": (0, lambda: petersen()),
+    "turan": (2, turan),
+    "complete": (1, complete),
+    "empty": (1, empty),
+    "cycle": (1, cycle),
+    "path": (1, path),
+    "complete_bipartite": (2, complete_bipartite),
+    "star": (1, star),
+    "split": (2, split),
+    "generalized_book": (2, generalized_book),
+    "wheel": (2, wheel),
+    "kstplus": (2, kst_plus),
+    "h": (3, h_graph),
+    "L": (3, family_L_sample),
+    "Y": (2, family_Y_sample),
+    "petersen": (0, petersen),
+}
+
+# alternative spellings accepted by the parser, each naming a table kind
+_FAMILY_ALIASES = {
+    "clique": "complete",
+    "kst": "complete_bipartite",
+    "book": "generalized_book",
+    "kst_plus": "kstplus",
+    "h_graph": "h",
+    "L_family": "L",
+    "Y_family": "Y",
+}
+
+# every kind the parser accepts, aliases included
+_FAMILY_KINDS = {
+    **_FAMILY_TABLE,
+    **{alias: _FAMILY_TABLE[kind] for alias, kind in _FAMILY_ALIASES.items()},
 }
 
 
@@ -304,7 +311,7 @@ class FamilySpec:
     params: Tuple[int, ...]
 
     def build(self) -> Optional[Graph]:
-        arity, ctor = _FAMILY_TABLE[self.kind]
+        arity, ctor = _FAMILY_KINDS[self.kind]
         return ctor(*self.params)
 
     def __str__(self) -> str:
@@ -317,10 +324,10 @@ def parse_family_spec(text: str) -> FamilySpec:
     """Parse "kind:p1,p2,..."; unknown kinds list the valid ones."""
     kind, _, rest = text.partition(":")
     kind = kind.strip()
-    if kind not in _FAMILY_TABLE:
-        valid = ", ".join(sorted(_FAMILY_TABLE))
+    if kind not in _FAMILY_KINDS:
+        valid = ", ".join(sorted(_FAMILY_KINDS))
         raise ValueError(f"unknown family kind {kind!r}; valid kinds: {valid}")
-    arity, _ = _FAMILY_TABLE[kind]
+    arity, _ = _FAMILY_KINDS[kind]
     if rest.strip():
         try:
             params = tuple(int(p) for p in rest.split(","))
@@ -335,4 +342,4 @@ def parse_family_spec(text: str) -> FamilySpec:
 
 def is_family_spec(text: str) -> bool:
     head = text.partition(":")[0].strip()
-    return head in _FAMILY_TABLE
+    return head in _FAMILY_KINDS

@@ -208,17 +208,25 @@ def _dense_largest(mat: np.ndarray) -> Tuple[float, np.ndarray]:
 
 
 def _component_matrix(g: Graph, comp: Sequence[int], mode: str) -> np.ndarray:
+    """Adjacency (``mode == "a"``) or signless Laplacian (``"q"``) of the
+    induced subgraph on the sorted vertex list ``comp``.
+
+    The bit rows are unpacked in one step: each row's little-endian bytes
+    are joined, ``np.unpackbits`` spreads them to a ``k x 8*nbytes`` 0/1
+    array, and the component's columns are kept. The result must be a
+    C-ordered float64 array: with a column-sliced layout BLAS sums
+    ``mat @ x`` in another order, which moves q by an ulp (q(T_{5,2}) would
+    read 4.999999999999999 instead of 5.000000000000001).
+    """
     k = len(comp)
-    idx = {v: i for i, v in enumerate(comp)}
-    a = np.zeros((k, k))
-    for v in comp:
-        m = g.rows[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            a[idx[v], idx[w]] = 1.0
+    nbytes = (g.n + 7) // 8
+    raw = b"".join([g.rows[v].to_bytes(nbytes, "little") for v in comp])
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    bits = bits.reshape(k, 8 * nbytes)
+    bits = bits[:, :k] if k == g.n else bits[:, comp]
+    a = bits.astype(np.float64, order="C")
     if mode == "q":
-        a += np.diag(a.sum(axis=1))
+        np.fill_diagonal(a, a.sum(axis=1))
     return a
 
 

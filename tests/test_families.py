@@ -23,6 +23,39 @@ def test_turan_examples():
         F.turan(3, 4)
 
 
+def _turan_parts(n, r):
+    """Part index of each vertex: part i is the next ceil((n - i) / r)
+    consecutive vertices."""
+    part = []
+    for i in range(r):
+        part += [i] * ((n - i + r - 1) // r)
+    assert len(part) == n
+    return part
+
+
+def test_turan_rows_match_definition():
+    for n in range(1, 71):
+        for r in range(1, n + 1):
+            part = _turan_parts(n, r)
+            expected = tuple(
+                sum(1 << w for w in range(n) if part[w] != part[v]) for v in range(n)
+            )
+            assert F.turan(n, r).rows == expected, (n, r)
+
+
+def test_h_graph_matches_definition():
+    for n, r, k in [(9, 3, 1), (7, 2, 2), (8, 3, 2), (12, 3, 4), (70, 5, 3), (66, 4, 6)]:
+        c = k - 1
+        part = [-1] * c + _turan_parts(n - c, r)
+        # the k-1 clique vertices come first and see everyone; the rest form
+        # T_{n-k+1,r}, adjacent across parts
+        expected = tuple(
+            sum(1 << w for w in range(n) if w != v and (v < c or w < c or part[w] != part[v]))
+            for v in range(n)
+        )
+        assert F.h_graph(n, r, k).rows == expected, (n, r, k)
+
+
 def test_turan_clique_free():
     for n in range(2, 11):
         for r in range(1, n + 1):
@@ -131,3 +164,23 @@ def test_family_spec_round_trip():
         F.parse_family_spec("turan:7")
     with pytest.raises(ValueError, match="integers"):
         F.parse_family_spec("turan:a,b")
+
+
+def test_family_aliases_build_their_targets():
+    pairs = [("clique:5", "complete:5"), ("kst:2,3", "complete_bipartite:2,3"),
+             ("book:3,2", "generalized_book:3,2"), ("kst_plus:2,4", "kstplus:2,4"),
+             ("h_graph:12,3,2", "h:12,3,2"), ("L_family:10,3,4", "L:10,3,4"),
+             ("Y_family:8,3", "Y:8,3")]
+    for alias, target in pairs:
+        assert F.is_family_spec(alias) and F.is_family_spec(target)
+        spec = F.parse_family_spec(alias)
+        assert str(spec) == alias
+        assert spec.build() == F.parse_family_spec(target).build()
+    assert not F.is_family_spec("blob:3")
+    with pytest.raises(ValueError) as exc:
+        F.parse_family_spec("blob:3")
+    assert str(exc.value) == (
+        "unknown family kind 'blob'; valid kinds: L, L_family, Y, Y_family, book, clique, "
+        "complete, complete_bipartite, cycle, empty, generalized_book, h, h_graph, kst, "
+        "kst_plus, kstplus, path, petersen, split, star, turan, wheel"
+    )

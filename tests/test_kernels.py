@@ -7,8 +7,9 @@ import pytest
 
 from qturan import _kernels
 from conftest import all_labeled_graphs, brute_canon_key, brute_contains, brute_max_clique
-from qturan.families import empty, path
+from qturan.families import complete, empty, path
 from qturan.graphs import Graph, canonical_form
+from qturan.subgraph import has_clique, is_free
 
 
 def _rand_rows(rng, n, p):
@@ -87,3 +88,19 @@ def test_canonical_form_order_cap():
         canonical_form(empty(cap + 1))
     with pytest.raises(ValueError, match="n=1100"):
         canonical_form(path(1100))
+
+
+def test_search_depth_cap():
+    # clique and embedding searches recurse once per clique or F vertex: up
+    # to the cap they must answer, past it refuse with a ValueError naming
+    # the size, never a RecursionError
+    cap = _kernels.CANONICAL_MAX_ORDER
+    assert has_clique(complete(cap), cap)
+    assert not is_free(path(cap + 10), path(cap))
+    with pytest.raises(ValueError, match="k=1100"):
+        has_clique(complete(1100), 1100)
+    with pytest.raises(ValueError, match="order 1000"):
+        is_free(path(1100), path(1000))
+    # sizes above the host order are still answered without searching
+    assert not has_clique(complete(10), 1100)
+    assert is_free(path(10), path(1000))

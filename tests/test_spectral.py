@@ -21,6 +21,69 @@ def q_matrix(g: Graph) -> np.ndarray:
     return a + np.diag(a.sum(axis=1))
 
 
+def reference_component_matrix(g: Graph, comp, mode: str) -> np.ndarray:
+    """Per-bit build of the component's adjacency or signless Laplacian."""
+    idx = {v: i for i, v in enumerate(comp)}
+    a = np.zeros((len(comp), len(comp)))
+    for v in comp:
+        for w in range(g.n):
+            if (g.rows[v] >> w) & 1:
+                a[idx[v], idx[w]] = 1.0
+    if mode == "q":
+        a += np.diag(a.sum(axis=1))
+    return a
+
+
+def _shuffled_union(parts, rng) -> Graph:
+    """Disjoint union of ``parts`` under a random relabeling, so that the
+    components interleave instead of occupying consecutive ranges."""
+    n = sum(p.n for p in parts)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges, offset = [], 0
+    for p in parts:
+        edges += [(perm[u + offset], perm[v + offset]) for u, v in p.edges()]
+        offset += p.n
+    return from_edges(n, edges)
+
+
+def test_component_matrix_matches_per_bit_reference():
+    rng = random.Random(23)
+    graphs = [sample_gnp(n, rng.random(), rng) for n in (63, 64, 65, 101, 130)]
+    graphs += [sample_gnp(rng.randrange(1, 90), rng.random(), rng) for _ in range(40)]
+    for _ in range(40):
+        parts = [sample_gnp(rng.randrange(1, 40), rng.random(), rng) for _ in range(rng.randrange(2, 5))]
+        graphs.append(_shuffled_union(parts, rng))
+    graphs += [_shuffled_union([sample_gnp(n, 0.3, rng), F.path(3), F.empty(2)], rng) for n in (58, 59, 60, 120)]
+    comps_checked = 0
+    for g in graphs:
+        for comp in g.components():
+            for mode in ("q", "a"):
+                mat = S._component_matrix(g, comp, mode)
+                assert mat.dtype == np.float64
+                assert mat.flags["C_CONTIGUOUS"]
+                ref = reference_component_matrix(g, comp, mode)
+                assert mat.tobytes() == ref.tobytes(), (g, comp, mode)
+            comps_checked += len(comp) < g.n
+    assert comps_checked > 40  # proper components, not just whole graphs
+
+
+@pytest.mark.parametrize("n, r, q_hex", [
+    (5, 2, "0x1.4000000000001p+2"),
+    (6, 3, "0x1.fffffffffffffp+2"),
+    (7, 3, "0x1.28cc1f315b3d6p+3"),
+    (40, 5, "0x1.fffffffffffffp+5"),
+    (64, 7, "0x1.b6c8424f16e3ap+6"),
+    (65, 2, "0x1.0400000000000p+6"),
+    (100, 12, "0x1.6e940d487f572p+7"),
+])
+def test_turan_q_bits_pinned(n, r, q_hex):
+    # power iteration's last bits depend on how the matrix-vector product is
+    # summed, which follows the matrix layout; these are the values of the
+    # per-bit matrix build, so a layout change that moves q by an ulp fails
+    assert S.q_value(F.turan(n, r)).hex() == q_hex
+
+
 def test_dense_eigensolver_vs_numpy():
     rng = np.random.default_rng(19)
     for _ in range(120):
