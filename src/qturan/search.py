@@ -85,7 +85,20 @@ def _classes(n: int) -> Tuple[Graph, ...]:
     """All isomorphism classes of order n, canonically labeled, generated by
     canonical augmentation: a child of a parent survives iff deleting the
     vertex at its last canonical position reproduces the parent, with
-    per-parent deduplication absorbing automorphic extensions."""
+    per-parent deduplication absorbing automorphic extensions.
+
+    Two filters reject children that cannot survive before any labeling;
+    neither changes which classes are produced or their order.
+
+    1. The new vertex must have minimum degree. Degree leads the token that
+       ``canonical_labeling`` maximizes, so degrees never increase along the
+       canonical order and the last vertex has minimum degree; a survivor has
+       G - last ~ G - new, so equal edge counts give deg(new) = deg(last).
+       A neighbor set S of size delta(P) + 1 must therefore hold every
+       minimum-degree vertex of the parent P, and a larger S never survives.
+    2. Isomorphic graphs have equal degree sequences, so G - last is only
+       labeled when its sorted degrees equal the parent's.
+    """
     if n == 0:
         return ()
     if n == 1:
@@ -95,7 +108,17 @@ def _classes(n: int) -> Tuple[Graph, ...]:
     for parent in _classes(k):
         seen: set = set()
         prows = parent.rows
+        pdegs = parent.degrees()
+        psorted = sorted(pdegs)
+        delta = psorted[0]
+        low = 0
+        for j in range(k):
+            if pdegs[j] == delta:
+                low |= 1 << j
         for subset in range(1 << k):
+            s = subset.bit_count()
+            if s > delta and (s > delta + 1 or subset & low != low):
+                continue
             rows = list(prows)
             for j in range(k):
                 if (subset >> j) & 1:
@@ -106,14 +129,19 @@ def _classes(n: int) -> Tuple[Graph, ...]:
             if canon in seen:
                 continue
             last = order[n - 1]
-            if last == k:
-                # deleting the new vertex trivially reproduces the parent
-                seen.add(canon)
-                out.append(Graph(n, canon))
-                continue
-            if canonical_form(delete_vertex(Graph(n, child), last)) == prows:
-                seen.add(canon)
-                out.append(Graph(n, canon))
+            # deleting the new vertex trivially reproduces the parent; any
+            # other last vertex must reproduce it up to isomorphism
+            if last != k:
+                lrow = child[last]
+                degs = sorted(
+                    child[v].bit_count() - ((lrow >> v) & 1) for v in range(n) if v != last
+                )
+                if degs != psorted:
+                    continue
+                if canonical_form(delete_vertex(Graph(n, child), last)) != prows:
+                    continue
+            seen.add(canon)
+            out.append(Graph(n, canon))
     return tuple(out)
 
 

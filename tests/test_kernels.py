@@ -9,6 +9,7 @@ from qturan import _kernels
 from conftest import all_labeled_graphs, brute_canon_key, brute_contains, brute_max_clique
 from qturan.families import complete, empty, path
 from qturan.graphs import Graph, canonical_form
+from qturan.search import enumerate_graphs, sample_gnp
 from qturan.subgraph import has_clique, is_free
 
 
@@ -47,6 +48,38 @@ def test_canonical_labeling_is_a_relabeling():
             for j in range(n):
                 assert ((canon[i] >> j) & 1) == ((rows[order[i]] >> order[j]) & 1)
         assert _kernels.canonical_labeling(n, canon)[1] == canon  # idempotent
+
+
+def _relabel(rows, perm):
+    # vertex v of the input becomes vertex perm[v]
+    out = [0] * len(rows)
+    for v, r in enumerate(rows):
+        m = 0
+        for w in range(len(rows)):
+            if (r >> w) & 1:
+                m |= 1 << perm[w]
+        out[perm[v]] = m
+    return tuple(out)
+
+
+def test_canonical_order_is_degree_non_increasing():
+    # degree leads the token canonical_labeling maximizes, so the last
+    # canonical vertex has minimum degree; search._classes skips children on
+    # that fact, and this test names the cause if the token is reordered
+    rng = random.Random(53)
+    graphs = [g.rows for n in range(1, 8) for g in enumerate_graphs(n)]
+    graphs += [
+        sample_gnp(n, p, rng).rows for n in (8, 12, 20, 30, 40) for p in (0.1, 0.3, 0.5, 0.8)
+    ]
+    for rows in graphs:
+        n = len(rows)
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relabeled = _relabel(rows, perm)
+            order, _ = _kernels.canonical_labeling(n, relabeled)
+            degs = [relabeled[v].bit_count() for v in order]
+            assert all(degs[i] >= degs[i + 1] for i in range(n - 1)), (n, rows)
 
 
 def test_find_clique_against_subset_bruteforce():

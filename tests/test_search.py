@@ -6,11 +6,20 @@ import random
 import pytest
 
 from conftest import burnside_graph_count, labeled_orbit_count
+from qturan import _kernels
 from qturan import families as F
 from qturan.bounds import CriterionParams
-from qturan.graphs import Graph6Error, is_isomorphic, parse_graph6
+from qturan.graphs import (
+    Graph,
+    Graph6Error,
+    canonical_form,
+    delete_vertex,
+    is_isomorphic,
+    parse_graph6,
+)
 from qturan.search import (
     POOL_MIN_ITEMS,
+    _classes,
     count_classes,
     enumerate_graphs,
     explore_kst_conjecture,
@@ -38,13 +47,46 @@ def test_counts_match_both_independent_oracles():
 
 
 def test_enumeration_is_isomorph_free_and_deterministic():
-    for n in range(1, 7):
+    for n in range(1, 8):
         graphs = list(enumerate_graphs(n))
         forms = {g.rows for g in graphs}
         assert len(forms) == len(graphs)
         assert list(enumerate_graphs(n)) == graphs  # stable order
         for g in graphs:
             assert g.n == n
+            assert canonical_form(g) == g.rows
+
+
+def _unfiltered_classes(n):
+    # canonical augmentation without the degree filters of search._classes:
+    # every child of every parent is labeled
+    if n == 1:
+        return (Graph(1, (0,)),)
+    out = []
+    k = n - 1
+    for parent in _unfiltered_classes(k):
+        seen = set()
+        prows = parent.rows
+        for subset in range(1 << k):
+            rows = list(prows)
+            for j in range(k):
+                if (subset >> j) & 1:
+                    rows[j] |= 1 << k
+            rows.append(subset)
+            child = tuple(rows)
+            order, canon = _kernels.canonical_labeling(n, child)
+            if canon in seen:
+                continue
+            last = order[n - 1]
+            if last == k or canonical_form(delete_vertex(Graph(n, child), last)) == prows:
+                seen.add(canon)
+                out.append(Graph(n, canon))
+    return tuple(out)
+
+
+def test_filtered_augmentation_matches_unfiltered_reference():
+    for n in range(1, 8):
+        assert _classes(n) == _unfiltered_classes(n), n
 
 
 def test_enumeration_cap_directs_to_corpus():
