@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid", required=True, help="forbidden subgraph (family spec or graph6)")
     p.add_argument("--mode", choices=["edges", "q"], default="edges")
     p.add_argument("--corpus", help="external graph6 corpus file (see QTURAN_CORPUS_DIR)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted; scans run in-process")
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("descent", parents=[common], help="min-Perron-entry deletion trace")

@@ -81,6 +81,7 @@ class Graph:
 
     def components(self) -> List[List[int]]:
         """Connected components as sorted vertex lists, ordered by minimum vertex."""
+        full = (1 << self.n) - 1
         seen = 0
         comps = []
         for s in range(self.n):
@@ -97,6 +98,9 @@ class Graph:
                     nxt |= self.rows[v]
                 frontier = nxt & ~comp
                 comp |= frontier
+                if comp == full:
+                    # only the walk from vertex 0 can reach every vertex
+                    return [list(range(self.n))]
             seen |= comp
             comps.append(_mask_bits(comp))
         return comps

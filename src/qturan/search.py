@@ -10,15 +10,17 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import _kernels
 from .bounds import CriterionParams
 from .chromatic import chromatic_number
 from .families import turan
 from .graphs import Graph, Graph6Error, canonical_form, delete_vertex, parse_graph6, to_graph6
-from .spectral import DEFAULT_TOL, Tolerance, q_value
+from .spectral import DEFAULT_TOL, Tolerance, q_upper_bounds, q_value
 from .subgraph import has_clique, is_free
 
 ENUMERATION_CAP = 9
@@ -200,55 +202,15 @@ def resolve_corpus_path(path: str) -> str:
     return path
 
 
-def _graph_source(n: int, corpus: Optional[str]) -> List[Graph]:
+def _graph_source(n: int, corpus: Optional[str]) -> Sequence[Graph]:
     if corpus is not None:
         # corpus files may bundle several orders; an (n, F) report only
         # concerns order-n entries
         return [g for g in ingest_corpus(corpus) if g.n == n]
-    return list(enumerate_graphs(n))
+    return tuple(enumerate_graphs(n))
 
 
 # -- extremal scans --------------------------------------------------------------
-
-
-def _edge_chunk_worker(chunk: Sequence[Graph], f: Graph) -> Tuple[int, List[Graph], int]:
-    best = -1
-    winners: List[Graph] = []
-    for g in chunk:
-        m = g.m
-        if m < best or not is_free(g, f):
-            continue
-        if m > best:
-            best = m
-            winners = [g]
-        else:
-            winners.append(g)
-    return best, winners, len(chunk)
-
-
-def _q_chunk_worker(
-    chunk: Sequence[Graph],
-    f: Graph,
-    tol: Tolerance,
-    min_degree_above: Optional[float],
-) -> Tuple[float, List[Graph], int]:
-    best = float("-inf")
-    winners: List[Graph] = []
-    for g in chunk:
-        if min_degree_above is not None:
-            degs = g.degrees()
-            if not degs or min(degs) <= min_degree_above:
-                continue
-        if not is_free(g, f):
-            continue
-        q = q_value(g, tol)
-        if q > best + tol.cmp_tol:
-            best = q
-            winners = [g]
-        elif q >= best - tol.cmp_tol:
-            winners.append(g)
-            best = max(best, q)
-    return best, winners, len(chunk)
 
 
 def map_chunks(worker, items: Sequence, jobs: int) -> List:
@@ -264,6 +226,19 @@ def map_chunks(worker, items: Sequence, jobs: int) -> List:
         return list(ex.map(worker, chunks))
 
 
+def _rank(graphs: Sequence[Graph]) -> Tuple[np.ndarray, np.ndarray]:
+    """Upper bounds hi(G) >= q(G) and the indices in descending-hi order,
+    ties in source order."""
+    hi = q_upper_bounds(graphs)
+    return hi, np.argsort(-hi, kind="stable")
+
+
+@lru_cache(maxsize=16)
+def _class_ranking(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``_rank`` of the order-n classes, computed on the first scan."""
+    return _rank(_classes(n))
+
+
 def extremal_edges(
     n: int,
     f: Graph,
@@ -271,24 +246,25 @@ def extremal_edges(
     tol: Tolerance = DEFAULT_TOL,
     jobs: int = 1,
 ) -> SearchReport:
-    """ex(n, F) with every extremal isomorphism class.
+    """ex(n, F) with every extremal isomorphism class, in source order.
 
-    Graphs already below the running record are skipped without a
-    containment test; the record and ties use exact integer comparison.
+    Graphs are visited by descending edge count, so containment is tested
+    only down to the first F-free edge count; the record and ties use exact
+    integer comparison. The scan runs in-process; ``jobs`` is accepted for
+    call compatibility and does not change the work.
     """
     t0 = time.perf_counter()
+    graphs = _graph_source(n, corpus)
     best = -1
-    winners: List[Graph] = []
-    scanned = 0
-    for part_best, part_winners, part_scanned in map_chunks(
-        partial(_edge_chunk_worker, f=f), _graph_source(n, corpus), jobs
-    ):
-        scanned += part_scanned
-        if part_best > best:
-            best = part_best
-            winners = list(part_winners)
-        elif part_best == best and part_best >= 0:
-            winners.extend(part_winners)
+    found: List[int] = []
+    for i in sorted(range(len(graphs)), key=lambda i: -graphs[i].m):
+        g = graphs[i]
+        if g.m < best:
+            break
+        if is_free(g, f):
+            best = g.m
+            found.append(i)
+    winners = [graphs[i] for i in sorted(found)]
     qmax = max((q_value(g, tol) for g in winners), default=None)
     return SearchReport(
         n=n,
@@ -297,7 +273,7 @@ def extremal_edges(
         ex_edges=best if best >= 0 else None,
         max_q=qmax,
         extremal_graphs=[to_graph6(g).decode("ascii") for g in winners],
-        scanned=scanned,
+        scanned=len(graphs),
         elapsed=time.perf_counter() - t0,
     )
 
@@ -313,27 +289,45 @@ def extremal_q(
     """Max q(G) over F-free classes with all maximizers at cmp_tol, then an
     exact re-ranking of the tied set at eig_tol/100 to guard tolerance ties.
 
-    No edge pruning: q is not monotone in the edge count across classes.
-    ``min_degree_above`` restricts the scan to delta(G) > that value.
+    Classes are visited by descending upper bound hi(G) >= q(G)
+    (``spectral.q_upper_bounds``). Containment and the serial ``q_value``
+    run only while hi >= best - cmp_tol - 1e-9 * max(1, best), where best
+    is the largest serial q of the F-free classes seen so far; every class
+    past that point has q below the final maximum by more than cmp_tol plus
+    that slack, so it can neither win nor move the record, and the
+    accumulate rule replayed in source order over the visited F-free
+    classes gives the result of a full scan. ``min_degree_above`` restricts
+    the scan to delta(G) > that value. The scan runs in-process; ``jobs`` is
+    accepted for call compatibility and does not change the work.
     """
     t0 = time.perf_counter()
+    graphs = _graph_source(n, corpus)
+    hi, order = _class_ranking(n) if corpus is None else _rank(graphs)
+    best = float("-inf")
+    found: List[Tuple[int, float]] = []
+    for i in order:
+        if hi[i] < best - tol.cmp_tol - 1e-9 * max(1.0, best):
+            break
+        g = graphs[i]
+        if min_degree_above is not None:
+            degs = g.degrees()
+            if not degs or min(degs) <= min_degree_above:
+                continue
+        if not is_free(g, f):
+            continue
+        q = q_value(g, tol)
+        best = max(best, q)
+        found.append((i, q))
+    found.sort()
     best = float("-inf")
     winners: List[Graph] = []
-    scanned = 0
-    for part_best, part_winners, part_scanned in map_chunks(
-        partial(_q_chunk_worker, f=f, tol=tol, min_degree_above=min_degree_above),
-        _graph_source(n, corpus),
-        jobs,
-    ):
-        scanned += part_scanned
-        for g in part_winners:
-            q = q_value(g, tol)
-            if q > best + tol.cmp_tol:
-                best = q
-                winners = [g]
-            elif q >= best - tol.cmp_tol:
-                winners.append(g)
-                best = max(best, q)
+    for i, q in found:
+        if q > best + tol.cmp_tol:
+            best = q
+            winners = [graphs[i]]
+        elif q >= best - tol.cmp_tol:
+            winners.append(graphs[i])
+            best = max(best, q)
     if winners:
         fine = Tolerance(eig_tol=tol.eig_tol / 100, cmp_tol=tol.cmp_tol)
         refined = [(q_value(g, fine), g) for g in winners]
@@ -346,7 +340,7 @@ def extremal_q(
         ex_edges=max((g.m for g in winners), default=None),
         max_q=best if winners else None,
         extremal_graphs=[to_graph6(g).decode("ascii") for g in winners],
-        scanned=scanned,
+        scanned=len(graphs),
         elapsed=time.perf_counter() - t0,
     )
 

@@ -207,22 +207,28 @@ def _dense_largest(mat: np.ndarray) -> Tuple[float, np.ndarray]:
     return lam, v
 
 
+def _unpack_rows(rows: Sequence[int], n: int) -> np.ndarray:
+    """Bit rows of an order-n graph as a ``len(rows) x 8*ceil(n/8)`` uint8
+    0/1 array: each row's little-endian bytes are joined and spread by one
+    ``np.unpackbits``; column j is bit j."""
+    nbytes = (n + 7) // 8
+    raw = b"".join([r.to_bytes(nbytes, "little") for r in rows])
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return bits.reshape(len(rows), 8 * nbytes)
+
+
 def _component_matrix(g: Graph, comp: Sequence[int], mode: str) -> np.ndarray:
     """Adjacency (``mode == "a"``) or signless Laplacian (``"q"``) of the
     induced subgraph on the sorted vertex list ``comp``.
 
-    The bit rows are unpacked in one step: each row's little-endian bytes
-    are joined, ``np.unpackbits`` spreads them to a ``k x 8*nbytes`` 0/1
-    array, and the component's columns are kept. The result must be a
+    The bit rows are unpacked in one step (``_unpack_rows``) and the
+    component's columns are kept. The result must be a
     C-ordered float64 array: with a column-sliced layout BLAS sums
     ``mat @ x`` in another order, which moves q by an ulp (q(T_{5,2}) would
     read 4.999999999999999 instead of 5.000000000000001).
     """
     k = len(comp)
-    nbytes = (g.n + 7) // 8
-    raw = b"".join([g.rows[v].to_bytes(nbytes, "little") for v in comp])
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    bits = bits.reshape(k, 8 * nbytes)
+    bits = _unpack_rows([g.rows[v] for v in comp], g.n)
     bits = bits[:, :k] if k == g.n else bits[:, comp]
     a = bits.astype(np.float64, order="C")
     if mode == "q":
@@ -300,6 +306,70 @@ def q_value(g: Graph, tol: Optional[Tolerance] = None) -> float:
 
 def lambda_value(g: Graph, tol: Optional[Tolerance] = None) -> float:
     return adjacency_radius(g, tol).radius
+
+
+# -- batched upper bounds ------------------------------------------------------
+
+# graphs per stacked block: an order-9 block holds 16384 x 81 float64 (10.6 MB)
+BOUND_BLOCK = 1 << 14
+_BOUND_SWEEP_CAP = 1000
+# added to every entry of the iterate before the ratios are taken, so that
+# the vector is strictly positive even where the iterate is 0
+_BOUND_EPS = 1e-12
+# a row stops once hi - lo <= _BOUND_REL_GAP * max(1, lo)
+_BOUND_REL_GAP = 1e-9
+# the returned hi is raised by this many ulps per vertex: enough to cover the
+# rounding of its own n-term sums and division, and that of the Rayleigh
+# quotient behind q_value, so hi >= q_value holds in floating point too
+_BOUND_ROUNDING_ULPS = 8
+
+
+def q_upper_bounds(graphs: Sequence[Graph]) -> np.ndarray:
+    """Rigorous upper bounds hi(G) >= q(G) for a list of graphs of one order.
+
+    A masked power iteration runs on the stacked Q matrices, one ``einsum``
+    per sweep. At every sweep each graph gets hi = max_u (Qx')_u / x'_u and
+    lo = x'Qx' / x'x' on the strictly positive vector x' = x + eps*1. By
+    Collatz-Wielandt every such hi bounds the spectral radius of any
+    nonnegative matrix, connected or not and converged or not, so the result
+    is the least hi seen, raised by a few ulps per vertex for rounding. A
+    graph leaves the iteration once hi - lo <= 1e-9 * max(1, lo); the sweep
+    count is capped by a constant. The stack is processed in blocks of
+    ``BOUND_BLOCK`` graphs so memory stays bounded.
+    """
+    out = np.empty(len(graphs))
+    for start in range(0, len(graphs), BOUND_BLOCK):
+        block = graphs[start: start + BOUND_BLOCK]
+        out[start: start + len(block)] = _block_upper_bounds(block)
+    return out
+
+
+def _block_upper_bounds(graphs: Sequence[Graph]) -> np.ndarray:
+    n = graphs[0].n
+    for g in graphs:
+        if g.n != n:
+            raise ValueError(f"q_upper_bounds needs one order, got {n} and {g.n}")
+    if n <= 1:
+        return np.zeros(len(graphs))
+    bits = _unpack_rows([r for g in graphs for r in g.rows], n)
+    mats = bits.reshape(len(graphs), n, -1)[:, :, :n].astype(np.float64)
+    diag = np.arange(n)
+    mats[:, diag, diag] = mats.sum(axis=2)
+    x = mats[:, diag, diag] + 1e-3
+    hi = np.full(len(graphs), np.inf)
+    live = np.arange(len(graphs))
+    for _ in range(_BOUND_SWEEP_CAP):
+        xp = x + _BOUND_EPS
+        y = np.einsum("bij,bj->bi", mats, xp)
+        hi[live] = np.minimum(hi[live], (y / xp).max(axis=1))
+        lo = (xp * y).sum(axis=1) / (xp * xp).sum(axis=1)
+        keep = hi[live] - lo > _BOUND_REL_GAP * np.maximum(1.0, lo)
+        if not keep.all():
+            live, mats, y = live[keep], mats[keep], y[keep]
+            if not live.size:
+                break
+        x = y / y.max(axis=1, keepdims=True)
+    return hi * (1.0 + _BOUND_ROUNDING_ULPS * n * np.finfo(np.float64).eps)
 
 
 def rayleigh_q(g: Graph, x: Sequence[float]) -> float:

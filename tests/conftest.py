@@ -19,7 +19,7 @@ from qturan.graphs import Graph, from_edges
 @pytest.fixture
 def opened_pools(monkeypatch):
     """A list that gains one entry per process pool opened during the test,
-    so a jobs > 1 test can show it did not silently run serially."""
+    so a jobs > 1 test can show whether the work fanned out."""
     opened = []
 
     class RecordingPool(ProcessPoolExecutor):

@@ -2,23 +2,28 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import burnside_graph_count, labeled_orbit_count
 from qturan import _kernels
 from qturan import families as F
+from qturan import verify as V
 from qturan.bounds import CriterionParams
 from qturan.graphs import (
     Graph,
     Graph6Error,
     canonical_form,
     delete_vertex,
+    from_edges,
     is_isomorphic,
     parse_graph6,
+    to_graph6,
 )
 from qturan.search import (
     POOL_MIN_ITEMS,
+    SearchReport,
     _classes,
     count_classes,
     enumerate_graphs,
@@ -32,7 +37,8 @@ from qturan.search import (
     sample_gnp,
     turan_density_estimate,
 )
-from qturan.spectral import q_value
+from qturan.spectral import DEFAULT_TOL, Tolerance, q_value
+from qturan.subgraph import is_free
 
 
 def test_counts_match_both_independent_oracles():
@@ -134,8 +140,6 @@ def test_w6_edge_search_report_only():
     rep = extremal_edges(6, F.wheel(1, 5))
     # report-only regime: value recorded, every winner is W6-free
     assert rep.ex_edges is not None and rep.scanned == 156
-    from qturan.subgraph import is_free
-
     for g6 in rep.extremal_graphs:
         assert is_free(parse_graph6(g6), F.wheel(1, 5))
 
@@ -218,12 +222,163 @@ def _without_elapsed(rep):
 
 
 def test_scan_results_independent_of_job_count(opened_pools):
-    # 1044 classes at n = 7: enough for map_chunks to fan out
+    # 1044 classes at n = 7: enough for map_chunks to fan out, which the
+    # scans no longer use
     assert count_classes(7) >= POOL_MIN_ITEMS
     for scan, f in ((extremal_edges, F.complete(3)), (extremal_q, F.complete(4))):
         seq = scan(7, f, jobs=1)
-        assert not opened_pools
         par = scan(7, f, jobs=2)
-        assert len(opened_pools) == 1
         assert _without_elapsed(seq) == _without_elapsed(par)
-        opened_pools.clear()
+    assert not opened_pools
+
+
+# -- ranked scans against the unranked loop ----------------------------------------
+
+
+def _unranked_edges(n, f, corpus=None, tol=DEFAULT_TOL):
+    """extremal_edges as a plain loop: containment on every graph of the
+    source, in source order."""
+    graphs = _source(n, corpus)
+    best, winners = -1, []
+    for g in graphs:
+        if g.m < best or not is_free(g, f):
+            continue
+        if g.m > best:
+            best, winners = g.m, [g]
+        else:
+            winners.append(g)
+    return SearchReport(
+        n=n,
+        forbidden=to_graph6(f).decode("ascii"),
+        mode="edges",
+        ex_edges=best if best >= 0 else None,
+        max_q=max((q_value(g, tol) for g in winners), default=None),
+        extremal_graphs=[to_graph6(g).decode("ascii") for g in winners],
+        scanned=len(graphs),
+        elapsed=0.0,
+    )
+
+
+def _unranked_q(n, f, corpus=None, tol=DEFAULT_TOL, min_degree_above=None):
+    """extremal_q as a plain loop: containment and q_value on every graph of
+    the source, the accumulate rule in source order, then the re-solve of
+    the tied set."""
+    graphs = _source(n, corpus)
+    best, winners = float("-inf"), []
+    for g in graphs:
+        if min_degree_above is not None and (not g.n or min(g.degrees()) <= min_degree_above):
+            continue
+        if not is_free(g, f):
+            continue
+        q = q_value(g, tol)
+        if q > best + tol.cmp_tol:
+            best, winners = q, [g]
+        elif q >= best - tol.cmp_tol:
+            winners.append(g)
+            best = max(best, q)
+    if winners:
+        fine = Tolerance(eig_tol=tol.eig_tol / 100, cmp_tol=tol.cmp_tol)
+        refined = [(q_value(g, fine), g) for g in winners]
+        best = max(q for q, _ in refined)
+        winners = [g for q, g in refined if q >= best - tol.cmp_tol]
+    return SearchReport(
+        n=n,
+        forbidden=to_graph6(f).decode("ascii"),
+        mode="q",
+        ex_edges=max((g.m for g in winners), default=None),
+        max_q=best if winners else None,
+        extremal_graphs=[to_graph6(g).decode("ascii") for g in winners],
+        scanned=len(graphs),
+        elapsed=0.0,
+    )
+
+
+def _source(n, corpus):
+    if corpus is None:
+        return list(enumerate_graphs(n))
+    return [g for g in ingest_corpus(corpus) if g.n == n]
+
+
+_SCAN_TARGETS = [
+    F.complete(3),
+    F.complete(4),
+    F.complete(5),
+    F.complete(6),
+    F.cycle(5),
+    F.wheel(1, 5),
+    F.generalized_book(3, 2),
+    F.kst_plus(2, 3),
+    from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),  # 2K3
+]
+
+
+def test_ranked_scans_match_unranked_loop():
+    for n in range(1, 8):
+        for f in _SCAN_TARGETS:
+            tag = (n, to_graph6(f))
+            assert _without_elapsed(extremal_edges(n, f)) == _without_elapsed(_unranked_edges(n, f)), tag
+            for above in (None, 0, 0.45 * n):
+                got = extremal_q(n, f, min_degree_above=above)
+                assert _without_elapsed(got) == _without_elapsed(
+                    _unranked_q(n, f, min_degree_above=above)
+                ), (tag, above)
+
+
+def test_ranked_scans_match_unranked_loop_on_mixed_corpus(tmp_path):
+    # orders 4..7 interleaved, each class under a random relabeling, plus
+    # relabeled duplicates whose q can differ from the original in the last
+    # bits, so that ties are decided at cmp_tol
+    rng = random.Random(17)
+    graphs = []
+    for n in range(4, 8):
+        for g in enumerate_graphs(n):
+            graphs.append(_relabeled(g, rng))
+            if rng.random() < 0.2:
+                graphs.append(_relabeled(g, rng))
+    rng.shuffle(graphs)
+    path = tmp_path / "mixed.g6"
+    path.write_bytes(b"".join(to_graph6(g) + b"\n" for g in graphs))
+    corpus = str(path)
+    for n in range(4, 8):
+        for f in _SCAN_TARGETS:
+            tag = (n, to_graph6(f))
+            got = extremal_edges(n, f, corpus=corpus)
+            assert _without_elapsed(got) == _without_elapsed(_unranked_edges(n, f, corpus)), tag
+            for above in (None, 0.45 * n):
+                got = extremal_q(n, f, corpus=corpus, min_degree_above=above)
+                want = _unranked_q(n, f, corpus, min_degree_above=above)
+                assert _without_elapsed(got) == _without_elapsed(want), (tag, above)
+    assert extremal_q(8, F.complete(3), corpus=corpus).scanned == 0
+
+
+def _relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+# -- golden reports ----------------------------------------------------------------
+
+GOLDEN_REPORTS = Path(__file__).parent / "data" / "scan_reports_n7.json"
+
+
+def test_scan_reports_match_golden(monkeypatch):
+    """Reports (minus ``elapsed``) written by the unranked scans that the
+    ranked ones replaced, compared as text, byte for byte."""
+    suite_reports = []
+    inner = V.extremal_q
+
+    def recorded(*args, **kwargs):
+        rep = inner(*args, **kwargs)
+        suite_reports.append(_without_elapsed(rep))
+        return rep
+
+    monkeypatch.setattr(V, "extremal_q", recorded)
+    assert V.suite_q_turan(n_max=7).ok
+    payload = {
+        "suite_q_turan(n_max=7)": suite_reports,
+        "extremal_q(7, wheel(1,5))": _without_elapsed(extremal_q(7, F.wheel(1, 5))),
+        "extremal_q(7, generalized_book(3,2))": _without_elapsed(extremal_q(7, F.generalized_book(3, 2))),
+        "extremal_edges(7, complete(4))": _without_elapsed(extremal_edges(7, F.complete(4))),
+    }
+    assert json.dumps(payload, indent=2) + "\n" == GOLDEN_REPORTS.read_text()

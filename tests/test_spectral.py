@@ -214,3 +214,49 @@ def test_interlacing_under_deletion_exhaustive():
             q = S.q_value(g)
             for v in range(n):
                 assert S.q_value(delete_vertex(g, v)) <= q + 1e-9
+
+
+def _bound_corpus():
+    """Graphs grouped by order: every class of order <= 7, and seeded random
+    graphs with isolated vertices, bipartite and tied components."""
+    rng = random.Random(41)
+    by_order = {n: list(enumerate_graphs(n)) for n in range(1, 8)}
+    extra = [sample_gnp(rng.randrange(1, 13), rng.choice([0.1, 0.3, 0.6, 0.9]), rng) for _ in range(300)]
+    for _ in range(100):
+        parts = [sample_gnp(rng.randrange(1, 6), rng.random(), rng) for _ in range(rng.randrange(2, 4))]
+        extra.append(_shuffled_union(parts, rng))
+    extra += [
+        _shuffled_union([F.complete_bipartite(2, 3), F.cycle(4), F.empty(1)], rng),
+        _shuffled_union([F.complete(3), F.star(4)], rng),  # two components with q = 4
+        _shuffled_union([F.complete(4), F.path(3), F.empty(2)], rng),
+        _shuffled_union([F.star(4), F.complete(4)], rng),
+        F.empty(5),
+        F.complete(1),
+    ]
+    for g in extra:
+        by_order.setdefault(g.n, []).append(g)
+    return by_order
+
+
+def test_q_upper_bounds_dominate_q(monkeypatch):
+    by_order = _bound_corpus()
+    bounds = {n: S.q_upper_bounds(gs) for n, gs in by_order.items()}
+    checked = 0
+    for n, gs in by_order.items():
+        assert bounds[n].shape == (len(gs),)
+        for g, hi in zip(gs, bounds[n]):
+            assert hi >= S.q_value(g), (g, hi)
+            checked += 1
+    assert checked > 1400
+    # a small block constant splits each stack across several blocks; every
+    # row is iterated on its own, so the bounds stay valid and tight
+    monkeypatch.setattr(S, "BOUND_BLOCK", 5)
+    for n in (5, 6, 7):
+        blocked = S.q_upper_bounds(by_order[n])
+        assert len(by_order[n]) > 2 * S.BOUND_BLOCK
+        for g, hi in zip(by_order[n], blocked):
+            assert hi >= S.q_value(g)
+        assert np.allclose(blocked, bounds[n], rtol=1e-12, atol=0)
+    assert S.q_upper_bounds([]).shape == (0,)
+    with pytest.raises(ValueError, match="one order"):
+        S.q_upper_bounds([F.complete(3), F.complete(4)])
