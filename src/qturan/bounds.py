@@ -25,6 +25,8 @@ from .spectral import (
     degree_power,
     lambda_value,
     q_value,
+    turan_q,
+    turan_quadratic,
 )
 from .subgraph import contains_subgraph
 from . import families
@@ -304,8 +306,22 @@ def check_fact21_margin(n: int, r: int, tol: Tolerance = DEFAULT_TOL) -> BoundEn
     """(n/4) q(T_{n,r}) < e(T_{n,r}) + 1, strictly."""
     if not (2 <= r <= n):
         raise ValueError(f"needs 2 <= r <= n, got n={n}, r={r}")
-    lhs = n / 4 * q_value(turan(n, r), tol)
+    lhs = n / 4 * turan_q(n, r)
     return _entry("fact21_margin", lhs, float(turan_edges(n, r) + 1), tol, strict=True)
+
+
+def fact21_margin_exact(n: int, r: int) -> bool:
+    """Exact verdict of (n/4) q(T_{n,r}) < e(T_{n,r}) + 1, in integers.
+
+    With q(T_{n,r}) = (c + sqrt(disc)) / 2 the margin reads
+    n sqrt(disc) < t for t = 8 (e + 1) - n c, that is t > 0 and
+    n^2 disc < t^2.
+    """
+    if not (2 <= r <= n):
+        raise ValueError(f"needs 2 <= r <= n, got n={n}, r={r}")
+    c, disc = turan_quadratic(n, r)
+    t = 8 * (turan_edges(n, r) + 1) - n * c
+    return t > 0 and n * n * disc < t * t
 
 
 def check_dl1(

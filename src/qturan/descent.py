@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .bounds import CriterionParams
-from .families import turan
 from .graphs import Graph, delete_vertex, to_graph6
-from .spectral import DEFAULT_TOL, Tolerance, q_radius, q_value
+from .spectral import DEFAULT_TOL, Tolerance, q_radius, q_value, turan_q
 
 STOP_MIN_DEGREE = "min_degree_exceeded"
 STOP_FLOOR = "order_floor"
@@ -60,14 +58,6 @@ class DescentTrace:
             ],
         }
         return json.dumps(payload, indent=2)
-
-
-@lru_cache(maxsize=4096)
-def _reference_q(n: int, r: int, eig_tol: float) -> float:
-    """q(T_{n,r}): the default stand-in for the max radius over the
-    min-degree family when forbidding a color-critical graph with
-    chi = r + 1."""
-    return q_value(turan(n, r), Tolerance(eig_tol=eig_tol, cmp_tol=eig_tol * 10))
 
 
 def lemma_min_check(g: Graph, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -143,6 +133,10 @@ def descent_run(
     lowest-index vertex attaining the minimum Perron entry. With
     ``stop_below_reference`` the run also stops once q falls below
     q(T_{n,r}), which the proof's sequence never does.
+
+    The reference q(T_{n,r}) stands in for the max radius over the
+    min-degree family when a color-critical F with chi = r + 1 is
+    forbidden; it is the exact ``turan_q``, not an eigensolve.
     """
     if h.n <= floor or floor < 1:
         raise ValueError(f"needs |H| > floor >= 1, got |H|={h.n}, floor={floor}")
@@ -156,7 +150,7 @@ def descent_run(
         u = ties[0]
         delta = min(g.degrees())
         slack32 = lemma_min_check(g, tol)
-        ref_n = _reference_q(n, params.r, tol.eig_tol) if n >= params.r else 0.0
+        ref_n = turan_q(n, params.r) if n >= params.r else 0.0
 
         stop = None
         if delta > (params.pi - params.epsilon) * n:
@@ -175,7 +169,7 @@ def descent_run(
                 res.radius >= ref_n - tol.cmp_tol
                 and x * x < (1 - params.epsilon) / n
             )
-            ref_n1 = _reference_q(n - 1, params.r, tol.eig_tol) if n - 1 >= params.r else 0.0
+            ref_n1 = turan_q(n - 1, params.r) if n - 1 >= params.r else 0.0
             growth, reference = lemma_dv_check(
                 g, u, params, ref_n1, preconditions_hold=pre_ok, tol=tol
             )

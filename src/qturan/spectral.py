@@ -4,7 +4,8 @@ vectors, Rayleigh quotients, eigenequation residuals, degree powers.
 Primary route is power iteration on the nonnegative matrix itself; the
 fallback and test oracle is an in-repo dense symmetric eigensolver
 (Householder tridiagonalization followed by implicit QL with shifts), so no
-external eigenroutine is load-bearing.
+external eigenroutine is load-bearing. The Turán graphs T_{n,r} need neither:
+``turan_q`` gives their q exactly, in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -306,6 +307,47 @@ def q_value(g: Graph, tol: Optional[Tolerance] = None) -> float:
 
 def lambda_value(g: Graph, tol: Optional[Tolerance] = None) -> float:
     return adjacency_radius(g, tol).radius
+
+
+# -- exact Turán radius --------------------------------------------------------
+
+
+def turan_quadratic(n: int, r: int) -> Tuple[int, int]:
+    """Integers (c, disc) with q(T_{n,r}) = (c + sqrt(disc)) / 2.
+
+    T_{n,r} has s = n mod r parts of size a = b + (s > 0) and r - s of size
+    b = n // r. With u = q - n the quotient equation sum n_i / (u + 2 n_i) = 1
+    becomes u^2 + (2a + 2b - n) u - 2ab (r - 2) = 0, whose larger root is
+    (beta + sqrt(disc)) / 2 with beta = n - 2a - 2b and
+    disc = beta^2 + 8ab (r - 2); so c = 2n + beta. Valid for 1 <= r <= n.
+    """
+    if not (1 <= r <= n):
+        raise ValueError(f"turan graph needs 1 <= r <= n, got r={r}, n={n}")
+    b, s = divmod(n, r)
+    a = b + (s > 0)
+    beta = n - 2 * a - 2 * b
+    return 2 * n + beta, beta * beta + 8 * a * b * (r - 2)
+
+
+def turan_q(n: int, r: int) -> float:
+    """q(T_{n,r}) as the correctly rounded float of its exact value.
+
+    Integer arithmetic only: ``isqrt(disc * 4^k)`` brackets sqrt(disc) * 2^k
+    between root and root + 1, and CPython's int / int division rounds each
+    end of the bracket for q correctly; k doubles until both ends round to
+    the same float. The root is exact when root^2 = disc * 4^k.
+    """
+    c, disc = turan_quadratic(n, r)
+    k = 64
+    while True:
+        scaled = disc << (2 * k)
+        root = math.isqrt(scaled)
+        lo = (c << k) + root
+        den = 1 << (k + 1)
+        q = lo / den
+        if root * root == scaled or (lo + 1) / den == q:
+            return q
+        k *= 2
 
 
 # -- batched upper bounds ------------------------------------------------------

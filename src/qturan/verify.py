@@ -25,7 +25,7 @@ from .search import (
     sample_gnp,
     turan_density_estimate,
 )
-from .spectral import DEFAULT_TOL, Tolerance, q_value
+from .spectral import DEFAULT_TOL, Tolerance, turan_q
 from .subgraph import has_clique, is_free
 from .descent import lemma_min_check
 
@@ -203,7 +203,7 @@ def suite_q_turan(
                 continue
             rep = extremal_q(n, F.complete(rr + 1), tol=tol, jobs=jobs)
             res.checked += 1
-            want = q_value(F.turan(n, rr), tol)
+            want = turan_q(n, rr)
             if abs(rep.max_q - want) > 1e-9:
                 res.violations.append(
                     f"q-max({n},K_{rr + 1}) = {rep.max_q!r} != q(T) = {want!r}"

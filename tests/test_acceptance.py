@@ -126,6 +126,7 @@ def test_criterion_10_fact21_margin():
                 e = B.check_fact21_margin(n, r, tol)
                 checked += 1
                 assert e.holds and e.slack > 0, (n, r, e)
+                assert B.fact21_margin_exact(n, r) == e.holds, (n, r, e)
                 min_slack = e.slack if min_slack is None else min(min_slack, e.slack)
         assert checked == 3233
         print(f"    fact21 margin: {checked} pairs, min slack {min_slack:.6f}")

@@ -123,6 +123,18 @@ def test_fact21_margin():
         assert B.check_fact21_margin(n, 2).holds
 
 
+def test_fact21_margin_decided_exactly_to_ten_thousand():
+    # integer verdict, no float in the way: (n/4) q(T_{n,r}) < e(T_{n,r}) + 1
+    checked = 0
+    for n in range(3, 10_001):
+        for r in range(2, min(n, 12) + 1):
+            assert B.fact21_margin_exact(n, r), (n, r)
+            checked += 1
+    assert checked == 109_933
+    with pytest.raises(ValueError):
+        B.fact21_margin_exact(5, 1)
+
+
 def test_criterion_params():
     p = B.CriterionParams.default(r=3)
     assert p.pi == pytest.approx(2 / 3)

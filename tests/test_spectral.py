@@ -1,6 +1,7 @@
 """Spectral module: dense oracle, power iteration, Rayleigh, residual,
 degree powers, and the two-route agreement sweep."""
 
+import decimal
 import math
 import random
 
@@ -82,6 +83,49 @@ def test_turan_q_bits_pinned(n, r, q_hex):
     # summed, which follows the matrix layout; these are the values of the
     # per-bit matrix build, so a layout change that moves q by an ulp fails
     assert S.q_value(F.turan(n, r)).hex() == q_hex
+
+
+def test_turan_q_closed_forms():
+    for n in range(1, 201):
+        for r in range(1, n + 1):
+            if n % r == 0:
+                assert S.turan_q(n, r) == float(2 * (n - n // r)), (n, r)
+        assert S.turan_q(n, 1) == 0.0
+        assert S.turan_q(n, n) == float(2 * n - 2)
+        if n >= 2:
+            assert S.turan_q(n, 2) == float(n)
+    for n, r in [(0, 1), (3, 0), (3, 4), (5, -1)]:
+        with pytest.raises(ValueError, match="1 <= r <= n"):
+            S.turan_q(n, r)
+
+
+def test_turan_q_is_correctly_rounded():
+    # a second route to the same root: 60-digit decimal square root, then one
+    # correctly rounded conversion
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for n in range(1, 121):
+            for r in range(1, n + 1):
+                c, disc = S.turan_quadratic(n, r)
+                assert S.turan_q(n, r) == float((c + decimal.Decimal(disc).sqrt()) / 2), (n, r)
+
+
+def test_turan_q_matches_dense_oracle():
+    for n in range(1, 41):
+        for r in range(1, n + 1):
+            want = S.symmetric_eigen(q_matrix(F.turan(n, r)))[0][-1]
+            assert abs(S.turan_q(n, r) - want) <= 1e-13 * max(1.0, want), (n, r)
+
+
+def test_turan_q_within_residual_bound_of_power_iteration():
+    # symmetric residual bound: some eigenvalue lies within ||Qx - qx||_2 <=
+    # sqrt(n) * residual of the power-iteration q; 4 ulp cover the rounding
+    for n in range(3, 101):
+        for r in range(2, min(n, 12) + 1):
+            res = S.q_radius(F.turan(n, r))
+            exact = S.turan_q(n, r)
+            bound = math.sqrt(n) * res.residual + 4 * math.ulp(exact)
+            assert abs(res.radius - exact) <= bound, (n, r, res.radius, exact)
 
 
 def test_dense_eigensolver_vs_numpy():
