@@ -85,7 +85,6 @@ def cmd_verify(args) -> int:
         args.suite,
         n_max=args.n_max,
         r=args.r,
-        jobs=args.jobs,
         tol=tol,
         collect_reports=bool(args.csv),
     )
@@ -117,9 +116,9 @@ def cmd_search(args) -> int:
             f"supply --corpus with a graph6 file"
         )
     if args.mode == "edges":
-        rep = extremal_edges(args.n, f, corpus=args.corpus, tol=tol, jobs=args.jobs)
+        rep = extremal_edges(args.n, f, corpus=args.corpus, tol=tol)
     else:
-        rep = extremal_q(args.n, f, corpus=args.corpus, tol=tol, jobs=args.jobs)
+        rep = extremal_q(args.n, f, corpus=args.corpus, tol=tol)
     print(f"n={rep.n} forbid={args.forbid} mode={rep.mode}")
     print(f"scanned    {rep.scanned} classes in {rep.elapsed:.2f}s")
     print(f"ex_edges   {rep.ex_edges}")
@@ -190,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(V.SUITES))
     p.add_argument("--n-max", type=int, default=None, help="sweep order cap")
     p.add_argument("--r", type=int, default=None, help="restrict to one clique parameter")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
     p.add_argument("--csv", metavar="PATH", help="write bound entries as CSV")
     p.set_defaults(fn=cmd_verify)
 
@@ -199,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid", required=True, help="forbidden subgraph (family spec or graph6)")
     p.add_argument("--mode", choices=["edges", "q"], default="edges")
     p.add_argument("--corpus", help="external graph6 corpus file (see QTURAN_CORPUS_DIR)")
-    p.add_argument("--jobs", type=int, default=1, help="accepted; scans run in-process")
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("descent", parents=[common], help="min-Perron-entry deletion trace")

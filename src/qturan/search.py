@@ -7,7 +7,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,8 +24,6 @@ from .subgraph import has_clique, is_free
 
 ENUMERATION_CAP = 9
 CORPUS_DIR_ENV = "QTURAN_CORPUS_DIR"
-# below this many items a process pool costs more than it saves
-POOL_MIN_ITEMS = 256
 
 
 @dataclass
@@ -213,19 +210,6 @@ def _graph_source(n: int, corpus: Optional[str]) -> Sequence[Graph]:
 # -- extremal scans --------------------------------------------------------------
 
 
-def map_chunks(worker, items: Sequence, jobs: int) -> List:
-    """Apply ``worker`` to consecutive chunks of ``items`` and return its
-    results in chunk order: one chunk in-process when ``jobs <= 1`` or the
-    input is small, else about four chunks per worker process. Callers merge
-    the results so that they do not depend on the chunking."""
-    if jobs <= 1 or len(items) < POOL_MIN_ITEMS:
-        return [worker(items)]
-    size = (len(items) + 4 * jobs - 1) // (4 * jobs)
-    chunks = [items[i: i + size] for i in range(0, len(items), size)]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(worker, chunks))
-
-
 def _rank(graphs: Sequence[Graph]) -> Tuple[np.ndarray, np.ndarray]:
     """Upper bounds hi(G) >= q(G) and the indices in descending-hi order,
     ties in source order."""
@@ -244,14 +228,12 @@ def extremal_edges(
     f: Graph,
     corpus: Optional[str] = None,
     tol: Tolerance = DEFAULT_TOL,
-    jobs: int = 1,
 ) -> SearchReport:
     """ex(n, F) with every extremal isomorphism class, in source order.
 
     Graphs are visited by descending edge count, so containment is tested
     only down to the first F-free edge count; the record and ties use exact
-    integer comparison. The scan runs in-process; ``jobs`` is accepted for
-    call compatibility and does not change the work.
+    integer comparison.
     """
     t0 = time.perf_counter()
     graphs = _graph_source(n, corpus)
@@ -297,8 +279,11 @@ def extremal_q(
     that slack, so it can neither win nor move the record, and the
     accumulate rule replayed in source order over the visited F-free
     classes gives the result of a full scan. ``min_degree_above`` restricts
-    the scan to delta(G) > that value. The scan runs in-process; ``jobs`` is
-    accepted for call compatibility and does not change the work.
+    the scan to delta(G) > that value.
+
+    ``jobs`` is ignored: every scan runs in-process. The keyword stays only
+    because the benchmark harness (``perfbench/worker.py``) still calls
+    ``extremal_q(n, f, jobs=1)``; drop it once the harness stops passing it.
     """
     t0 = time.perf_counter()
     graphs = _graph_source(n, corpus)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import bounds as B
@@ -21,7 +20,6 @@ from .search import (
     enumerate_graphs,
     extremal_edges,
     extremal_q,
-    map_chunks,
     sample_gnp,
     turan_density_estimate,
 )
@@ -54,130 +52,78 @@ def _all_graphs(n_max: int, n_min: int = 1):
         yield from enumerate_graphs(n)
 
 
-# -- per-chunk workers (top level so they pickle) -----------------------------
+# -- suites -------------------------------------------------------------------
 
 
 # suite -> (check, name of the flag that the entry's equality must match).
-# A check without a flag returns its entries; one with a flag returns a single
-# entry and the flag.
+# A check takes (graph, tol). One without a flag returns its entries; one with
+# a flag returns a single entry and the flag.
 _ENTRY_CHECKS: Dict[str, Tuple[Callable, Optional[str]]] = {
     "chain": (B.check_bound_chain, None),
-    "merris": (lambda g: [B.check_merris(g)], None),
+    "merris": (lambda g, tol: [B.check_merris(g, tol)], None),
     "lower-degree": (B.check_q_lower_degree, "edge-degree-sum constant"),
     "hofmeister": (B.check_hofmeister, "regular/semiregular"),
 }
 
 
-def _w_entries(graphs: Sequence[Graph], suite: str, collect: bool = False):
-    check, flag_name = _ENTRY_CHECKS[suite]
-    out = []
-    reports = []
+def _entry_sweep(
+    name: str, graphs: Sequence[Graph], tol: Tolerance, collect: bool, per_graph: int = 1
+) -> VerifyResult:
+    check, flag_name = _ENTRY_CHECKS[name]
+    res = VerifyResult(name, len(graphs) * per_graph)
     for g in graphs:
         g6 = to_graph6(g).decode()
         if flag_name is None:
-            entries = check(g)
+            entries = check(g, tol)
         else:
-            entry, flag = check(g)
+            entry, flag = check(g, tol)
             entries = [entry]
         for e in entries:
             if not e.holds:
-                out.append(f"{g6}: {e.name} slack={e.slack:.3e}")
+                res.violations.append(f"{g6}: {e.name} slack={e.slack:.3e}")
         if flag_name is not None and entry.equality != flag:
-            out.append(f"{g6}: equality flag {entry.equality} != {flag_name} {flag}")
+            res.violations.append(f"{g6}: equality flag {entry.equality} != {flag_name} {flag}")
         if collect:
-            reports.append(B.BoundReport(g6, entries))
-    return out, reports
-
-
-def _w_lemma_min(graphs: Sequence[Graph]) -> List[str]:
-    out = []
-    for g in graphs:
-        slack = lemma_min_check(g)
-        if slack < -DEFAULT_TOL.cmp_tol:
-            out.append(f"{to_graph6(g).decode()}: lemma-min slack={slack:.3e}")
-    return out
-
-
-def _w_stability(graphs: Sequence[Graph]) -> List[str]:
-    out = []
-    for g in graphs:
-        n = g.n
-        degs = g.degrees()
-        delta = min(degs) if degs else 0
-        if not has_clique(g, 3) and delta * 5 > 2 * n and not is_r_partite(g, 2):
-            out.append(f"{to_graph6(g).decode()}: triangle-free, delta>2n/5, not bipartite")
-        if not has_clique(g, 4) and delta * 8 > 5 * n and not is_r_partite(g, 3):
-            out.append(f"{to_graph6(g).decode()}: K4-free, delta>5n/8, not 3-partite")
-    return out
-
-
-def _w_degree_power(graphs: Sequence[Graph]) -> Tuple[List[str], List[str]]:
-    viol, equal = [], []
-    for g in graphs:
-        if not is_free(g, F.complete(4)):
-            continue
-        e = B.check_degree_power(g, 3)[0]
-        if not e.holds:
-            viol.append(f"{to_graph6(g).decode()}: degree_power slack={e.slack:.3e}")
-        if e.equality and g.m >= 1:
-            equal.append(to_graph6(g).decode())
-            # equality clause: only regular complete 3-partite graphs qualify
-            if g.n % 3 != 0 or not is_isomorphic(g, F.turan(g.n, 3)):
-                viol.append(
-                    f"{to_graph6(g).decode()}: degree-power equality on a graph "
-                    f"that is not regular complete 3-partite"
-                )
-    return viol, equal
-
-
-def _w_graph6(graphs: Sequence[Graph]) -> List[str]:
-    out = []
-    for g in graphs:
-        back = parse_graph6(to_graph6(g))
-        if back != g:
-            out.append(f"round-trip failed at {to_graph6(g)!r}")
-    return out
-
-
-# -- suites -------------------------------------------------------------------
-
-
-def _run_entry_sweep(name, graphs, jobs, collect, per_graph=1) -> VerifyResult:
-    res = VerifyResult(name, len(graphs) * per_graph)
-    for viol, reports in map_chunks(partial(_w_entries, suite=name, collect=collect), graphs, jobs):
-        res.violations.extend(viol)
-        res.reports.extend(reports)
+            res.reports.append(B.BoundReport(g6, entries))
     return res
 
 
-def suite_chain(n_max: int = 7, jobs: int = 1, collect_reports: bool = False, **_) -> VerifyResult:
+def suite_chain(
+    n_max: int = 7, tol: Tolerance = DEFAULT_TOL, collect_reports: bool = False, **_
+) -> VerifyResult:
     graphs = list(_all_graphs(n_max))
-    return _run_entry_sweep("chain", graphs, jobs, collect_reports, per_graph=3)
+    return _entry_sweep("chain", graphs, tol, collect_reports, per_graph=3)
 
 
-def suite_merris(n_max: int = 7, jobs: int = 1, collect_reports: bool = False, **_) -> VerifyResult:
+def suite_merris(
+    n_max: int = 7, tol: Tolerance = DEFAULT_TOL, collect_reports: bool = False, **_
+) -> VerifyResult:
     graphs = [g for g in _all_graphs(n_max) if g.n and min(g.degrees()) >= 1]
-    return _run_entry_sweep("merris", graphs, jobs, collect_reports)
+    return _entry_sweep("merris", graphs, tol, collect_reports)
 
 
-def suite_lower_degree(n_max: int = 7, jobs: int = 1, collect_reports: bool = False, **_) -> VerifyResult:
+def suite_lower_degree(
+    n_max: int = 7, tol: Tolerance = DEFAULT_TOL, collect_reports: bool = False, **_
+) -> VerifyResult:
     graphs = [g for g in _all_graphs(n_max) if g.m >= 1]
-    return _run_entry_sweep("lower-degree", graphs, jobs, collect_reports)
+    return _entry_sweep("lower-degree", graphs, tol, collect_reports)
 
 
-def suite_hofmeister(n_max: int = 7, jobs: int = 1, collect_reports: bool = False, **_) -> VerifyResult:
+def suite_hofmeister(
+    n_max: int = 7, tol: Tolerance = DEFAULT_TOL, collect_reports: bool = False, **_
+) -> VerifyResult:
     graphs = list(_all_graphs(n_max))
-    return _run_entry_sweep("hofmeister", graphs, jobs, collect_reports)
+    return _entry_sweep("hofmeister", graphs, tol, collect_reports)
 
 
-def suite_turan(n_max: int = 8, r: Optional[int] = None, jobs: int = 1, **_) -> VerifyResult:
+def suite_turan(n_max: int = 8, r: Optional[int] = None, **_) -> VerifyResult:
     res = VerifyResult("turan", 0)
     for n in range(3, n_max + 1):
         rs = [r] if r else range(2, n)
         for rr in rs:
             if not (2 <= rr < n):
                 continue
-            rep = extremal_edges(n, F.complete(rr + 1), jobs=jobs)
+            rep = extremal_edges(n, F.complete(rr + 1))
             res.checked += 1
             want = F.turan_edges(n, rr)
             if rep.ex_edges != want:
@@ -193,7 +139,7 @@ def suite_turan(n_max: int = 8, r: Optional[int] = None, jobs: int = 1, **_) -> 
 
 
 def suite_q_turan(
-    n_max: int = 8, r: Optional[int] = None, tol: Tolerance = DEFAULT_TOL, jobs: int = 1, **_
+    n_max: int = 8, r: Optional[int] = None, tol: Tolerance = DEFAULT_TOL, **_
 ) -> VerifyResult:
     res = VerifyResult("q-turan", 0)
     for n in range(3, n_max + 1):
@@ -201,7 +147,7 @@ def suite_q_turan(
         for rr in rs:
             if not (2 <= rr < n):
                 continue
-            rep = extremal_q(n, F.complete(rr + 1), tol=tol, jobs=jobs)
+            rep = extremal_q(n, F.complete(rr + 1), tol=tol)
             res.checked += 1
             want = turan_q(n, rr)
             if abs(rep.max_q - want) > 1e-9:
@@ -228,16 +174,28 @@ def suite_q_turan(
     return res
 
 
-def suite_degree_power(n_max: int = 8, jobs: int = 1, **_) -> VerifyResult:
+def suite_degree_power(n_max: int = 8, tol: Tolerance = DEFAULT_TOL, **_) -> VerifyResult:
     res = VerifyResult("degree-power", 0)
+    k4 = F.complete(4)
     equality_at_6: List[str] = []
     for n in range(1, n_max + 1):
-        graphs = list(enumerate_graphs(n))
-        res.checked += len(graphs)
-        for viol, equal in map_chunks(_w_degree_power, graphs, jobs):
-            res.violations.extend(viol)
-            if n == 6:
-                equality_at_6.extend(equal)
+        for g in enumerate_graphs(n):
+            res.checked += 1
+            if not is_free(g, k4):
+                continue
+            g6 = to_graph6(g).decode()
+            e = B.check_degree_power(g, 3, tol)[0]
+            if not e.holds:
+                res.violations.append(f"{g6}: degree_power slack={e.slack:.3e}")
+            if e.equality and g.m >= 1:
+                if n == 6:
+                    equality_at_6.append(g6)
+                # equality clause: only regular complete 3-partite graphs qualify
+                if n % 3 != 0 or not is_isomorphic(g, F.turan(n, 3)):
+                    res.violations.append(
+                        f"{g6}: degree-power equality on a graph "
+                        f"that is not regular complete 3-partite"
+                    )
     if n_max >= 6:
         from .graphs import canonical_graph
 
@@ -252,15 +210,23 @@ def suite_degree_power(n_max: int = 8, jobs: int = 1, **_) -> VerifyResult:
     return res
 
 
-def suite_stability(n_max: int = 8, jobs: int = 1, **_) -> VerifyResult:
+def suite_stability(n_max: int = 8, **_) -> VerifyResult:
     graphs = list(_all_graphs(n_max))
     res = VerifyResult("stability", len(graphs))
-    for part in map_chunks(_w_stability, graphs, jobs):
-        res.violations.extend(part)
+    for g in graphs:
+        n = g.n
+        degs = g.degrees()
+        delta = min(degs) if degs else 0
+        if not has_clique(g, 3) and delta * 5 > 2 * n and not is_r_partite(g, 2):
+            res.violations.append(f"{to_graph6(g).decode()}: triangle-free, delta>2n/5, not bipartite")
+        if not has_clique(g, 4) and delta * 8 > 5 * n and not is_r_partite(g, 3):
+            res.violations.append(f"{to_graph6(g).decode()}: K4-free, delta>5n/8, not 3-partite")
     return res
 
 
-def suite_lemma_min(n_max: int = 7, jobs: int = 1, samples: int = 1000, **_) -> VerifyResult:
+def suite_lemma_min(
+    n_max: int = 7, tol: Tolerance = DEFAULT_TOL, samples: int = 1000, **_
+) -> VerifyResult:
     graphs = list(_all_graphs(n_max))
     rng = random.Random(RANDOM_SEED)
     for _ in range(samples):
@@ -268,8 +234,10 @@ def suite_lemma_min(n_max: int = 7, jobs: int = 1, samples: int = 1000, **_) -> 
         p = rng.choice([0.15, 0.3, 0.5, 0.7, 0.85])
         graphs.append(sample_gnp(n, p, rng))
     res = VerifyResult("lemma-min", len(graphs))
-    for part in map_chunks(_w_lemma_min, graphs, jobs):
-        res.violations.extend(part)
+    for g in graphs:
+        slack = lemma_min_check(g, tol)
+        if slack < -tol.cmp_tol:
+            res.violations.append(f"{to_graph6(g).decode()}: lemma-min slack={slack:.3e}")
     return res
 
 
@@ -290,11 +258,12 @@ def suite_facts(samples: int = 10_000, **_) -> VerifyResult:
     return res
 
 
-def suite_graph6(n_max: int = 7, jobs: int = 1, **_) -> VerifyResult:
+def suite_graph6(n_max: int = 7, **_) -> VerifyResult:
     graphs = list(_all_graphs(n_max, n_min=1))
     res = VerifyResult("graph6", len(graphs) + 3)
-    for part in map_chunks(_w_graph6, graphs, jobs):
-        res.violations.extend(part)
+    for g in graphs:
+        if parse_graph6(to_graph6(g)) != g:
+            res.violations.append(f"round-trip failed at {to_graph6(g)!r}")
     for text, expect in [(b"@", F.complete(1)), (b"A_", F.complete(2)), (b"Bw", F.complete(3))]:
         if parse_graph6(text) != expect:
             res.violations.append(f"hand vector {text!r} did not parse to K_{expect.n}")

@@ -1,34 +1,14 @@
 """Shared independent oracles: these deliberately avoid the package's own
 kernels (permutation brute force, subset enumeration, Burnside counting,
-union-find orbit counting) so cross-checks stay two-route. Also a fixture
-that records the process pools the parallel map opens."""
+union-find orbit counting) so cross-checks stay two-route."""
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import combinations, permutations
 
-import pytest
-
-from qturan import search
 from qturan.graphs import Graph, from_edges
-
-
-@pytest.fixture
-def opened_pools(monkeypatch):
-    """A list that gains one entry per process pool opened during the test,
-    so a jobs > 1 test can show whether the work fanned out."""
-    opened = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            opened.append(self)
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
-    return opened
 
 
 def all_labeled_graphs(n):

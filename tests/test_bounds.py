@@ -1,4 +1,5 @@
-"""Bounds ledger: per-check anchors, serialization schema, criterion params."""
+"""Bounds ledger: per-check anchors, serialization schema, criterion params,
+and the verify sweeps that fill the ledger."""
 
 import io
 import json
@@ -9,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from qturan import bounds as B
 from qturan import families as F
-from qturan.graphs import from_edges
-from qturan.spectral import q_value
+from qturan import verify as V
+from qturan.descent import lemma_min_check
+from qturan.graphs import from_edges, parse_graph6, to_graph6
+from qturan.search import enumerate_graphs
+from qturan.spectral import Tolerance, q_value
 
 
 def test_turan_edges_check():
@@ -245,3 +249,57 @@ def test_merge_reports_is_deterministic_by_key():
     again = B.merge_reports([c, a, b])
     assert [r.graph_id for r in again] == ["A_", "Bw"]
     assert {e.name for e in again[1].entries} == {e.name for e in merged[1].entries}
+
+
+# -- the bound sweeps of qturan.verify ------------------------------------------
+
+
+def _csv(reports):
+    buf = io.StringIO()
+    B.write_reports_csv(reports, buf)
+    return buf.getvalue()
+
+
+def test_suite_reports_follow_enumeration_order():
+    res = V.suite_hofmeister(n_max=6, collect_reports=True)
+    want = [to_graph6(g).decode() for n in range(1, 7) for g in enumerate_graphs(n)]
+    assert res.checked == len(want) == len(res.reports)
+    assert [r.graph_id for r in res.reports] == want
+
+
+def test_entry_suites_use_the_given_tolerance():
+    # at cmp_tol 0.5 every slack within 0.5 is an equality, so the ledger
+    # must match the checks called directly with that tolerance
+    loose = Tolerance(cmp_tol=0.5)
+    direct = {
+        "chain": lambda g: B.check_bound_chain(g, loose),
+        "merris": lambda g: [B.check_merris(g, loose)],
+        "lower-degree": lambda g: [B.check_q_lower_degree(g, loose)[0]],
+        "hofmeister": lambda g: [B.check_hofmeister(g, loose)[0]],
+    }
+    for suite, check in direct.items():
+        res = V.run_suite(suite, n_max=5, tol=loose, collect_reports=True)
+        want = [B.BoundReport(r.graph_id, check(parse_graph6(r.graph_id.encode()))) for r in res.reports]
+        assert _csv(res.reports) == _csv(want), suite
+    chain = V.suite_chain(n_max=5, tol=loose, collect_reports=True)
+    assert sum(e.equality for r in chain.reports for e in r.entries) == 104
+    chain = V.suite_chain(n_max=5, collect_reports=True)
+    assert sum(e.equality for r in chain.reports for e in r.entries) == 54
+
+
+def test_lemma_min_suite_uses_the_given_tolerance():
+    # a Perron vector solved only to 1e-3 breaks the bound on a few graphs
+    rough = Tolerance(eig_tol=1e-3)
+    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    want = [to_graph6(g).decode() for g in graphs if lemma_min_check(g, rough) < -rough.cmp_tol]
+    assert want
+    res = V.suite_lemma_min(n_max=5, tol=rough, samples=0)
+    assert [v.split(":")[0] for v in res.violations] == want
+    assert not V.suite_lemma_min(n_max=5, samples=0).violations
+
+
+def test_degree_power_suite_uses_the_given_tolerance():
+    # K2: sum d^2 = 2 lies 2/3 below 2(1 - 1/3)mn = 8/3, an equality at cmp_tol 1
+    res = V.suite_degree_power(n_max=6, tol=Tolerance(cmp_tol=1.0))
+    assert res.violations[0].startswith("A_: degree-power equality")
+    assert not V.suite_degree_power(n_max=6).violations

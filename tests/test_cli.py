@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from qturan.bounds import CSV_COLUMNS
 from qturan.cli import main
+from qturan.search import count_classes
 
 
 def test_q_command_family(capsys):
@@ -75,7 +77,22 @@ def test_verify_command(capsys):
     assert main(["verify", "facts"]) == 0
     assert "[facts]" in capsys.readouterr().out
     assert main(["verify", "chain", "--n-max", "5"]) == 0
-    assert main(["verify", "graph6", "--n-max", "5", "--jobs", "2"]) == 0
+    assert main(["verify", "graph6", "--n-max", "5"]) == 0
+
+
+def test_verify_csv(capsys, tmp_path):
+    path = tmp_path / "hofmeister.csv"
+    assert main(["verify", "hofmeister", "--n-max", "6", "--csv", str(path)]) == 0
+    checked = sum(count_classes(n) for n in range(1, 7))
+    assert f"checked {checked}:" in capsys.readouterr().out
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert len(lines) == checked + 1
+    # --cmp-tol reaches the sweep: a loose tolerance turns slacks into equalities
+    tight, loose = tmp_path / "tight.csv", tmp_path / "loose.csv"
+    assert main(["verify", "chain", "--n-max", "5", "--csv", str(tight)]) == 0
+    assert main(["verify", "chain", "--n-max", "5", "--cmp-tol", "0.5", "--csv", str(loose)]) == 0
+    assert tight.read_text() != loose.read_text()
 
 
 def test_explore_command(capsys, tmp_path):

@@ -22,7 +22,6 @@ from qturan.graphs import (
     to_graph6,
 )
 from qturan.search import (
-    POOL_MIN_ITEMS,
     SearchReport,
     _classes,
     count_classes,
@@ -219,17 +218,6 @@ def test_sample_gnp_deterministic():
 
 def _without_elapsed(rep):
     return {k: v for k, v in vars(rep).items() if k != "elapsed"}
-
-
-def test_scan_results_independent_of_job_count(opened_pools):
-    # 1044 classes at n = 7: enough for map_chunks to fan out, which the
-    # scans no longer use
-    assert count_classes(7) >= POOL_MIN_ITEMS
-    for scan, f in ((extremal_edges, F.complete(3)), (extremal_q, F.complete(4))):
-        seq = scan(7, f, jobs=1)
-        par = scan(7, f, jobs=2)
-        assert _without_elapsed(seq) == _without_elapsed(par)
-    assert not opened_pools
 
 
 # -- ranked scans against the unranked loop ----------------------------------------
