@@ -17,8 +17,11 @@ from typing import Optional, Sequence, Tuple
 CANONICAL_MAX_ORDER = 512
 
 
-def canonical_labeling(n: int, rows: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Return ``(order, canon_rows)`` for the canonical labeling of a graph.
+def canonical_labeling(
+    n: int, rows: Sequence[int]
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
+    """Return ``(order, canon_rows, generators)`` for the canonical labeling
+    of a graph.
 
     ``order[i]`` is the original vertex placed at canonical position ``i``;
     ``canon_rows`` is the relabeled adjacency. The canonical key is the
@@ -26,15 +29,27 @@ def canonical_labeling(n: int, rows: Sequence[int]) -> Tuple[Tuple[int, ...], Tu
     maximized lexicographically, so two graphs are isomorphic iff their
     ``canon_rows`` agree. Branches tied on tokens are pruned when two
     candidates are twins (swapping them is an automorphism).
+
+    ``generators`` holds distinct non-identity automorphisms in input
+    numbering (``g[v]`` is the image of ``v``), found by the search itself:
+
+    - a leaf reached without improving on the best ties it on all n tokens,
+      and the tokens fix the relabeled adjacency, so mapping the best
+      order's ``best[j]`` to this leaf's ``order[j]`` is an automorphism;
+    - a candidate skipped as the twin of a representative has the same
+      degree, the same adjacency to the placed prefix and the same adjacency
+      to the rest, so the transposition of the two is an automorphism.
+
+    They may generate only a subgroup of the automorphism group.
     """
     if n > CANONICAL_MAX_ORDER:
         raise ValueError(
             f"canonical labeling supports orders up to {CANONICAL_MAX_ORDER}, got n={n}"
         )
     if n == 0:
-        return (), ()
+        return (), (), ()
     if n == 1:
-        return (0,), (0,)
+        return (0,), (0,), ()
     degs = [rows[v].bit_count() for v in range(n)]
     full = (1 << n) - 1
 
@@ -46,11 +61,24 @@ def canonical_labeling(n: int, rows: Sequence[int]) -> Tuple[Tuple[int, ...], Tu
     order = [0] * n
     # bits[v] = adjacency of v to already-placed positions, updated incrementally
     bits = [0] * n
+    # leaf automorphisms as image tuples (a dict keeps the first-found order
+    # and drops repeats) and twin transpositions. Twins of the whole graph
+    # form equivalence classes, and the transpositions along a spanning tree
+    # of a class generate every permutation of it, so a pair already joined
+    # in twin_class is not recorded; this keeps at most n - 1 of them
+    autos: dict = {}
+    twins = []
+    twin_class = list(range(n))
 
     def dfs(i: int, used: int, improved: bool) -> None:
         if i == n:
             if improved:
                 state["order"] = order.copy()
+            else:
+                g = [0] * n
+                for j, v in enumerate(state["order"]):
+                    g[v] = order[j]
+                autos[tuple(g)] = None
             return
         rem = full & ~used
         # find the maximal token (deg, bits) among unused vertices
@@ -90,6 +118,12 @@ def canonical_labeling(n: int, rows: Sequence[int]) -> Tuple[Tuple[int, ...], Tu
             for u in reps:
                 mask = rem & ~bv & ~(1 << u)
                 if (rv & mask) == (rows[u] & mask):
+                    cu, cv = twin_class[u], twin_class[v]
+                    if cu != cv:
+                        twins.append((u, v))
+                        for w in range(n):
+                            if twin_class[w] == cv:
+                                twin_class[w] = cu
                     break
             else:
                 reps.append(v)
@@ -127,7 +161,11 @@ def canonical_labeling(n: int, rows: Sequence[int]) -> Tuple[Tuple[int, ...], Tu
             m &= m - 1
             row |= 1 << inv[w]
         canon.append(row)
-    return tuple(best_order), tuple(canon)
+    for u, v in twins:
+        g = list(range(n))
+        g[u], g[v] = v, u
+        autos.setdefault(tuple(g))
+    return tuple(best_order), tuple(canon), tuple(autos)
 
 
 def find_clique(n: int, rows: Sequence[int], k: int) -> Optional[Tuple[int, ...]]:

@@ -79,6 +79,22 @@ class DensityEstimate:
 # -- enumeration ---------------------------------------------------------------
 
 
+def _in_orbit(gens: Sequence[Tuple[int, ...]], a: int, b: int) -> bool:
+    """Whether the group generated by ``gens`` maps vertex a to vertex b."""
+    reached = 1 << a
+    stack = [a]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = g[x]
+            if y == b:
+                return True
+            if not (reached >> y) & 1:
+                reached |= 1 << y
+                stack.append(y)
+    return False
+
+
 @lru_cache(maxsize=16)
 def _classes(n: int) -> Tuple[Graph, ...]:
     """All isomorphism classes of order n, canonically labeled, generated by
@@ -97,6 +113,19 @@ def _classes(n: int) -> Tuple[Graph, ...]:
        minimum-degree vertex of the parent P, and a larger S never survives.
     2. Isomorphic graphs have equal degree sequences, so G - last is only
        labeled when its sorted degrees equal the parent's.
+
+    Automorphisms cut the labelings further, again without changing the
+    output (after McKay, "Isomorph-free exhaustive generation", 1998):
+
+    - Orbit filter. For sigma in Aut(P), P + S and P + sigma(S) are
+      isomorphic through sigma extended by k -> k, so they get the same
+      canonical form and the same verdict. Only the first neighbor set of
+      each orbit under the generators that ``canonical_labeling`` returns
+      for P is labeled; the others would repeat it. Filter 1 is
+      orbit-invariant, because automorphisms preserve degrees.
+    - Orbit acceptance. When an automorphism of the child maps the new
+      vertex to the last canonical one, G - last ~ G - new = P, so the child
+      is accepted without the degree test and the second labeling.
     """
     if n == 0:
         return ()
@@ -104,6 +133,7 @@ def _classes(n: int) -> Tuple[Graph, ...]:
         return (Graph(1, (0,)),)
     out: List[Graph] = []
     k = n - 1
+    full = 1 << k
     for parent in _classes(k):
         seen: set = set()
         prows = parent.rows
@@ -114,23 +144,45 @@ def _classes(n: int) -> Tuple[Graph, ...]:
         for j in range(k):
             if pdegs[j] == delta:
                 low |= 1 << j
-        for subset in range(1 << k):
+        # parent rows are canonical, so the generators act on them directly;
+        # images[t][S] is the image of neighbor set S under generator t
+        images = []
+        for g in _kernels.canonical_labeling(k, prows)[2]:
+            img = [0]
+            for j in range(k):
+                b = 1 << g[j]
+                img += [x | b for x in img]
+            images.append(img)
+        marked = bytearray(full) if images else None
+        for subset in range(full):
             s = subset.bit_count()
             if s > delta and (s > delta + 1 or subset & low != low):
                 continue
+            if images:
+                if marked[subset]:
+                    continue
+                marked[subset] = 1
+                stack = [subset]
+                while stack:
+                    t = stack.pop()
+                    for img in images:
+                        u = img[t]
+                        if not marked[u]:
+                            marked[u] = 1
+                            stack.append(u)
             rows = list(prows)
             for j in range(k):
                 if (subset >> j) & 1:
                     rows[j] |= 1 << k
             rows.append(subset)
             child = tuple(rows)
-            order, canon = _kernels.canonical_labeling(n, child)
+            order, canon, gens = _kernels.canonical_labeling(n, child)
             if canon in seen:
                 continue
             last = order[n - 1]
             # deleting the new vertex trivially reproduces the parent; any
             # other last vertex must reproduce it up to isomorphism
-            if last != k:
+            if last != k and not _in_orbit(gens, k, last):
                 lrow = child[last]
                 degs = sorted(
                     child[v].bit_count() - ((lrow >> v) & 1) for v in range(n) if v != last

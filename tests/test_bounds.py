@@ -14,7 +14,7 @@ from qturan import verify as V
 from qturan.descent import lemma_min_check
 from qturan.graphs import from_edges, parse_graph6, to_graph6
 from qturan.search import enumerate_graphs
-from qturan.spectral import Tolerance, q_value
+from qturan.spectral import DEFAULT_TOL, Tolerance, q_value
 
 
 def test_turan_edges_check():
@@ -303,3 +303,18 @@ def test_degree_power_suite_uses_the_given_tolerance():
     res = V.suite_degree_power(n_max=6, tol=Tolerance(cmp_tol=1.0))
     assert res.violations[0].startswith("A_: degree-power equality")
     assert not V.suite_degree_power(n_max=6).violations
+
+
+def test_run_suite_refuses_unknown_keywords():
+    # a misspelt keyword must not be swallowed: "sample" would draw the
+    # default 1,000 samples and "cmp_tol" would run at the default tolerance
+    with pytest.raises(TypeError, match="sample"):
+        V.run_suite("lemma-min", n_max=3, sample=0)
+    with pytest.raises(TypeError, match="cmp_tol"):
+        V.run_suite("chain", n_max=3, cmp_tol=0.5)
+    with pytest.raises(TypeError):
+        V.suite_chain(n_max=3, cmp_tol=0.5)
+    # the CLI's common keywords reach only the suites whose signature names them
+    res = V.run_suite("graph6", n_max=3, r=2, tol=DEFAULT_TOL, collect_reports=True)
+    assert res.ok and res.checked == (1 + 2 + 4) + 3
+    assert V.run_suite("lemma-min", n_max=3, r=None, samples=0).checked == 7

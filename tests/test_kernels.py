@@ -1,7 +1,7 @@
 """Kernel correctness against brute-force oracles."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -42,7 +42,7 @@ def test_canonical_labeling_is_a_relabeling():
     for _ in range(200):
         n = rng.randrange(1, 10)
         rows = _rand_rows(rng, n, rng.random())
-        order, canon = _kernels.canonical_labeling(n, rows)
+        order, canon, _ = _kernels.canonical_labeling(n, rows)
         assert sorted(order) == list(range(n))
         for i in range(n):
             for j in range(n):
@@ -77,9 +77,69 @@ def test_canonical_order_is_degree_non_increasing():
             perm = list(range(n))
             rng.shuffle(perm)
             relabeled = _relabel(rows, perm)
-            order, _ = _kernels.canonical_labeling(n, relabeled)
+            order, _, _ = _kernels.canonical_labeling(n, relabeled)
             degs = [relabeled[v].bit_count() for v in order]
             assert all(degs[i] >= degs[i + 1] for i in range(n - 1)), (n, rows)
+
+
+def test_labeling_generators_are_automorphisms():
+    rng = random.Random(59)
+    graphs = [g.rows for n in range(1, 8) for g in enumerate_graphs(n)]
+    graphs += [_rand_rows(rng, n, rng.random()) for n in range(1, 13) for _ in range(25)]
+    graphs += [complete(9).rows, empty(9).rows, path(9).rows]
+    for rows in graphs:
+        n = len(rows)
+        gens = _kernels.canonical_labeling(n, rows)[2]
+        assert len(set(gens)) == len(gens)
+        for g in gens:
+            assert sorted(g) == list(range(n)) and g != tuple(range(n))
+            assert _relabel(rows, g) == rows, (rows, g)
+
+
+def _generated_orbits(n, gens):
+    # vertex orbits of the group the generators generate, by union-find
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for g in gens:
+        for v in range(n):
+            root[find(v)] = find(g[v])
+    orbits = {}
+    for v in range(n):
+        orbits.setdefault(find(v), set()).add(v)
+    return {frozenset(o) for o in orbits.values()}
+
+
+def _brute_orbits(rows):
+    # vertex orbits of the full automorphism group, over all n! permutations
+    n = len(rows)
+    arcs = [(u, v) for u in range(n) for v in range(n) if (rows[u] >> v) & 1]
+    reach = [1 << v for v in range(n)]
+    for p in permutations(range(n)):
+        if all((rows[p[u]] >> p[v]) & 1 for u, v in arcs):
+            for v in range(n):
+                reach[v] |= 1 << p[v]
+    return {frozenset(w for w in range(n) if (reach[v] >> w) & 1) for v in range(n)}
+
+
+def test_generator_orbits_match_brute_force():
+    # the generators may span a subgroup, but on every class of order <= 6,
+    # relabeled at random, they reach the full vertex orbits
+    rng = random.Random(61)
+    for n in range(1, 7):
+        for cls in enumerate_graphs(n):
+            want = _brute_orbits(cls.rows)
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                relabeled = _relabel(cls.rows, perm)
+                gens = _kernels.canonical_labeling(n, relabeled)[2]
+                moved = {frozenset(perm[v] for v in orbit) for orbit in want}
+                assert _generated_orbits(n, gens) == moved, (cls.rows, perm)
 
 
 def test_find_clique_against_subset_bruteforce():

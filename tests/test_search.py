@@ -1,5 +1,6 @@
 """Enumeration, corpus ingestion, extremal scans, density, exploration."""
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -63,8 +64,8 @@ def test_enumeration_is_isomorph_free_and_deterministic():
 
 
 def _unfiltered_classes(n):
-    # canonical augmentation without the degree filters of search._classes:
-    # every child of every parent is labeled
+    # canonical augmentation without the degree and orbit filters of
+    # search._classes: every child of every parent is labeled
     if n == 1:
         return (Graph(1, (0,)),)
     out = []
@@ -79,7 +80,7 @@ def _unfiltered_classes(n):
                     rows[j] |= 1 << k
             rows.append(subset)
             child = tuple(rows)
-            order, canon = _kernels.canonical_labeling(n, child)
+            order, canon, _ = _kernels.canonical_labeling(n, child)
             if canon in seen:
                 continue
             last = order[n - 1]
@@ -92,6 +93,32 @@ def _unfiltered_classes(n):
 def test_filtered_augmentation_matches_unfiltered_reference():
     for n in range(1, 8):
         assert _classes(n) == _unfiltered_classes(n), n
+
+
+# SHA-256 of repr([g.rows for g in _classes(8)]) as produced before the
+# orbit filters; classes and their order must not move
+ORDER_8_DIGEST = "412d11866faedee90b20e3e4831176484b5b3e209db0f5cefb5736b34994b77b"
+
+
+def test_order_8_class_sequence_is_pinned():
+    rows = [g.rows for g in _classes(8)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == ORDER_8_DIGEST
+
+
+def test_order_7_labeling_count_is_pinned(monkeypatch):
+    # the orbit filter and orbit acceptance fix the number of labelings; a
+    # silent loss of either shows here as a larger count
+    _classes(6)
+    orders = []
+    inner = _kernels.canonical_labeling
+
+    def counted(n, rows):
+        orders.append(n)
+        return inner(n, rows)
+
+    monkeypatch.setattr(_kernels, "canonical_labeling", counted)
+    assert len(_classes.__wrapped__(7)) == 1044
+    assert len(orders) == 1608
 
 
 def test_enumeration_cap_directs_to_corpus():
