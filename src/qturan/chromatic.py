@@ -58,10 +58,7 @@ def _dsatur_upper(g: Graph) -> int:
         while c in neigh_colors[v]:
             c += 1
         colors[v] = c
-        m = g.rows[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
+        for w in g.neighbors(v):
             neigh_colors[w].add(c)
     return max(colors) + 1 if n else 0
 
@@ -101,10 +98,7 @@ def is_k_colorable(g: Graph, k: int) -> bool:
                 continue
             colors[v] = c
             touched = []
-            m = g.rows[v]
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
+            for w in g.neighbors(v):
                 if colors[w] < 0 and not (neigh_colors[w] >> c) & 1:
                     neigh_colors[w] |= 1 << c
                     touched.append(w)

@@ -91,10 +91,7 @@ class Graph:
             comp = frontier
             while frontier:
                 nxt = 0
-                m = frontier
-                while m:
-                    v = (m & -m).bit_length() - 1
-                    m &= m - 1
+                for v in _mask_bits(frontier):
                     nxt |= self.rows[v]
                 frontier = nxt & ~comp
                 comp |= frontier

@@ -18,7 +18,15 @@ from . import _kernels
 from .bounds import CriterionParams
 from .chromatic import chromatic_number
 from .families import turan
-from .graphs import Graph, Graph6Error, canonical_form, delete_vertex, parse_graph6, to_graph6
+from .graphs import (
+    Graph,
+    Graph6Error,
+    _mask_bits,
+    canonical_form,
+    delete_vertex,
+    parse_graph6,
+    to_graph6,
+)
 from .spectral import DEFAULT_TOL, Tolerance, q_upper_bounds, q_value
 from .subgraph import has_clique, is_free
 
@@ -461,12 +469,7 @@ def in_family_L(g: Graph, s: int, t: int) -> bool:
     uni = _universal_mask(g)
     if uni.bit_count() < s - 1:
         return False
-    peel = []
-    m = uni
-    while m and len(peel) < s - 1:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        peel.append(v)
+    peel = _mask_bits(uni)[: max(s - 1, 0)]
     h = g
     for v in sorted(peel, reverse=True):
         h = delete_vertex(h, v)

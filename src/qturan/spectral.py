@@ -1,11 +1,11 @@
 """Spectral computations: signless-Laplacian and adjacency radii, Perron
 vectors, Rayleigh quotients, eigenequation residuals, degree powers.
 
-Primary route is power iteration on the nonnegative matrix itself; the
-fallback and test oracle is an in-repo dense symmetric eigensolver
-(Householder tridiagonalization followed by implicit QL with shifts), so no
-external eigenroutine is load-bearing. The Turán graphs T_{n,r} need neither:
-``turan_q`` gives their q exactly, in integer arithmetic.
+Primary route is power iteration on the nonnegative matrix itself; when it
+stalls, numpy's dense symmetric eigensolver (``eigh``, LAPACK) is the
+fallback, and the same residual gate judges either route. The Turán graphs
+T_{n,r} need neither: ``turan_q`` gives their q exactly, in integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -58,105 +58,6 @@ class SpectralError(RuntimeError):
     pass
 
 
-# -- dense symmetric eigensolver (in-repo oracle) ----------------------------
-
-
-def _tridiagonalize(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Householder reduction of a symmetric matrix to tridiagonal form.
-
-    Returns (d, e, z): diagonal, subdiagonal (length n-1), and the
-    accumulated orthogonal transform with a = z @ T @ z.T.
-    """
-    n = a.shape[0]
-    t = np.array(a, dtype=float)
-    z = np.eye(n)
-    for k in range(n - 2):
-        x = t[k + 1:, k].copy()
-        nx = math.sqrt(float(x @ x))
-        if nx == 0.0:
-            continue
-        alpha = -nx if x[0] >= 0 else nx
-        v = x
-        v[0] -= alpha
-        nv = math.sqrt(float(v @ v))
-        if nv == 0.0:
-            continue
-        v /= nv
-        # T <- H T H with H = I - 2 v v^T acting on rows/cols k+1:
-        t[k + 1:, k:] -= 2.0 * np.outer(v, v @ t[k + 1:, k:])
-        t[:, k + 1:] -= 2.0 * np.outer(t[:, k + 1:] @ v, v)
-        z[:, k + 1:] -= 2.0 * np.outer(z[:, k + 1:] @ v, v)
-    d = np.diag(t).copy()
-    e = np.diag(t, -1).copy()
-    return d, e, z
-
-
-def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray, max_sweeps: int = 60) -> None:
-    """Implicit QL with Wilkinson-style shifts on a tridiagonal (d, e).
-
-    On return ``d`` holds the eigenvalues and the columns of ``z`` the
-    corresponding eigenvectors. ``e`` is destroyed.
-    """
-    n = d.size
-    if n == 1:
-        return
-    eps = np.finfo(float).eps
-    e = np.append(e, 0.0)
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise SpectralError("QL iteration failed to converge")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                fcol = z[:, i + 1].copy()
-                z[:, i + 1] = s * z[:, i] + c * fcol
-                z[:, i] = c * z[:, i] - s * fcol
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-
-
-def symmetric_eigen(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues (ascending) and eigenvectors of a symmetric matrix."""
-    d, e, z = _tridiagonalize(a)
-    _ql_implicit(d, e, z)
-    idx = np.argsort(d, kind="stable")
-    return d[idx], z[:, idx]
-
-
 # -- power iteration ---------------------------------------------------------
 
 
@@ -197,7 +98,7 @@ def _power_largest(
 
 
 def _dense_largest(mat: np.ndarray) -> Tuple[float, np.ndarray]:
-    vals, vecs = symmetric_eigen(mat)
+    vals, vecs = np.linalg.eigh(mat)
     lam = float(vals[-1])
     v = vecs[:, -1].copy()
     j = int(np.argmax(np.abs(v)))
@@ -436,10 +337,7 @@ def eigen_residual(g: Graph, result: SpectralResult) -> float:
     worst = 0.0
     for u in range(g.n):
         s = 0.0
-        m = g.rows[u]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
+        for w in g.neighbors(u):
             s += x[w]
         worst = max(worst, abs((q - g.degree(u)) * x[u] - s))
     return worst

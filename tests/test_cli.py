@@ -1,9 +1,11 @@
 """CLI surface: commands, exit codes, JSON outputs."""
 
+import inspect
 import json
 
 import pytest
 
+from qturan import verify as V
 from qturan.bounds import CSV_COLUMNS
 from qturan.cli import main
 from qturan.search import count_classes
@@ -78,6 +80,37 @@ def test_verify_command(capsys):
     assert "[facts]" in capsys.readouterr().out
     assert main(["verify", "chain", "--n-max", "5"]) == 0
     assert main(["verify", "graph6", "--n-max", "5"]) == 0
+
+
+def _recording_stub(name, calls):
+    """A stand-in for suite ``name`` with its signature: it records the
+    keywords it was given and the arguments the suite would have run with."""
+    sig = inspect.signature(V.SUITES[name])
+
+    def stub(**kwargs):
+        bound = sig.bind(**kwargs)
+        bound.apply_defaults()
+        calls.append((kwargs, bound.arguments))
+        return V.VerifyResult(name, 0)
+
+    stub.__signature__ = sig
+    return stub
+
+
+def test_verify_default_order_is_the_suite_signature_default(capsys, monkeypatch):
+    # without --n-max the CLI passes no order, so the suite's own default applies
+    for name, suite in sorted(V.SUITES.items()):
+        params = inspect.signature(suite).parameters
+        calls = []
+        monkeypatch.setitem(V.SUITES, name, _recording_stub(name, calls))
+        assert main(["verify", name]) == 0
+        passed, ran = calls.pop()
+        assert "n_max" not in passed, name
+        if "n_max" in params:
+            assert ran["n_max"] == params["n_max"].default, name
+            assert main(["verify", name, "--n-max", "5"]) == 0
+            assert calls.pop()[1]["n_max"] == 5, name
+    assert "[q-turan] checked 0" in capsys.readouterr().out
 
 
 def test_verify_csv(capsys, tmp_path):

@@ -1,5 +1,6 @@
-"""Spectral module: dense oracle, power iteration, Rayleigh, residual,
-degree powers, and the two-route agreement sweep."""
+"""Spectral module: power iteration against numpy's ``eigvalsh`` as the
+second route, the dense fallback on long paths, the exact Turán radius,
+Rayleigh quotients, residuals, degree powers and batched upper bounds."""
 
 import decimal
 import math
@@ -113,7 +114,7 @@ def test_turan_q_is_correctly_rounded():
 def test_turan_q_matches_dense_oracle():
     for n in range(1, 41):
         for r in range(1, n + 1):
-            want = S.symmetric_eigen(q_matrix(F.turan(n, r)))[0][-1]
+            want = np.linalg.eigvalsh(q_matrix(F.turan(n, r)))[-1]
             assert abs(S.turan_q(n, r) - want) <= 1e-13 * max(1.0, want), (n, r)
 
 
@@ -128,16 +129,25 @@ def test_turan_q_within_residual_bound_of_power_iteration():
             assert abs(res.radius - exact) <= bound, (n, r, res.radius, exact)
 
 
-def test_dense_eigensolver_vs_numpy():
-    rng = np.random.default_rng(19)
-    for _ in range(120):
-        n = int(rng.integers(1, 35))
-        a = rng.normal(size=(n, n))
-        a = (a + a.T) / 2
-        vals, vecs = S.symmetric_eigen(a)
-        ref = np.linalg.eigvalsh(a)
-        assert np.max(np.abs(vals - ref)) < 1e-9
-        assert np.max(np.abs(a @ vecs - vecs * vals)) < 1e-9
+@pytest.mark.parametrize("n", [300, 400])
+def test_dense_fallback_on_long_paths(n):
+    # power iteration stalls on P_n (its spectral gap shrinks like 1/n^2), so
+    # both radii come from the dense route; the path spectra are closed forms
+    for solve, exact in [
+        (S.q_radius, 2 + 2 * math.cos(math.pi / n)),
+        (S.adjacency_radius, 2 * math.cos(math.pi / (n + 1))),
+    ]:
+        res = solve(F.path(n))
+        assert res.method == "dense"
+        assert abs(res.radius - exact) <= 1e-12 * res.radius
+        assert all(x >= 0 for x in res.vector)
+        assert abs(sum(x * x for x in res.vector) - 1.0) <= 1e-12
+        assert res.residual <= 1e-12 * res.radius
+    # a disconnected graph whose long component falls back and loses to K_3
+    g = from_edges(n + 3, F.path(n).edges() + [(n, n + 1), (n, n + 2), (n + 1, n + 2)])
+    res = S.q_radius(g)
+    assert res.method == "dense"
+    assert abs(res.radius - 4.0) <= 1e-12
 
 
 def test_known_radii():
@@ -174,7 +184,7 @@ def test_power_vs_dense_all_orders_up_to_7():
     for n in range(1, 8):
         for g in enumerate_graphs(n):
             res = S.q_radius(g)
-            dense = S.symmetric_eigen(q_matrix(g))[0][-1] if g.n else 0.0
+            dense = np.linalg.eigvalsh(q_matrix(g))[-1] if g.n else 0.0
             worst = max(worst, abs(res.radius - dense))
             assert abs(res.radius - dense) < 1e-8
     assert worst < 1e-8
