@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .chromatic import is_r_partite
-from .families import turan, turan_edges
+from .families import turan, turan_edges  # noqa: F401 (perfbench/tracing.py wraps bounds.turan)
 from .graphs import Graph
 from .spectral import (
     DEFAULT_TOL,
@@ -200,7 +200,7 @@ def check_abreu_nikiforov(g: Graph, r: int, tol: Tolerance = DEFAULT_TOL) -> Lis
     _require_clique_free(g, r)
     q = q_value(g, tol)
     weak = _entry("abreu_nikiforov", q, 2 * (1 - 1 / r) * g.n, tol)
-    sharp = _entry("q_turan_sharp", q, q_value(turan(g.n, min(r, g.n)), tol), tol)
+    sharp = _entry("q_turan_sharp", q, turan_q(g.n, min(r, g.n)), tol)
     return [weak, sharp]
 
 

@@ -1,5 +1,5 @@
 """Command-line surface: compute radii, run verification sweeps, extremal
-searches, descent traces, and conjecture exploration.
+searches and descent traces.
 
 Exit codes: 0 = all hard assertions pass; 1 = hard violation (an inequality
 proven for every order failed); 2 = usage or input error. Report-only
@@ -9,6 +9,7 @@ findings are written to the reports, never to the exit code.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import Optional
@@ -19,7 +20,7 @@ from . import verify as V
 from .descent import descent_run
 from .families import is_family_spec, parse_family_spec
 from .graphs import Graph, Graph6Error, degree_profile, parse_graph6, to_graph6
-from .search import ENUMERATION_CAP, extremal_edges, extremal_q, explore_kst_conjecture
+from .search import ENUMERATION_CAP, extremal_edges, extremal_q
 from .spectral import Tolerance, adjacency_radius, q_radius
 
 
@@ -30,10 +31,7 @@ class InputError(ValueError):
 def load_graph(text: str) -> Graph:
     """Interpret a CLI graph argument as a family spec or a graph6 line."""
     if is_family_spec(text):
-        g = parse_family_spec(text).build()
-        if g is None:
-            raise InputError(f"family {text!r}: no qualifying graph exists (not-found)")
-        return g
+        return parse_family_spec(text).build()
     try:
         return parse_graph6(text.encode("ascii"))
     except (Graph6Error, UnicodeEncodeError) as exc:
@@ -81,6 +79,18 @@ def cmd_q(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = _tol(args)
+    params = inspect.signature(V.SUITES[args.suite]).parameters
+    unused = [
+        flag
+        for flag, name, given in (
+            ("--n-max", "n_max", args.n_max is not None),
+            ("--r", "r", args.r is not None),
+            ("--csv", "collect_reports", bool(args.csv)),
+        )
+        if given and name not in params
+    ]
+    if unused:
+        raise InputError(f"suite {args.suite!r} does not take {', '.join(unused)}")
     # without --n-max a suite runs at the default order of its signature
     sweep = {} if args.n_max is None else {"n_max": args.n_max}
     res = V.run_suite(
@@ -152,18 +162,6 @@ def cmd_descent(args) -> int:
     return 0
 
 
-def cmd_explore(args) -> int:
-    tol = _tol(args)
-    out = explore_kst_conjecture(args.n, args.s, args.t, corpus=args.corpus, tol=tol)
-    print(f"K_({args.s},{args.t})+ at n={args.n}: max q = {out['max_q']}")
-    print(f"  family samples: q_L={out['q_L_sample']} q_Y={out['q_Y_sample']}")
-    for m in out["maximizer_membership"]:
-        print(f"  {m['graph6']}: in_L={m['in_L']} in_Y={m['in_Y']}")
-    print(f"  conjecture consistent at this n: {out['conjecture_consistent']} (report-only)")
-    _write_json(args.json, json.dumps(out, indent=2))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qturan",
@@ -202,13 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor", type=int, default=1)
     p.add_argument("--keep-graphs", action="store_true", help="embed graph6 per step")
     p.set_defaults(fn=cmd_descent)
-
-    p = sub.add_parser("explore", parents=[common], help="K_{s,t}+ conjecture exploration")
-    p.add_argument("n", type=int)
-    p.add_argument("s", type=int)
-    p.add_argument("t", type=int)
-    p.add_argument("--corpus", help="external graph6 corpus file")
-    p.set_defaults(fn=cmd_explore)
     return ap
 
 

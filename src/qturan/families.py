@@ -1,21 +1,16 @@
 """Constructors for the named graph families: Turan graphs, split graphs,
 generalized books, wheels, complete bipartite graphs plus an edge, the
-joined-Turan family, and the conjecture families built on (nearly-)regular
-triangle-free blocks.
+joined-Turan family and the Petersen graph, with the ``kind:params`` spec
+parser built on one constructor table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .graphs import Graph, from_edges, join
-from .subgraph import has_clique
-
-
-class SearchBudgetError(RuntimeError):
-    """The backtracking search ran out of budget before deciding feasibility."""
 
 
 def empty(n: int) -> Graph:
@@ -137,133 +132,6 @@ def petersen() -> Graph:
     return from_edges(10, edges)
 
 
-# -- (nearly-)regular triangle-free building blocks --------------------------
-
-
-def _circulant(n: int, conn: Tuple[int, ...]) -> Graph:
-    edges = []
-    for v in range(n):
-        for s in conn:
-            edges.append((v, (v + s) % n))
-    return from_edges(n, edges)
-
-
-def _circulant_search(n: int, d: int) -> Optional[Graph]:
-    """First triangle-free circulant of degree d in deterministic order."""
-    half = n // 2
-    shifts = list(range(1, half + 1))
-
-    def degree_of(conn):
-        return sum(1 if (2 * s == n) else 2 for s in conn)
-
-    # enumerate connection sets by increasing size, lexicographic
-    for size in range(0, half + 1):
-        for conn in combinations(shifts, size):
-            if degree_of(conn) != d:
-                continue
-            g = _circulant(n, conn)
-            if all(dv == d for dv in g.degrees()) and not has_clique(g, 3):
-                return g
-    return None
-
-
-def _degree_sequence_search(n: int, targets, budget: int) -> Optional[Graph]:
-    """Backtracking search for a triangle-free graph with the given degree
-    targets (listed per vertex). Exhausting the space returns None;
-    exhausting ``budget`` raises SearchBudgetError.
-
-    The lowest vertex with unmet degree is the active one and picks its
-    higher-indexed neighbors as an increasing chain, so each labeled graph is
-    visited once and the first solution is deterministic.
-    """
-    rows = [0] * n
-    remaining = list(targets)
-    nodes = 0
-
-    def rec(u: int, start: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetError(
-                f"triangle-free search exceeded {budget} nodes for n={n}"
-            )
-        while u < n and remaining[u] == 0:
-            u += 1
-            start = u + 1
-        if u >= n:
-            return True
-        if remaining[u] > n - start:
-            return False  # not enough candidates left for u
-        for w in range(start, n):
-            if remaining[w] <= 0 or (rows[u] >> w) & 1:
-                continue
-            if rows[u] & rows[w]:
-                continue  # common neighbor would close a triangle
-            rows[u] |= 1 << w
-            rows[w] |= 1 << u
-            remaining[u] -= 1
-            remaining[w] -= 1
-            if rec(u, w + 1):
-                return True
-            rows[u] &= ~(1 << w)
-            rows[w] &= ~(1 << u)
-            remaining[u] += 1
-            remaining[w] += 1
-        return False
-
-    if rec(0, 1):
-        return Graph(n, tuple(rows))
-    return None
-
-
-def regular_triangle_free(n: int, d: int, budget: int = 2_000_000) -> Optional[Graph]:
-    """Triangle-free graph of order n in which every vertex has degree d.
-
-    When d*n is odd no such graph exists; following the stated parity
-    relaxation, the degree sequence (d, ..., d, d-1) is sought instead.
-    Returns None when no qualifying graph exists; circulants are tried
-    first, then exhaustive backtracking.
-    """
-    if n < 1 or d < 0 or d >= n:
-        return None
-    if d == 0:
-        return empty(n) if n >= 1 else None
-    if (d * n) % 2 == 0:
-        if 2 * d > n:
-            return None  # a neighborhood pair would exceed n vertices
-        g = _circulant_search(n, d)
-        if g is not None:
-            return g
-        return _degree_sequence_search(n, [d] * n, budget)
-    # odd total degree: nearly regular with a single deficient vertex
-    if 2 * d > n:
-        return None
-    targets = [d] * (n - 1) + [d - 1]
-    return _degree_sequence_search(n, targets, budget)
-
-
-def family_L_sample(n: int, s: int, t: int) -> Optional[Graph]:
-    """A member of the clique-joined family: K_{s-1} joined to a
-    (nearly) (t-1)-regular triangle-free graph of order n-s+1."""
-    if not (2 <= s <= t) or n < s + t:
-        raise ValueError(f"needs 2 <= s <= t and n >= s+t, got n={n}, s={s}, t={t}")
-    block = regular_triangle_free(n - s + 1, t - 1)
-    if block is None:
-        return None
-    return join(complete(s - 1), block)
-
-
-def family_Y_sample(n: int, t: int) -> Optional[Graph]:
-    """A member of the independent-set-joined family: I_{t-1} joined to a
-    (nearly) (t-1)-regular triangle-free graph of order n-t+1."""
-    if t < 2 or n < 2 * t:
-        raise ValueError(f"needs t >= 2 and n >= 2t, got n={n}, t={t}")
-    block = regular_triangle_free(n - t + 1, t - 1)
-    if block is None:
-        return None
-    return join(empty(t - 1), block)
-
-
 # -- textual family specs -----------------------------------------------------
 
 # kind -> (parameter count, constructor); each constructor is listed once
@@ -280,8 +148,6 @@ _FAMILY_TABLE = {
     "wheel": (2, wheel),
     "kstplus": (2, kst_plus),
     "h": (3, h_graph),
-    "L": (3, family_L_sample),
-    "Y": (2, family_Y_sample),
     "petersen": (0, petersen),
 }
 
@@ -292,8 +158,6 @@ _FAMILY_ALIASES = {
     "book": "generalized_book",
     "kst_plus": "kstplus",
     "h_graph": "h",
-    "L_family": "L",
-    "Y_family": "Y",
 }
 
 # every kind the parser accepts, aliases included
@@ -310,7 +174,7 @@ class FamilySpec:
     kind: str
     params: Tuple[int, ...]
 
-    def build(self) -> Optional[Graph]:
+    def build(self) -> Graph:
         arity, ctor = _FAMILY_KINDS[self.kind]
         return ctor(*self.params)
 

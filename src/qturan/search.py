@@ -1,5 +1,5 @@
 """Isomorph-free enumeration, graph6 corpus ingestion, extremal searches,
-Turan density estimation, and conjecture exploration."""
+Turan density estimation, min-degree-family scans and seeded random graphs."""
 
 from __future__ import annotations
 
@@ -21,14 +21,13 @@ from .families import turan
 from .graphs import (
     Graph,
     Graph6Error,
-    _mask_bits,
     canonical_form,
     delete_vertex,
     parse_graph6,
     to_graph6,
 )
 from .spectral import DEFAULT_TOL, Tolerance, q_upper_bounds, q_value
-from .subgraph import has_clique, is_free
+from .subgraph import is_free
 
 ENUMERATION_CAP = 9
 CORPUS_DIR_ENV = "QTURAN_CORPUS_DIR"
@@ -438,126 +437,6 @@ def min_degree_family(
         "turan_min_degree": turan_delta,
         "turan_in_family": turan_in_family,
     }
-
-
-# -- conjecture exploration -------------------------------------------------------
-
-
-def _universal_mask(g: Graph) -> int:
-    full = (1 << g.n) - 1
-    mask = 0
-    for v in range(g.n):
-        if g.rows[v] == full & ~(1 << v):
-            mask |= 1 << v
-    return mask
-
-
-def _block_degree_ok(degrees: Sequence[int], d: int) -> bool:
-    """(nearly) d-regular: all degrees d, or one d-1 when d*n is odd."""
-    ds = sorted(degrees)
-    n = len(ds)
-    if all(x == d for x in ds):
-        return (d * n) % 2 == 0
-    if (d * n) % 2 == 1:
-        return ds[0] == d - 1 and all(x == d for x in ds[1:])
-    return False
-
-
-def in_family_L(g: Graph, s: int, t: int) -> bool:
-    """Is G the join of a clique K_{s-1} with a (nearly) (t-1)-regular
-    triangle-free block? Peels s-1 universal vertices and checks the rest."""
-    uni = _universal_mask(g)
-    if uni.bit_count() < s - 1:
-        return False
-    peel = _mask_bits(uni)[: max(s - 1, 0)]
-    h = g
-    for v in sorted(peel, reverse=True):
-        h = delete_vertex(h, v)
-    return _block_degree_ok(h.degrees(), t - 1) and not has_clique(h, 3)
-
-
-def in_family_Y(g: Graph, t: int) -> bool:
-    """Is G the join of an independent set I_{t-1} with a (nearly)
-    (t-1)-regular triangle-free block?"""
-    from itertools import combinations
-
-    k = t - 1
-    if g.n < k:
-        return False
-    want = g.n - k  # degree of each joined independent vertex
-    cands = [v for v in range(g.n) if g.degree(v) == want]
-    for subset in combinations(cands, k):
-        smask = 0
-        for v in subset:
-            smask |= 1 << v
-        ok = True
-        for v in subset:
-            if g.rows[v] != ((1 << g.n) - 1) & ~smask:
-                ok = False
-                break
-        if not ok:
-            continue
-        h = g
-        for v in sorted(subset, reverse=True):
-            h = delete_vertex(h, v)
-        if _block_degree_ok(h.degrees(), t - 1) and not has_clique(h, 3):
-            return True
-    return False
-
-
-def explore_kst_conjecture(
-    n: int,
-    s: int,
-    t: int,
-    corpus: Optional[str] = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> Dict[str, object]:
-    """Max q over K_{s,t}^+-free classes, compared against the two candidate
-    families; reports whether every maximizer decomposes into one of them.
-    Report-only: the conjecture is asymptotic."""
-    from .families import family_L_sample, family_Y_sample, kst_plus
-
-    if not (2 <= s <= t):
-        raise ValueError(f"needs 2 <= s <= t, got s={s}, t={t}")
-    f = kst_plus(s, t)
-    rep = extremal_q(n, f, corpus=corpus, tol=tol)
-    out: Dict[str, object] = {
-        "n": n,
-        "s": s,
-        "t": t,
-        "max_q": rep.max_q,
-        "maximizers": rep.extremal_graphs,
-        "scanned": rep.scanned,
-    }
-    try:
-        ls = family_L_sample(n, s, t)
-        out["q_L_sample"] = q_value(ls, tol) if ls is not None else None
-    except ValueError:
-        out["q_L_sample"] = None
-    try:
-        ys = family_Y_sample(n, t)
-        out["q_Y_sample"] = q_value(ys, tol) if ys is not None else None
-    except ValueError:
-        out["q_Y_sample"] = None
-    # which family currently leads is recorded per order (the asymptotic
-    # direction flips with s), so sign changes across n are visible
-    ql, qy = out["q_L_sample"], out["q_Y_sample"]
-    if ql is not None and qy is not None:
-        if abs(ql - qy) <= tol.cmp_tol:
-            out["family_lead"] = "tie"
-        else:
-            out["family_lead"] = "L" if ql > qy else "Y"
-    else:
-        out["family_lead"] = None
-    membership = []
-    for g6 in rep.extremal_graphs:
-        g = parse_graph6(g6.encode("ascii"))
-        membership.append(
-            {"graph6": g6, "in_L": in_family_L(g, s, t), "in_Y": in_family_Y(g, t)}
-        )
-    out["maximizer_membership"] = membership
-    out["conjecture_consistent"] = all(m["in_L"] or m["in_Y"] for m in membership)
-    return out
 
 
 # -- seeded random graphs (verification sweeps) -----------------------------------

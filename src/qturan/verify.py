@@ -117,10 +117,16 @@ def suite_hofmeister(
     return _entry_sweep("hofmeister", graphs, tol, collect_reports)
 
 
+def _require_clique_parameter(suite: str, r: Optional[int]) -> None:
+    if r is not None and r < 2:
+        raise ValueError(f"suite {suite!r} needs r >= 2, got r={r}")
+
+
 def suite_turan(n_max: int = 8, r: Optional[int] = None) -> VerifyResult:
+    _require_clique_parameter("turan", r)
     res = VerifyResult("turan", 0)
     for n in range(3, n_max + 1):
-        rs = [r] if r else range(2, n)
+        rs = [r] if r is not None else range(2, n)
         for rr in rs:
             if not (2 <= rr < n):
                 continue
@@ -149,9 +155,10 @@ def suite_q_turan(
     ``suite_q_turan(n_max=7, jobs=1)``; drop it once the harness stops
     passing it.
     """
+    _require_clique_parameter("q-turan", r)
     res = VerifyResult("q-turan", 0)
     for n in range(3, n_max + 1):
-        rs = [r] if r else range(2, n)
+        rs = [r] if r is not None else range(2, n)
         for rr in rs:
             if not (2 <= rr < n):
                 continue

@@ -14,7 +14,7 @@ from qturan import verify as V
 from qturan.descent import lemma_min_check
 from qturan.graphs import from_edges, parse_graph6, to_graph6
 from qturan.search import enumerate_graphs
-from qturan.spectral import DEFAULT_TOL, Tolerance, q_value
+from qturan.spectral import DEFAULT_TOL, Tolerance, q_value, turan_q
 
 
 def test_turan_edges_check():
@@ -54,6 +54,9 @@ def test_abreu_nikiforov_check():
     assert es[0].holds and es[1].rhs == pytest.approx(5.0, abs=1e-9)
     es = B.check_abreu_nikiforov(F.turan(7, 3), 3)
     assert es[1].equality  # sharp form is an equality on the Turan graph itself
+    # the sharp rhs is the exact q(T_{n,r}), not a second eigensolve
+    for g, r in [(F.turan(6, 3), 3), (F.turan(7, 3), 3), (F.cycle(5), 2)]:
+        assert B.check_abreu_nikiforov(g, r)[1].rhs == turan_q(g.n, r)
 
 
 def test_merris_check():

@@ -128,12 +128,35 @@ def test_verify_csv(capsys, tmp_path):
     assert tight.read_text() != loose.read_text()
 
 
-def test_explore_command(capsys, tmp_path):
-    path = tmp_path / "explore.json"
-    assert main(["explore", "7", "2", "2", "--json", str(path)]) == 0
+def test_verify_refuses_flags_it_would_ignore(capsys, tmp_path):
+    # r < 2 is refused, as is an --n-max, --r or --csv the suite's signature lacks
+    csv = tmp_path / "x.csv"
+    for argv, names in [
+        (["verify", "turan", "--r", "0"], ["'turan'", "r=0"]),
+        (["verify", "q-turan", "--r", "-1"], ["'q-turan'", "r=-1"]),
+        (["verify", "stability", "--r", "3", "--csv", str(csv)], ["'stability'", "--r", "--csv"]),
+        (["verify", "facts", "--n-max", "3"], ["'facts'", "--n-max"]),
+    ]:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), (argv, err)
+    assert not csv.exists()
+    assert main(["verify", "q-turan", "--n-max", "5", "--r", "3"]) == 0
+    assert "[q-turan] checked 2: ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("s, t, max_q, maximizers", [
+    (2, 3, 9.464101615137752, ["G^vMNC"]),
+    (3, 3, 10.60555127546399, ["G~vMNC", "G~~EMK"]),
+])
+def test_search_kst_plus_q_extremal(tmp_path, s, t, max_q, maximizers):
+    # the q-extremal K_{s,t}^+-free graphs at n = 8, exact floats
+    path = tmp_path / "rep.json"
+    argv = ["search", "8", "--forbid", f"kstplus:{s},{t}", "--mode", "q", "--json", str(path)]
+    assert main(argv) == 0
     payload = json.loads(path.read_text())
-    assert "maximizer_membership" in payload
-    assert "conjecture consistent" in capsys.readouterr().out
+    assert payload["max_q"] == max_q
+    assert payload["extremal_graphs"] == maximizers
 
 
 def test_verify_unknown_suite_rejected():

@@ -4,7 +4,7 @@ import pytest
 
 from qturan import families as F
 from qturan.chromatic import chromatic_number
-from qturan.graphs import is_isomorphic, join
+from qturan.graphs import is_isomorphic
 from qturan.subgraph import has_clique, is_free
 
 
@@ -100,50 +100,6 @@ def test_h_graph():
         F.h_graph(3, 3, 2)
 
 
-def test_regular_triangle_free_blocks():
-    assert is_isomorphic(F.regular_triangle_free(5, 2), F.cycle(5))
-    assert is_isomorphic(F.regular_triangle_free(6, 3), F.complete_bipartite(3, 3))
-    # 2-regular triangle-free on 7 vertices must be a disjoint union of
-    # cycles of length >= 4 covering 7 vertices: only C7 qualifies
-    assert is_isomorphic(F.regular_triangle_free(7, 2), F.cycle(7))
-    for n, d in [(5, 3), (4, 3), (3, 2)]:
-        assert F.regular_triangle_free(n, d) is None
-    g = F.regular_triangle_free(8, 3)
-    assert set(g.degrees()) == {3} and is_free(g, F.complete(3))
-    # parity case: d*n odd leaves exactly one vertex one short
-    g = F.regular_triangle_free(7, 3)
-    assert sorted(g.degrees()) == [2, 3, 3, 3, 3, 3, 3]
-    assert is_free(g, F.complete(3))
-    assert F.regular_triangle_free(4, 0).m == 0
-
-
-def test_family_samples():
-    assert is_isomorphic(F.family_L_sample(8, 2, 3), join(F.complete(1), F.cycle(7)))
-    assert is_isomorphic(F.family_L_sample(9, 3, 3), join(F.complete(2), F.cycle(7)))
-    l_10 = F.family_L_sample(10, 3, 4)
-    assert l_10.n == 10
-    assert is_isomorphic(F.family_Y_sample(8, 3), join(F.empty(2), F.cycle(6)))
-    y_12 = F.family_Y_sample(12, 3)
-    assert y_12.n == 12
-    with pytest.raises(ValueError):
-        F.family_L_sample(4, 2, 3)
-    with pytest.raises(ValueError):
-        F.family_Y_sample(5, 3)
-
-
-def test_family_outputs_kst_plus_free():
-    cases = [(8, 2, 3), (9, 3, 3), (10, 3, 4), (8, 2, 2), (10, 2, 4)]
-    for n, s, t in cases:
-        g = F.family_L_sample(n, s, t)
-        if g is not None and g.n <= 10:
-            assert is_free(g, F.kst_plus(s, t)), (n, s, t)
-    for n, t in [(8, 2), (8, 3), (10, 4), (9, 3)]:
-        g = F.family_Y_sample(n, t)
-        if g is not None and g.n <= 10:
-            for s in range(2, t + 1):
-                assert is_free(g, F.kst_plus(s, t)), (n, s, t)
-
-
 def test_petersen():
     p = F.petersen()
     assert p.n == 10 and p.m == 15 and set(p.degrees()) == {3}
@@ -152,8 +108,8 @@ def test_petersen():
 
 
 def test_family_spec_round_trip():
-    for text in ["turan:7,3", "book:3,2", "kstplus:2,4", "h:12,3,2", "L:10,3,4",
-                 "Y:8,3", "petersen", "star:10", "clique:4", "split:6,2"]:
+    for text in ["turan:7,3", "book:3,2", "kstplus:2,4", "h:12,3,2", "petersen",
+                 "star:10", "clique:4", "split:6,2"]:
         spec = F.parse_family_spec(text)
         g = spec.build()
         assert g is not None
@@ -169,8 +125,7 @@ def test_family_spec_round_trip():
 def test_family_aliases_build_their_targets():
     pairs = [("clique:5", "complete:5"), ("kst:2,3", "complete_bipartite:2,3"),
              ("book:3,2", "generalized_book:3,2"), ("kst_plus:2,4", "kstplus:2,4"),
-             ("h_graph:12,3,2", "h:12,3,2"), ("L_family:10,3,4", "L:10,3,4"),
-             ("Y_family:8,3", "Y:8,3")]
+             ("h_graph:12,3,2", "h:12,3,2")]
     for alias, target in pairs:
         assert F.is_family_spec(alias) and F.is_family_spec(target)
         spec = F.parse_family_spec(alias)
@@ -180,7 +135,7 @@ def test_family_aliases_build_their_targets():
     with pytest.raises(ValueError) as exc:
         F.parse_family_spec("blob:3")
     assert str(exc.value) == (
-        "unknown family kind 'blob'; valid kinds: L, L_family, Y, Y_family, book, clique, "
-        "complete, complete_bipartite, cycle, empty, generalized_book, h, h_graph, kst, "
+        "unknown family kind 'blob'; valid kinds: book, clique, complete, "
+        "complete_bipartite, cycle, empty, generalized_book, h, h_graph, kst, "
         "kst_plus, kstplus, path, petersen, split, star, turan, wheel"
     )

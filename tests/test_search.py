@@ -1,4 +1,4 @@
-"""Enumeration, corpus ingestion, extremal scans, density, exploration."""
+"""Enumeration, corpus ingestion, extremal scans, density, min-degree families."""
 
 import hashlib
 import json
@@ -27,11 +27,8 @@ from qturan.search import (
     _classes,
     count_classes,
     enumerate_graphs,
-    explore_kst_conjecture,
     extremal_edges,
     extremal_q,
-    in_family_L,
-    in_family_Y,
     ingest_corpus,
     min_degree_family,
     sample_gnp,
@@ -215,26 +212,6 @@ def test_min_degree_family():
     strict = CriterionParams(epsilon=1e-3, sigma=1e-6, r=3)
     out = min_degree_family(4, F.complete(4), strict)
     assert out["family_empty"]
-
-
-def test_family_membership_decomposition():
-    assert in_family_L(F.family_L_sample(8, 2, 3), 2, 3)
-    assert in_family_L(F.family_L_sample(10, 3, 4), 3, 4)
-    assert in_family_Y(F.family_Y_sample(8, 3), 3)
-    assert not in_family_Y(F.turan(8, 2), 3)
-    assert not in_family_L(F.complete(6), 2, 3)
-
-
-def test_explore_kst_conjecture_small():
-    out = explore_kst_conjecture(7, 2, 2)
-    assert out["max_q"] is not None
-    assert out["conjecture_consistent"] in (True, False)
-    assert out["family_lead"] in ("L", "Y", "tie", None)
-    for mem in out["maximizer_membership"]:
-        assert set(mem) == {"graph6", "in_L", "in_Y"}
-    out = explore_kst_conjecture(8, 2, 3)
-    assert out["q_Y_sample"] == pytest.approx(q_value(F.family_Y_sample(8, 3)), abs=1e-12)
-    assert out["family_lead"] == "Y"  # the book case: the Y family leads
 
 
 def test_sample_gnp_deterministic():
