@@ -255,11 +255,9 @@ def turan_q(n: int, r: int) -> float:
 
 # graphs per stacked block: an order-9 block holds 16384 x 81 float64 (10.6 MB)
 BOUND_BLOCK = 1 << 14
-_BOUND_SWEEP_CAP = 1000
-# added to every entry of the iterate before the ratios are taken, so that
-# the vector is strictly positive even where the iterate is 0
+# added to every entry of |v| so the vector is strictly positive where v is 0
 _BOUND_EPS = 1e-12
-# a row stops once hi - lo <= _BOUND_REL_GAP * max(1, lo)
+# a row gets the per-component pass when hi - lo > _BOUND_REL_GAP * max(1, lo)
 _BOUND_REL_GAP = 1e-9
 # the returned hi is raised by this many ulps per vertex: enough to cover the
 # rounding of its own n-term sums and division, and that of the Rayleigh
@@ -270,48 +268,50 @@ _BOUND_ROUNDING_ULPS = 8
 def q_upper_bounds(graphs: Sequence[Graph]) -> np.ndarray:
     """Rigorous upper bounds hi(G) >= q(G) for a list of graphs of one order.
 
-    A masked power iteration runs on the stacked Q matrices, one ``einsum``
-    per sweep. At every sweep each graph gets hi = max_u (Qx')_u / x'_u and
-    lo = x'Qx' / x'x' on the strictly positive vector x' = x + eps*1. By
-    Collatz-Wielandt every such hi bounds the spectral radius of any
-    nonnegative matrix, connected or not and converged or not, so the result
-    is the least hi seen, raised by a few ulps per vertex for rounding. A
-    graph leaves the iteration once hi - lo <= 1e-9 * max(1, lo); the sweep
-    count is capped by a constant. The stack is processed in blocks of
-    ``BOUND_BLOCK`` graphs so memory stays bounded.
+    One batched ``eigh`` runs on the stacked Q matrices; each graph gets the
+    Collatz-Wielandt bound hi = max_u (Qx')_u / x'_u on x' = |v| + eps*1, v the
+    eigenvector of the top eigenvalue lo. That ratio bounds the spectral radius
+    of a nonnegative matrix for every positive x', so hi is rigorous however
+    accurate LAPACK's v is; v only makes it tight. On a disconnected graph v
+    may vanish on a component and leave hi loose: a row with hi - lo > 1e-9 *
+    max(1, lo) takes the largest such bound over its components instead, each
+    on that component's own Q, as rigorous since q(G) is the largest q of a
+    component. hi is raised by a few ulps per vertex for rounding. Blocks of
+    ``BOUND_BLOCK`` graphs, fewer above order 9, keep every stack within the
+    10.6 MB of an order-9 block.
     """
     out = np.empty(len(graphs))
-    for start in range(0, len(graphs), BOUND_BLOCK):
-        block = graphs[start: start + BOUND_BLOCK]
+    n = graphs[0].n if graphs else 0
+    for g in graphs:
+        if g.n != n:
+            raise ValueError(f"q_upper_bounds needs one order, got {n} and {g.n}")
+    step = max(1, BOUND_BLOCK * 81 // max(81, n * n))
+    for start in range(0, len(graphs), step):
+        block = graphs[start: start + step]
         out[start: start + len(block)] = _block_upper_bounds(block)
     return out
 
 
+def _cw_bounds(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(Collatz-Wielandt bound on the |top eigenvector|, top eigenvalue) per matrix."""
+    vals, vecs = np.linalg.eigh(mats)
+    xp = np.abs(vecs[..., -1]) + _BOUND_EPS
+    y = np.einsum("...ij,...j->...i", mats, xp)
+    return (y / xp).max(axis=-1), vals[..., -1]
+
+
 def _block_upper_bounds(graphs: Sequence[Graph]) -> np.ndarray:
     n = graphs[0].n
-    for g in graphs:
-        if g.n != n:
-            raise ValueError(f"q_upper_bounds needs one order, got {n} and {g.n}")
     if n <= 1:
         return np.zeros(len(graphs))
     bits = _unpack_rows([r for g in graphs for r in g.rows], n)
     mats = bits.reshape(len(graphs), n, -1)[:, :, :n].astype(np.float64)
     diag = np.arange(n)
     mats[:, diag, diag] = mats.sum(axis=2)
-    x = mats[:, diag, diag] + 1e-3
-    hi = np.full(len(graphs), np.inf)
-    live = np.arange(len(graphs))
-    for _ in range(_BOUND_SWEEP_CAP):
-        xp = x + _BOUND_EPS
-        y = np.einsum("bij,bj->bi", mats, xp)
-        hi[live] = np.minimum(hi[live], (y / xp).max(axis=1))
-        lo = (xp * y).sum(axis=1) / (xp * xp).sum(axis=1)
-        keep = hi[live] - lo > _BOUND_REL_GAP * np.maximum(1.0, lo)
-        if not keep.all():
-            live, mats, y = live[keep], mats[keep], y[keep]
-            if not live.size:
-                break
-        x = y / y.max(axis=1, keepdims=True)
+    hi, lo = _cw_bounds(mats)
+    for i in np.flatnonzero(hi - lo > _BOUND_REL_GAP * np.maximum(1.0, lo)):
+        g = graphs[i]
+        hi[i] = max(_cw_bounds(_component_matrix(g, c, "q"))[0] for c in g.components())
     return hi * (1.0 + _BOUND_ROUNDING_ULPS * n * np.finfo(np.float64).eps)
 
 

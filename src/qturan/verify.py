@@ -165,7 +165,7 @@ def suite_q_turan(
             rep = extremal_q(n, F.complete(rr + 1), tol=tol)
             res.checked += 1
             want = turan_q(n, rr)
-            if abs(rep.max_q - want) > 1e-9:
+            if abs(rep.max_q - want) > tol.cmp_tol:
                 res.violations.append(
                     f"q-max({n},K_{rr + 1}) = {rep.max_q!r} != q(T) = {want!r}"
                 )

@@ -34,7 +34,7 @@ from qturan.search import (
     sample_gnp,
     turan_density_estimate,
 )
-from qturan.spectral import DEFAULT_TOL, Tolerance, q_value
+from qturan.spectral import DEFAULT_TOL, Tolerance, q_value, turan_q
 from qturan.subgraph import is_free
 
 
@@ -374,3 +374,19 @@ def test_scan_reports_match_golden(monkeypatch):
         "extremal_edges(7, complete(4))": _without_elapsed(extremal_edges(7, F.complete(4))),
     }
     assert json.dumps(payload, indent=2) + "\n" == GOLDEN_REPORTS.read_text()
+
+
+def test_suite_q_turan_judges_with_cmp_tol(monkeypatch):
+    """A q-max off q(T_{4,3}) by 5e-10 passes at the default cmp_tol of 1e-9
+    and is a violation at cmp_tol = 1e-10."""
+
+    def stubbed(n, f, tol=DEFAULT_TOL):
+        r = f.n - 1
+        turan = to_graph6(F.turan(n, r)).decode("ascii")
+        return SearchReport(n, to_graph6(f).decode("ascii"), "q", None, turan_q(n, r) + 5e-10, [turan], 0, 0.0)
+
+    monkeypatch.setattr(V, "extremal_q", stubbed)
+    assert V.suite_q_turan(n_max=4, r=3).ok
+    res = V.suite_q_turan(n_max=4, r=3, tol=Tolerance(cmp_tol=1e-10))
+    assert res.checked == 1
+    assert len(res.violations) == 1 and "!= q(T)" in res.violations[0]

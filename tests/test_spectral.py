@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from qturan import families as F
 from qturan import spectral as S
-from qturan.graphs import Graph, from_edges, delete_vertex
+from qturan.graphs import Graph, from_edges, delete_vertex, parse_graph6
 from qturan.search import enumerate_graphs, sample_gnp
 
 
@@ -312,5 +312,49 @@ def test_q_upper_bounds_dominate_q(monkeypatch):
             assert hi >= S.q_value(g)
         assert np.allclose(blocked, bounds[n], rtol=1e-12, atol=0)
     assert S.q_upper_bounds([]).shape == (0,)
+    with pytest.raises(ValueError, match="one order"):
+        S.q_upper_bounds([F.complete(3), F.complete(4)])
+
+
+def test_q_upper_bounds_are_tight():
+    """hi - q stays within 1e-9 relative on every class of order <= 7 and on
+    the mixed-component corpus; the scan's pruning relies on it."""
+    for gs in _bound_corpus().values():
+        for g, hi in zip(gs, S.q_upper_bounds(gs)):
+            q = S.q_value(g)
+            assert 0.0 <= hi - q <= 1e-9 * max(1.0, q), (g, hi, q)
+
+
+@pytest.mark.parametrize("g6, q", [("EIa?", 3.0), ("GIQCC?", 4.0)])
+def test_q_upper_bounds_per_component_pass(g6, q):
+    """2P_3 and 2K_{1,3}: the top eigenvector of the whole Q vanishes on one
+    component, so its certificate alone is loose (about 4 and 6, the largest
+    row sum there), and the per-component pass makes the bound tight."""
+    g = parse_graph6(g6)
+    assert len(g.components()) == 2
+    hi, lo = S._cw_bounds(S._component_matrix(g, list(range(g.n)), "q")[None])
+    assert hi[0] > q + 0.5 and lo[0] == pytest.approx(q)
+    assert 0.0 <= S.q_upper_bounds([g])[0] - S.q_value(g) <= 1e-9 * q
+
+
+def test_q_upper_bounds_block_size_shrinks_with_order(monkeypatch):
+    """Graphs per block: BOUND_BLOCK up to order 9, then BOUND_BLOCK * 81 / n^2
+    so no block's matrices exceed the order-9 size, and at least one. The
+    blocks are recorded, not solved."""
+    sizes = []
+
+    def recorded(block):
+        sizes.append(len(block))
+        return np.zeros(len(block))
+
+    monkeypatch.setattr(S, "_block_upper_bounds", recorded)
+    cases = [(9, S.BOUND_BLOCK + 3, [S.BOUND_BLOCK, 3]), (10, 13300, [13271, 29]),
+             (64, 700, [324, 324, 52]), (300, 30, [14, 14, 2]), (1200, 3, [1, 1, 1])]
+    for n, count, want in cases:
+        sizes.clear()
+        assert S.q_upper_bounds([F.empty(n)] * count).shape == (count,)
+        assert sizes == want, n
+    # the one-order check covers the whole list, not each block alone
+    monkeypatch.setattr(S, "BOUND_BLOCK", 1)
     with pytest.raises(ValueError, match="one order"):
         S.q_upper_bounds([F.complete(3), F.complete(4)])
