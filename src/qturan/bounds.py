@@ -14,7 +14,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .chromatic import is_r_partite
 from .families import turan, turan_edges  # noqa: F401 (perfbench/tracing.py wraps bounds.turan)
@@ -32,10 +32,13 @@ from .subgraph import contains_subgraph
 from . import families
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     """One checked inequality. ``rhs``/``slack`` are None for report-only
-    quantities that have no bounding side (e.g. o(1) estimates)."""
+    quantities that have no bounding side (e.g. o(1) estimates).
+
+    A tuple record, immutable and hashable, because one is built per checked
+    inequality: a frozen dataclass built from keywords took longer than the
+    exact q(T_{n,r}) that a fact-2.1 entry holds."""
 
     name: str
     lhs: float
@@ -71,6 +74,7 @@ class BoundReport:
     entries: List[BoundEntry] = field(default_factory=list)
 
     def extend(self, entries) -> None:
+        # an entry is itself iterable, so this test must come first
         if isinstance(entries, BoundEntry):
             self.entries.append(entries)
         else:
@@ -144,16 +148,7 @@ def _entry(
 ) -> BoundEntry:
     slack = rhs - lhs
     holds = slack > 0 if strict else slack >= -tol.cmp_tol
-    return BoundEntry(
-        name=name,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        holds=holds,
-        equality=abs(slack) <= tol.cmp_tol,
-        report_only=report_only,
-        note=note,
-    )
+    return BoundEntry(name, lhs, rhs, slack, holds, abs(slack) <= tol.cmp_tol, report_only, note)
 
 
 def _require_clique_free(g: Graph, r: int) -> None:
@@ -352,15 +347,7 @@ def check_qn_estimate(
     if n < 1:
         raise ValueError("needs n >= 1")
     dev = abs(q_gn / n - 2 * params.pi)
-    return BoundEntry(
-        name="qn_estimate",
-        lhs=dev,
-        rhs=None,
-        slack=None,
-        holds=True,
-        equality=dev <= tol.cmp_tol,
-        report_only=True,
-    )
+    return BoundEntry("qn_estimate", dev, None, None, True, dev <= tol.cmp_tol, True)
 
 
 def check_beg_gap(
@@ -395,13 +382,7 @@ def check_min_degree_stability(g: Graph, r: int, tol: Tolerance = DEFAULT_TOL) -
         note = f"premise=True, r_partite={partite}"
     slack = delta - threshold
     return BoundEntry(
-        name="degree_stability",
-        lhs=threshold,
-        rhs=float(delta),
-        slack=slack,
-        holds=holds,
-        equality=abs(slack) <= tol.cmp_tol,
-        note=note,
+        "degree_stability", threshold, float(delta), slack, holds, abs(slack) <= tol.cmp_tol, False, note
     )
 
 

@@ -72,11 +72,12 @@ def turan(n: int, r: int) -> Graph:
 
 
 def turan_edges(n: int, r: int) -> int:
-    """e(T_{n,r}) by exact integer arithmetic."""
+    """e(T_{n,r}) in closed form: with b, s = divmod(n, r), T_{n,r} has s
+    parts of size b + 1 and r - s parts of size b."""
     if not (1 <= r <= n):
         raise ValueError(f"turan graph needs 1 <= r <= n, got r={r}, n={n}")
-    sizes = [(n - i + r - 1) // r for i in range(r)]
-    return (n * n - sum(s * s for s in sizes)) // 2
+    b, s = divmod(n, r)
+    return (n * n - s * (b + 1) * (b + 1) - (r - s) * b * b) // 2
 
 
 def split(n: int, k: int) -> Graph:

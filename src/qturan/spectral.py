@@ -32,8 +32,8 @@ class Tolerance:
     cmp_tol: float = 1e-9
 
     def __post_init__(self):
-        if not (self.eig_tol > 0 and self.cmp_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not all(math.isfinite(t) and t > 0 for t in (self.eig_tol, self.cmp_tol)):
+            raise ValueError("tolerances must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerance()

@@ -130,6 +130,21 @@ def test_fact21_margin():
         assert B.check_fact21_margin(n, 2).holds
 
 
+@pytest.mark.parametrize(
+    "n, r, lhs, rhs, slack",
+    [
+        (4, 2, "0x1.0000000000000p+2", "0x1.4000000000000p+2", "0x1.0000000000000p+0"),
+        (7, 3, "0x1.03b29b4b2fd5cp+4", "0x1.1000000000000p+4", "0x1.89ac969a05480p-1"),
+        (77, 5, "0x1.2867bc9d89266p+11", "0x1.2880000000000p+11", "0x1.8436276d9a000p-1"),
+        (300, 12, "0x1.4244000000000p+15", "0x1.4246000000000p+15", "0x1.0000000000000p+0"),
+    ],
+)
+def test_fact21_margin_pinned_bits(n, r, lhs, rhs, slack):
+    e = B.check_fact21_margin(n, r)
+    assert (e.lhs.hex(), e.rhs.hex(), e.slack.hex()) == (lhs, rhs, slack)
+    assert e.holds and not e.equality and not e.report_only and e.note == ""
+
+
 def test_fact21_margin_decided_exactly_to_ten_thousand():
     # integer verdict, no float in the way: (n/4) q(T_{n,r}) < e(T_{n,r}) + 1
     checked = 0
@@ -237,6 +252,48 @@ def test_report_serialization_schema():
     assert rows[0] == "graph6,bound_name,lhs,rhs,slack,holds,equality"
     assert len(rows) == 5
     assert not rep.hard_violations()
+
+
+def test_bound_entry_is_an_immutable_hashable_record():
+    e = B.check_fact21_margin(7, 3)
+    for name in B.BoundEntry._fields:
+        with pytest.raises(AttributeError):
+            setattr(e, name, None)
+    assert hash(e) == hash(B.check_fact21_margin(7, 3))
+    assert len({e, B.check_fact21_margin(7, 3), B.check_fact21_margin(8, 3)}) == 2
+    want = {
+        "graph6": "Bw",
+        "bound_name": "probe",
+        "lhs": 1.5,
+        "rhs": 2.0,
+        "slack": 0.5,
+        "holds": True,
+        "equality": False,
+        "reportOnly": True,
+        "note": "premise=False (vacuous)",
+    }
+    built = B._entry("probe", 1.5, 2.0, DEFAULT_TOL, report_only=True, note="premise=False (vacuous)")
+    by_keyword = B.BoundEntry(
+        name="probe", lhs=1.5, rhs=2.0, slack=0.5, holds=True, equality=False,
+        report_only=True, note="premise=False (vacuous)",
+    )
+    for entry in (built, by_keyword):
+        rec = entry.as_record("Bw")
+        assert rec == want and list(rec) == list(want)
+    bare = B.BoundEntry("x", 1.0, None, None, True, False)
+    assert (bare.report_only, bare.note) == (False, "")
+    assert list(bare.as_record("A_")) == ["graph6", "bound_name", "lhs", "rhs", "slack", "holds", "equality"]
+
+
+def test_bound_report_extend_takes_an_entry_or_a_list():
+    rep = B.BoundReport("Bw")
+    one = B.check_merris(F.complete(3))
+    rep.extend(one)
+    assert rep.entries == [one]
+    chain = B.check_bound_chain(F.complete(3))
+    rep.extend(chain)
+    assert rep.entries == [one] + chain
+    assert all(isinstance(e, B.BoundEntry) for e in rep.entries)
 
 
 def test_merge_reports_is_deterministic_by_key():

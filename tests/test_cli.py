@@ -39,6 +39,21 @@ def test_bad_input_exits_2(capsys):
     assert main(["search", "12", "--forbid", "clique:3"]) == 2  # over cap, no corpus
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["q", "turan:7,3", "--eig-tol", "inf"],
+        ["verify", "chain", "--n-max", "4", "--cmp-tol", "inf"],
+        ["verify", "chain", "--n-max", "4", "--cmp-tol", "nan"],
+    ],
+)
+def test_non_finite_tolerance_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "tolerances must be finite and strictly positive" in captured.err
+    assert captured.out == ""
+
+
 def test_search_command(capsys, tmp_path):
     path = tmp_path / "rep.json"
     assert main(["search", "7", "--forbid", "clique:4", "--mode", "q", "--json", str(path)]) == 0

@@ -1,5 +1,6 @@
 """Family constructors: edge counts, isomorphism anchors, freeness, parity."""
 
+import numpy as np
 import pytest
 
 from qturan import families as F
@@ -21,6 +22,26 @@ def test_turan_examples():
             assert t.m == F.turan_edges(n, r)
     with pytest.raises(ValueError):
         F.turan(3, 4)
+
+
+def test_turan_edges_closed_form():
+    for n in range(1, 41):
+        for r in range(1, n + 1):
+            assert F.turan_edges(n, r) == F.turan(n, r).m, (n, r)
+    # reference: (n^2 - sum of squared part sizes) / 2 with part i of size
+    # ceil((n - i) / r), evaluated for every n at once per r
+    ns = np.arange(1, 1001, dtype=np.int64)
+    for r in range(1, 1001):
+        n = ns[r - 1:, None]
+        sizes = (n - np.arange(r, dtype=np.int64) + r - 1) // r
+        want = (n[:, 0] * n[:, 0] - (sizes * sizes).sum(axis=1)) // 2
+        got = [F.turan_edges(int(k), r) for k in n[:, 0]]
+        assert got == want.tolist(), r
+    for n in (1, 5, 40):
+        with pytest.raises(ValueError):
+            F.turan_edges(n, 0)
+        with pytest.raises(ValueError):
+            F.turan_edges(n, n + 1)
 
 
 def _turan_parts(n, r):

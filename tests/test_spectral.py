@@ -358,3 +358,10 @@ def test_q_upper_bounds_block_size_shrinks_with_order(monkeypatch):
     monkeypatch.setattr(S, "BOUND_BLOCK", 1)
     with pytest.raises(ValueError, match="one order"):
         S.q_upper_bounds([F.complete(3), F.complete(4)])
+
+
+@pytest.mark.parametrize("field", ["eig_tol", "cmp_tol"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), -float("inf"), 0.0, -1e-9])
+def test_tolerance_must_be_finite_and_positive(field, value):
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        S.Tolerance(**{field: value})
