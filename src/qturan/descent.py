@@ -165,13 +165,11 @@ def descent_run(
         reference = None
         if stop is None:
             mind = lemma_mind_check(g, ref_n, params, tol)
-            pre_ok = (
-                res.radius >= ref_n - tol.cmp_tol
-                and x * x < (1 - params.epsilon) / n
-            )
             ref_n1 = turan_q(n - 1, params.r) if n - 1 >= params.r else 0.0
+            # below the min-degree exit delta <= (pi - eps) n, so mind is True
+            # exactly when q >= ref_n - cmp_tol and x^2 < (1 - eps)/n
             growth, reference = lemma_dv_check(
-                g, u, params, ref_n1, preconditions_hold=pre_ok, tol=tol
+                g, u, params, ref_n1, preconditions_hold=mind is True, tol=tol
             )
 
         trace.steps.append(

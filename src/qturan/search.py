@@ -240,7 +240,7 @@ def ingest_corpus(
                     yield parse_graph6(line)
                 except Graph6Error as exc:
                     if strict:
-                        raise Graph6Error(f"line {lineno}: {exc}", exc.offset) from None
+                        raise Graph6Error(f"line {lineno}: {exc.message}", exc.offset) from None
                     if errors is not None:
                         errors.append((lineno, str(exc)))
 
@@ -261,8 +261,8 @@ def resolve_corpus_path(path: str) -> str:
 def _graph_source(n: int, corpus: Optional[str]) -> Sequence[Graph]:
     if corpus is not None:
         # corpus files may bundle several orders; an (n, F) report only
-        # concerns order-n entries
-        return [g for g in ingest_corpus(corpus) if g.n == n]
+        # concerns order-n entries, but a malformed line of any order aborts
+        return [g for g in ingest_corpus(corpus, strict=True) if g.n == n]
     return tuple(enumerate_graphs(n))
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 import inspect
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import bounds as B
 from . import families as F
-from .chromatic import is_r_partite
-from .graphs import Graph, is_isomorphic, parse_graph6, to_graph6
+from .graphs import Graph, canonical_graph, is_isomorphic, parse_graph6, to_graph6
 from .search import (
     enumerate_graphs,
     extremal_edges,
@@ -56,21 +56,25 @@ def _all_graphs(n_max: int, n_min: int = 1):
 # -- suites -------------------------------------------------------------------
 
 
-# suite -> (check, name of the flag that the entry's equality must match).
-# A check takes (graph, tol). One without a flag returns its entries; one with
-# a flag returns a single entry and the flag.
-_ENTRY_CHECKS: Dict[str, Tuple[Callable, Optional[str]]] = {
-    "chain": (B.check_bound_chain, None),
-    "merris": (lambda g, tol: [B.check_merris(g, tol)], None),
-    "lower-degree": (B.check_q_lower_degree, "edge-degree-sum constant"),
-    "hofmeister": (B.check_hofmeister, "regular/semiregular"),
+# suite -> (check, name of the flag that the entry's equality must match,
+# graphs it sweeps, entries per graph). A check takes (graph, tol). One
+# without a flag returns its entries; one with a flag returns a single entry
+# and the flag.
+_ENTRY_CHECKS: Dict[str, Tuple[Callable, Optional[str], Callable[[Graph], bool], int]] = {
+    "chain": (B.check_bound_chain, None, lambda g: True, 3),
+    "merris": (
+        lambda g, tol: [B.check_merris(g, tol)], None, lambda g: g.n and min(g.degrees()) >= 1, 1
+    ),
+    "lower-degree": (B.check_q_lower_degree, "edge-degree-sum constant", lambda g: g.m >= 1, 1),
+    "hofmeister": (B.check_hofmeister, "regular/semiregular", lambda g: True, 1),
 }
 
 
 def _entry_sweep(
-    name: str, graphs: Sequence[Graph], tol: Tolerance, collect: bool, per_graph: int = 1
+    name: str, n_max: int = 7, tol: Tolerance = DEFAULT_TOL, collect_reports: bool = False
 ) -> VerifyResult:
-    check, flag_name = _ENTRY_CHECKS[name]
+    check, flag_name, keep, per_graph = _ENTRY_CHECKS[name]
+    graphs = [g for g in _all_graphs(n_max) if keep(g)]
     res = VerifyResult(name, len(graphs) * per_graph)
     for g in graphs:
         g6 = to_graph6(g).decode()
@@ -84,64 +88,46 @@ def _entry_sweep(
                 res.violations.append(f"{g6}: {e.name} slack={e.slack:.3e}")
         if flag_name is not None and entry.equality != flag:
             res.violations.append(f"{g6}: equality flag {entry.equality} != {flag_name} {flag}")
-        if collect:
+        if collect_reports:
             res.reports.append(B.BoundReport(g6, entries))
     return res
 
 
-def suite_chain(
-    n_max: int = 7, tol: Tolerance = DEFAULT_TOL, collect_reports: bool = False
-) -> VerifyResult:
-    graphs = list(_all_graphs(n_max))
-    return _entry_sweep("chain", graphs, tol, collect_reports, per_graph=3)
+suite_chain = partial(_entry_sweep, "chain")
+suite_merris = partial(_entry_sweep, "merris")
+suite_lower_degree = partial(_entry_sweep, "lower-degree")
+suite_hofmeister = partial(_entry_sweep, "hofmeister")
 
 
-def suite_merris(
-    n_max: int = 7, tol: Tolerance = DEFAULT_TOL, collect_reports: bool = False
-) -> VerifyResult:
-    graphs = [g for g in _all_graphs(n_max) if g.n and min(g.degrees()) >= 1]
-    return _entry_sweep("merris", graphs, tol, collect_reports)
-
-
-def suite_lower_degree(
-    n_max: int = 7, tol: Tolerance = DEFAULT_TOL, collect_reports: bool = False
-) -> VerifyResult:
-    graphs = [g for g in _all_graphs(n_max) if g.m >= 1]
-    return _entry_sweep("lower-degree", graphs, tol, collect_reports)
-
-
-def suite_hofmeister(
-    n_max: int = 7, tol: Tolerance = DEFAULT_TOL, collect_reports: bool = False
-) -> VerifyResult:
-    graphs = list(_all_graphs(n_max))
-    return _entry_sweep("hofmeister", graphs, tol, collect_reports)
-
-
-def _require_clique_parameter(suite: str, r: Optional[int]) -> None:
+def _clique_scans(suite: str, n_max: int, r: Optional[int], scan: Callable):
+    """(n, rr, scan(n, K_{rr+1})) for 2 <= rr < n <= n_max, or for rr = r alone."""
     if r is not None and r < 2:
         raise ValueError(f"suite {suite!r} needs r >= 2, got r={r}")
+    for n in range(3, n_max + 1):
+        for rr in [r] if r is not None else range(2, n):
+            if rr < n:
+                yield n, rr, scan(n, F.complete(rr + 1))
+
+
+def _maximizers_are(graph6s: Sequence[str], classes: Sequence[Graph]) -> bool:
+    """The maximizer graph6 set is exactly ``classes`` up to isomorphism."""
+    return len(graph6s) == len(classes) and all(
+        any(is_isomorphic(g, c) for c in classes) for g in map(parse_graph6, graph6s)
+    )
 
 
 def suite_turan(n_max: int = 8, r: Optional[int] = None) -> VerifyResult:
-    _require_clique_parameter("turan", r)
     res = VerifyResult("turan", 0)
-    for n in range(3, n_max + 1):
-        rs = [r] if r is not None else range(2, n)
-        for rr in rs:
-            if not (2 <= rr < n):
-                continue
-            rep = extremal_edges(n, F.complete(rr + 1))
-            res.checked += 1
-            want = F.turan_edges(n, rr)
-            if rep.ex_edges != want:
-                res.violations.append(f"ex({n},K_{rr + 1}) = {rep.ex_edges} != {want}")
-            elif len(rep.extremal_graphs) != 1 or not is_isomorphic(
-                parse_graph6(rep.extremal_graphs[0]), F.turan(n, rr)
-            ):
-                res.violations.append(
-                    f"ex({n},K_{rr + 1}): maximizer set {rep.extremal_graphs} "
-                    f"is not exactly the Turan graph"
-                )
+    for n, rr, rep in _clique_scans("turan", n_max, r, extremal_edges):
+        res.checked += 1
+        want = F.turan_edges(n, rr)
+        if rep.ex_edges != want:
+            res.violations.append(f"ex({n},K_{rr + 1}) = {rep.ex_edges} != {want}")
+        elif not _maximizers_are(rep.extremal_graphs, [F.turan(n, rr)]):
+            res.violations.append(
+                f"ex({n},K_{rr + 1}): maximizer set {rep.extremal_graphs} "
+                f"is not exactly the Turan graph"
+            )
     return res
 
 
@@ -155,37 +141,24 @@ def suite_q_turan(
     ``suite_q_turan(n_max=7, jobs=1)``; drop it once the harness stops
     passing it.
     """
-    _require_clique_parameter("q-turan", r)
     res = VerifyResult("q-turan", 0)
-    for n in range(3, n_max + 1):
-        rs = [r] if r is not None else range(2, n)
-        for rr in rs:
-            if not (2 <= rr < n):
-                continue
-            rep = extremal_q(n, F.complete(rr + 1), tol=tol)
-            res.checked += 1
-            want = turan_q(n, rr)
-            if abs(rep.max_q - want) > tol.cmp_tol:
-                res.violations.append(
-                    f"q-max({n},K_{rr + 1}) = {rep.max_q!r} != q(T) = {want!r}"
-                )
-                continue
-            maxers = [parse_graph6(g) for g in rep.extremal_graphs]
-            if rr >= 3:
-                if len(maxers) != 1 or not is_isomorphic(maxers[0], F.turan(n, rr)):
-                    res.violations.append(
-                        f"q-max({n},K_{rr + 1}): maximizers {rep.extremal_graphs} "
-                        f"not exactly the Turan graph"
-                    )
-            else:
-                bipartites = [F.complete_bipartite(a, n - a) for a in range(1, n // 2 + 1)]
-                if len(maxers) != len(bipartites) or not all(
-                    any(is_isomorphic(g, b) for b in bipartites) for g in maxers
-                ):
-                    res.violations.append(
-                        f"q-max({n},K_3): maximizer set is not exactly the "
-                        f"complete bipartite graphs ({rep.extremal_graphs})"
-                    )
+    for n, rr, rep in _clique_scans("q-turan", n_max, r, partial(extremal_q, tol=tol)):
+        res.checked += 1
+        want = turan_q(n, rr)
+        if abs(rep.max_q - want) > tol.cmp_tol:
+            res.violations.append(f"q-max({n},K_{rr + 1}) = {rep.max_q!r} != q(T) = {want!r}")
+        elif rr >= 3 and not _maximizers_are(rep.extremal_graphs, [F.turan(n, rr)]):
+            res.violations.append(
+                f"q-max({n},K_{rr + 1}): maximizers {rep.extremal_graphs} "
+                f"not exactly the Turan graph"
+            )
+        elif rr == 2 and not _maximizers_are(
+            rep.extremal_graphs, [F.complete_bipartite(a, n - a) for a in range(1, n // 2 + 1)]
+        ):
+            res.violations.append(
+                f"q-max({n},K_3): maximizer set is not exactly the "
+                f"complete bipartite graphs ({rep.extremal_graphs})"
+            )
     return res
 
 
@@ -212,8 +185,6 @@ def suite_degree_power(n_max: int = 8, tol: Tolerance = DEFAULT_TOL) -> VerifyRe
                         f"that is not regular complete 3-partite"
                     )
     if n_max >= 6:
-        from .graphs import canonical_graph
-
         canon_want = {to_graph6(canonical_graph(F.turan(6, 3))).decode()}
         got = set(equality_at_6)
         if got != canon_want:
@@ -229,12 +200,9 @@ def suite_stability(n_max: int = 8) -> VerifyResult:
     graphs = list(_all_graphs(n_max))
     res = VerifyResult("stability", len(graphs))
     for g in graphs:
-        n = g.n
-        degs = g.degrees()
-        delta = min(degs) if degs else 0
-        if not has_clique(g, 3) and delta * 5 > 2 * n and not is_r_partite(g, 2):
+        if not has_clique(g, 3) and not B.check_min_degree_stability(g, 2).holds:
             res.violations.append(f"{to_graph6(g).decode()}: triangle-free, delta>2n/5, not bipartite")
-        if not has_clique(g, 4) and delta * 8 > 5 * n and not is_r_partite(g, 3):
+        if not has_clique(g, 4) and not B.check_min_degree_stability(g, 3).holds:
             res.violations.append(f"{to_graph6(g).decode()}: K4-free, delta>5n/8, not 3-partite")
     return res
 

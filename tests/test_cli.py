@@ -74,6 +74,19 @@ def test_search_with_corpus(capsys, tmp_path):
     assert "scanned    1" in out
 
 
+def test_search_refuses_a_malformed_corpus_line(capsys, tmp_path):
+    corpus = tmp_path / "bad.g6"
+    corpus.write_bytes(b"Bw\nnotgraph6!!\nC~\n")
+    path = tmp_path / "rep.json"
+    assert main(["search", "3", "--forbid", "clique:4", "--corpus", str(corpus),
+                 "--json", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 2: ")
+    assert captured.err.count("(byte offset") == 1
+    assert captured.out == ""
+    assert not path.exists()
+
+
 def test_descent_command(capsys, tmp_path):
     path = tmp_path / "trace.json"
     assert main(["descent", "turan:12,3", "--eps", "0.1", "--json", str(path)]) == 0

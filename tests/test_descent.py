@@ -1,6 +1,7 @@
 """Descent traces: stop conditions, tie-breaking, per-step consistency."""
 
 import json
+import random
 
 import pytest
 
@@ -15,9 +16,10 @@ from qturan.descent import (
     lemma_min_check,
     lemma_mind_check,
 )
+from qturan.families import parse_family_spec
 from qturan.graphs import from_edges, parse_graph6
-from qturan.search import enumerate_graphs
-from qturan.spectral import q_radius, q_value
+from qturan.search import enumerate_graphs, sample_gnp
+from qturan.spectral import DEFAULT_TOL, q_radius, q_value, turan_q
 
 
 def _params(r=3):
@@ -127,3 +129,43 @@ def test_lemma_dv_caller_gates():
     assert growth is not None and ref is not None
     # deleting a leaf of a star keeps q = n-1+1: growth inequality holds
     assert growth is True
+
+
+def _explicit_preconditions(g, ref_n, params, tol=DEFAULT_TOL):
+    """The deletion lemma's preconditions written out: q(H) at or above the
+    reference and x^2 < (1 - eps)/n."""
+    res = q_radius(g, tol)
+    x = min(res.vector)
+    return res.radius >= ref_n - tol.cmp_tol and x * x < (1 - params.epsilon) / g.n
+
+
+def _descent_starts():
+    starts = [parse_family_spec(s).build() for s in ("star:10", "path:30", "split:9,3", "turan:12,3")]
+    rng = random.Random(7)
+    starts += [sample_gnp(n, p, rng) for n, p in ((12, 0.3), (14, 0.5), (16, 0.7), (20, 0.6))]
+    return starts
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_deletion_lemma_runs_exactly_when_mind_holds(r):
+    params = _params(r)
+    outcomes = set()
+    for h in _descent_starts():
+        tr = descent_run(h, params, keep_graphs=True)
+        for step in tr.steps:
+            outcomes.add((step.mind_holds, step.dv_growth_holds is not None))
+            assert (step.dv_growth_holds is not None) == (step.mind_holds is True)
+            dv = (step.dv_growth_holds, step.dv_reference_holds)
+            if step is tr.steps[-1]:
+                assert dv == (None, None)
+                continue
+            g = parse_graph6(step.graph6.encode())
+            n = g.n
+            ref_n = turan_q(n, r) if n >= r else 0.0
+            ref_n1 = turan_q(n - 1, r) if n - 1 >= r else 0.0
+            pre = _explicit_preconditions(g, ref_n, params)
+            assert dv == lemma_dv_check(g, step.min_entry_vertex, params, ref_n1, preconditions_hold=pre)
+    # the starts reach the lemma, and at r = 3 also its failing and skipped cases
+    assert (True, True) in outcomes and (None, False) in outcomes
+    if r == 3:
+        assert (False, False) in outcomes

@@ -1,0 +1,130 @@
+"""Verdict texts of the clique-scan and stability suites, pinned word for word.
+
+The scans are stubbed so that each suite sees a wrong value or a wrong
+maximizer set; the violation strings are what ``qturan verify`` prints.
+"""
+
+import pytest
+
+import qturan.chromatic as C
+from qturan import families as F
+from qturan import verify as V
+from qturan.graphs import to_graph6
+from qturan.search import SearchReport
+from qturan.spectral import DEFAULT_TOL, turan_q
+
+
+def _g6(g):
+    return to_graph6(g).decode("ascii")
+
+
+def _edges_stub(value_off, maximizers):
+    def stub(n, f):
+        r = f.n - 1
+        return SearchReport(n, _g6(f), "edges", F.turan_edges(n, r) + value_off, None,
+                            [_g6(g) for g in maximizers(n, r)], 0, 0.0)
+    return stub
+
+
+def _q_stub(value_off, maximizers):
+    def stub(n, f, tol=DEFAULT_TOL):
+        r = f.n - 1
+        return SearchReport(n, _g6(f), "q", None, turan_q(n, r) + value_off,
+                            [_g6(g) for g in maximizers(n, r)], 0, 0.0)
+    return stub
+
+
+def _turan(n, r):
+    return [F.turan(n, r)]
+
+
+def _q_maximizers(n, r):
+    return [F.complete_bipartite(a, n - a) for a in range(1, n // 2 + 1)] if r == 2 else _turan(n, r)
+
+
+@pytest.mark.parametrize(
+    "value_off, maximizers, want",
+    [
+        (1, _turan, ["ex(3,K_3) = 3 != 2", "ex(4,K_3) = 5 != 4", "ex(4,K_4) = 6 != 5"]),
+        (0, lambda n, r: [F.turan(n, r), F.complete(n)], [
+            "ex(3,K_3): maximizer set ['BW', 'Bw'] is not exactly the Turan graph",
+            "ex(4,K_3): maximizer set ['C]', 'C~'] is not exactly the Turan graph",
+            "ex(4,K_4): maximizer set ['C^', 'C~'] is not exactly the Turan graph",
+        ]),
+        (0, lambda n, r: [F.complete(n)], [
+            "ex(3,K_3): maximizer set ['Bw'] is not exactly the Turan graph",
+            "ex(4,K_3): maximizer set ['C~'] is not exactly the Turan graph",
+            "ex(4,K_4): maximizer set ['C~'] is not exactly the Turan graph",
+        ]),
+        (0, _turan, []),
+    ],
+)
+def test_suite_turan_violation_texts(monkeypatch, value_off, maximizers, want):
+    monkeypatch.setattr(V, "extremal_edges", _edges_stub(value_off, maximizers))
+    res = V.suite_turan(n_max=4)
+    assert res.checked == 3
+    assert res.violations == want
+
+
+@pytest.mark.parametrize(
+    "value_off, maximizers, want",
+    [
+        (0.5, _q_maximizers, [
+            "q-max(3,K_3) = 3.5 != q(T) = 3.0",
+            "q-max(4,K_3) = 4.5 != q(T) = 4.0",
+            "q-max(4,K_4) = 5.73606797749979 != q(T) = 5.23606797749979",
+        ]),
+        (0, lambda n, r: [F.complete(n)], [
+            "q-max(3,K_3): maximizer set is not exactly the complete bipartite graphs (['Bw'])",
+            "q-max(4,K_3): maximizer set is not exactly the complete bipartite graphs (['C~'])",
+            "q-max(4,K_4): maximizers ['C~'] not exactly the Turan graph",
+        ]),
+        # the right number of maximizers, one of them not bipartite
+        (0, lambda n, r: _q_maximizers(n, r)[:-1] + [F.complete(n)], [
+            "q-max(3,K_3): maximizer set is not exactly the complete bipartite graphs (['Bw'])",
+            "q-max(4,K_3): maximizer set is not exactly the complete bipartite graphs (['Cs', 'C~'])",
+            "q-max(4,K_4): maximizers ['C~'] not exactly the Turan graph",
+        ]),
+        (0, _turan, [
+            "q-max(4,K_3): maximizer set is not exactly the complete bipartite graphs (['C]'])",
+        ]),
+        (0, _q_maximizers, []),
+    ],
+)
+def test_suite_q_turan_violation_texts(monkeypatch, value_off, maximizers, want):
+    monkeypatch.setattr(V, "extremal_q", _q_stub(value_off, maximizers))
+    res = V.suite_q_turan(n_max=4)
+    assert res.checked == 3
+    assert res.violations == want
+
+
+def test_clique_suites_take_one_r_and_refuse_r_below_2(monkeypatch):
+    scans = []
+
+    def recorded(stub):
+        def scan(n, f, **kwargs):
+            scans.append((n, f.n - 1))
+            return stub(n, f, **kwargs)
+        return scan
+
+    monkeypatch.setattr(V, "extremal_edges", recorded(_edges_stub(0, _turan)))
+    monkeypatch.setattr(V, "extremal_q", recorded(_q_stub(0, _q_maximizers)))
+    assert V.suite_turan(n_max=6, r=3).checked == 3
+    assert V.suite_q_turan(n_max=6, r=4).checked == 2
+    assert scans == [(4, 3), (5, 3), (6, 3), (5, 4), (6, 4)]
+    for suite, name in ((V.suite_turan, "turan"), (V.suite_q_turan, "q-turan")):
+        with pytest.raises(ValueError, match=f"suite '{name}' needs r >= 2, got r=1"):
+            suite(n_max=6, r=1)
+    assert len(scans) == 5
+
+
+def test_suite_stability_violation_texts(monkeypatch):
+    # every coloring fails, so each clique-free graph whose minimum degree
+    # clears the threshold is reported
+    monkeypatch.setattr(C, "is_k_colorable", lambda g, k: False)
+    res = V.suite_stability(n_max=3)
+    assert res.checked == 7
+    assert res.violations == [
+        "A_: triangle-free, delta>2n/5, not bipartite",
+        "Bw: K4-free, delta>5n/8, not 3-partite",
+    ]
