@@ -173,7 +173,11 @@ def find_clique(n: int, rows: Sequence[int], k: int) -> Optional[Tuple[int, ...]
 
     Vertices of degree < k-1 are excluded up front; the search enumerates
     candidate extensions in ascending index order, so the witness is the
-    lexicographically first clique over the pruned graph.
+    lexicographically first clique over the pruned graph. Triangles, the
+    most common query, take a bit test per edge instead: the first edge
+    (u, v), u < v, whose endpoints share a neighbor above u gives the same
+    first triangle, since any common neighbor between u and v would have
+    been found at an earlier edge.
     """
     if k <= 0:
         return ()
@@ -185,6 +189,17 @@ def find_clique(n: int, rows: Sequence[int], k: int) -> Optional[Tuple[int, ...]
         )
     if k == 1:
         return (0,)
+    if k == 3:
+        for u in range(n):
+            above = rows[u] >> (u + 1) << (u + 1)
+            m = above
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                common = above & rows[v]
+                if common:
+                    return u, v, (common & -common).bit_length() - 1
+        return None
     allowed = 0
     for v in range(n):
         if rows[v].bit_count() >= k - 1:

@@ -26,7 +26,7 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .spectral import DEFAULT_TOL, Tolerance, q_upper_bounds, q_value
+from .spectral import DEFAULT_TOL, Tolerance, q_brackets, q_value
 from .subgraph import is_free
 
 ENUMERATION_CAP = 9
@@ -217,7 +217,7 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
 
 
 def count_classes(n: int) -> int:
-    return len(_classes(n))
+    return sum(1 for _ in enumerate_graphs(n))
 
 
 def ingest_corpus(
@@ -269,15 +269,15 @@ def _graph_source(n: int, corpus: Optional[str]) -> Sequence[Graph]:
 # -- extremal scans --------------------------------------------------------------
 
 
-def _rank(graphs: Sequence[Graph]) -> Tuple[np.ndarray, np.ndarray]:
-    """Upper bounds hi(G) >= q(G) and the indices in descending-hi order,
-    ties in source order."""
-    hi = q_upper_bounds(graphs)
-    return hi, np.argsort(-hi, kind="stable")
+def _rank(graphs: Sequence[Graph]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Brackets lo(G) <= q(G) <= hi(G) and the indices in descending-hi
+    order, ties in source order."""
+    lo, hi = q_brackets(graphs)
+    return lo, hi, np.argsort(-hi, kind="stable")
 
 
 @lru_cache(maxsize=16)
-def _class_ranking(n: int) -> Tuple[np.ndarray, np.ndarray]:
+def _class_ranking(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_rank`` of the order-n classes, computed on the first scan."""
     return _rank(_classes(n))
 
@@ -330,15 +330,18 @@ def extremal_q(
     """Max q(G) over F-free classes with all maximizers at cmp_tol, then an
     exact re-ranking of the tied set at eig_tol/100 to guard tolerance ties.
 
-    Classes are visited by descending upper bound hi(G) >= q(G)
-    (``spectral.q_upper_bounds``). Containment and the serial ``q_value``
-    run only while hi >= best - cmp_tol - 1e-9 * max(1, best), where best
-    is the largest serial q of the F-free classes seen so far; every class
-    past that point has q below the final maximum by more than cmp_tol plus
-    that slack, so it can neither win nor move the record, and the
-    accumulate rule replayed in source order over the visited F-free
-    classes gives the result of a full scan. ``min_degree_above`` restricts
-    the scan to delta(G) > that value.
+    Classes are visited by descending upper end hi(G) of the bracket
+    lo(G) <= q(G) <= hi(G) that ranks them (``spectral.q_brackets``).
+    Containment runs only while hi >= best - cmp_tol - 1e-9 * max(1, best),
+    where best is the largest q of the F-free classes seen so far; every
+    class past that point has q below the final maximum by more than
+    cmp_tol plus that slack, so it can neither win nor move the record, and
+    the accumulate rule replayed in source order over the visited F-free
+    classes gives the result of a full scan. The q that decides an F-free
+    class is lo when hi - lo <= eig_tol, as close to q as ``q_value`` is
+    asked to be; only a wider bracket runs ``q_value``. The maximizers'
+    q, reported as ``max_q``, always comes from the re-solve.
+    ``min_degree_above`` restricts the scan to delta(G) > that value.
 
     ``jobs`` is ignored: every scan runs in-process. The keyword stays only
     because the benchmark harness (``perfbench/worker.py``) still calls
@@ -346,7 +349,7 @@ def extremal_q(
     """
     t0 = time.perf_counter()
     graphs = _graph_source(n, corpus)
-    hi, order = _class_ranking(n) if corpus is None else _rank(graphs)
+    lo, hi, order = _class_ranking(n) if corpus is None else _rank(graphs)
     best = float("-inf")
     found: List[Tuple[int, float]] = []
     for i in order:
@@ -359,7 +362,7 @@ def extremal_q(
                 continue
         if not is_free(g, f):
             continue
-        q = q_value(g, tol)
+        q = lo[i] if hi[i] - lo[i] <= tol.eig_tol else q_value(g, tol)
         best = max(best, q)
         found.append((i, q))
     found.sort()

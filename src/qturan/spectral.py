@@ -114,7 +114,8 @@ def _unpack_rows(rows: Sequence[int], n: int) -> np.ndarray:
     0/1 array: each row's little-endian bytes are joined and spread by one
     ``np.unpackbits``; column j is bit j."""
     nbytes = (n + 7) // 8
-    raw = b"".join([r.to_bytes(nbytes, "little") for r in rows])
+    # rows of order <= 8 are their own bytes
+    raw = bytes(rows) if nbytes == 1 else b"".join([r.to_bytes(nbytes, "little") for r in rows])
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
     return bits.reshape(len(rows), 8 * nbytes)
 
@@ -259,51 +260,58 @@ BOUND_BLOCK = 1 << 14
 _BOUND_EPS = 1e-12
 # a row gets the per-component pass when hi - lo > _BOUND_REL_GAP * max(1, lo)
 _BOUND_REL_GAP = 1e-9
-# the returned hi is raised by this many ulps per vertex: enough to cover the
-# rounding of its own n-term sums and division, and that of the Rayleigh
-# quotient behind q_value, so hi >= q_value holds in floating point too
+# hi is raised and lo lowered by this many ulps per vertex: enough to cover
+# the rounding of their own n-term sums and division, and that of the
+# Rayleigh quotient behind q_value, so lo <= q <= hi holds in floating point
 _BOUND_ROUNDING_ULPS = 8
 
 
-def q_upper_bounds(graphs: Sequence[Graph]) -> np.ndarray:
-    """Rigorous upper bounds hi(G) >= q(G) for a list of graphs of one order.
+def q_brackets(graphs: Sequence[Graph]) -> Tuple[np.ndarray, np.ndarray]:
+    """Rigorous brackets lo(G) <= q(G) <= hi(G) for a list of graphs of one order.
 
-    One batched ``eigh`` runs on the stacked Q matrices; each graph gets the
-    Collatz-Wielandt bound hi = max_u (Qx')_u / x'_u on x' = |v| + eps*1, v the
-    eigenvector of the top eigenvalue lo. That ratio bounds the spectral radius
-    of a nonnegative matrix for every positive x', so hi is rigorous however
-    accurate LAPACK's v is; v only makes it tight. On a disconnected graph v
-    may vanish on a component and leave hi loose: a row with hi - lo > 1e-9 *
-    max(1, lo) takes the largest such bound over its components instead, each
-    on that component's own Q, as rigorous since q(G) is the largest q of a
-    component. hi is raised by a few ulps per vertex for rounding. Blocks of
-    ``BOUND_BLOCK`` graphs, fewer above order 9, keep every stack within the
-    10.6 MB of an order-9 block.
+    One batched ``eigh`` runs on the stacked Q matrices; each graph gets, on
+    x' = |v| + eps*1 with v the eigenvector of the top eigenvalue, the
+    Collatz-Wielandt bound hi = max_u (Qx')_u / x'_u and the Rayleigh quotient
+    lo = x'^T Q x' / x'^T x'. For every positive x' the first bounds the
+    spectral radius of a nonnegative matrix from above and the second bounds
+    the largest eigenvalue from below, so both are rigorous however accurate
+    LAPACK's v is; v only makes them tight. On a disconnected graph v may
+    vanish on a component and leave hi loose: a row with hi - lo > 1e-9 *
+    max(1, lo) takes both ends as the largest over its components instead,
+    each on that component's own Q, as rigorous since q(G) is the largest q
+    of a component. Both ends are moved outward by a few ulps per vertex for
+    rounding. Blocks of ``BOUND_BLOCK`` graphs, fewer above order 9, keep
+    every stack within the 10.6 MB of an order-9 block.
     """
-    out = np.empty(len(graphs))
+    out = np.empty((2, len(graphs)))
     n = graphs[0].n if graphs else 0
     for g in graphs:
         if g.n != n:
-            raise ValueError(f"q_upper_bounds needs one order, got {n} and {g.n}")
+            raise ValueError(f"q brackets need one order, got {n} and {g.n}")
     step = max(1, BOUND_BLOCK * 81 // max(81, n * n))
     for start in range(0, len(graphs), step):
         block = graphs[start: start + step]
-        out[start: start + len(block)] = _block_upper_bounds(block)
-    return out
+        out[:, start: start + len(block)] = _block_upper_bounds(block)
+    return out[0], out[1]
+
+
+def q_upper_bounds(graphs: Sequence[Graph]) -> np.ndarray:
+    """The upper ends hi(G) >= q(G) of ``q_brackets``."""
+    return q_brackets(graphs)[1]
 
 
 def _cw_bounds(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(Collatz-Wielandt bound on the |top eigenvector|, top eigenvalue) per matrix."""
-    vals, vecs = np.linalg.eigh(mats)
-    xp = np.abs(vecs[..., -1]) + _BOUND_EPS
+    """(Collatz-Wielandt bound, Rayleigh quotient) on |top eigenvector| + eps per matrix."""
+    xp = np.abs(np.linalg.eigh(mats)[1][..., -1]) + _BOUND_EPS
     y = np.einsum("...ij,...j->...i", mats, xp)
-    return (y / xp).max(axis=-1), vals[..., -1]
+    return (y / xp).max(axis=-1), (xp * y).sum(axis=-1) / (xp * xp).sum(axis=-1)
 
 
 def _block_upper_bounds(graphs: Sequence[Graph]) -> np.ndarray:
+    """``q_brackets`` of one block, as the rows (lo, hi) of one array."""
     n = graphs[0].n
     if n <= 1:
-        return np.zeros(len(graphs))
+        return np.zeros((2, len(graphs)))
     bits = _unpack_rows([r for g in graphs for r in g.rows], n)
     mats = bits.reshape(len(graphs), n, -1)[:, :, :n].astype(np.float64)
     diag = np.arange(n)
@@ -311,8 +319,10 @@ def _block_upper_bounds(graphs: Sequence[Graph]) -> np.ndarray:
     hi, lo = _cw_bounds(mats)
     for i in np.flatnonzero(hi - lo > _BOUND_REL_GAP * np.maximum(1.0, lo)):
         g = graphs[i]
-        hi[i] = max(_cw_bounds(_component_matrix(g, c, "q"))[0] for c in g.components())
-    return hi * (1.0 + _BOUND_ROUNDING_ULPS * n * np.finfo(np.float64).eps)
+        ends = [_cw_bounds(_component_matrix(g, c, "q")) for c in g.components()]
+        hi[i], lo[i] = np.max(ends, axis=0)
+    ulps = _BOUND_ROUNDING_ULPS * n * np.finfo(np.float64).eps
+    return np.stack((lo * (1.0 - ulps), hi * (1.0 + ulps)))
 
 
 def rayleigh_q(g: Graph, x: Sequence[float]) -> float:

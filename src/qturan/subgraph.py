@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from . import _kernels
 from .graphs import Graph
 
 
+@lru_cache(maxsize=256)
 def _as_clique(f: Graph) -> Optional[int]:
-    """Order of F if it is a complete graph, else None."""
+    """Order of F if it is a complete graph, else None; one lookup per F
+    after the first, since ``Graph`` keeps its hash."""
     full = (1 << f.n) - 1
     for v in range(f.n):
         if f.rows[v] != full & ~(1 << v):

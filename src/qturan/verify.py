@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import bounds as B
 from . import families as F
-from .graphs import Graph, canonical_graph, is_isomorphic, parse_graph6, to_graph6
+from .graphs import Graph, canonical_form, canonical_graph, is_isomorphic, parse_graph6, to_graph6
 from .search import (
     enumerate_graphs,
     extremal_edges,
@@ -110,10 +110,10 @@ def _clique_scans(suite: str, n_max: int, r: Optional[int], scan: Callable):
 
 
 def _maximizers_are(graph6s: Sequence[str], classes: Sequence[Graph]) -> bool:
-    """The maximizer graph6 set is exactly ``classes`` up to isomorphism."""
-    return len(graph6s) == len(classes) and all(
-        any(is_isomorphic(g, c) for c in classes) for g in map(parse_graph6, graph6s)
-    )
+    """The maximizer graph6 list holds each of ``classes`` exactly once, up to
+    isomorphism: the two sides agree as multisets of canonical forms."""
+    got = sorted(canonical_form(parse_graph6(g6)) for g6 in graph6s)
+    return got == sorted(map(canonical_form, classes))
 
 
 def suite_turan(n_max: int = 8, r: Optional[int] = None) -> VerifyResult:

@@ -8,7 +8,7 @@ import pytest
 from qturan import _kernels
 from conftest import all_labeled_graphs, brute_canon_key, brute_contains, brute_max_clique
 from qturan.families import complete, empty, path
-from qturan.graphs import Graph, canonical_form
+from qturan.graphs import Graph, canonical_form, from_edges
 from qturan.search import enumerate_graphs, sample_gnp
 from qturan.subgraph import has_clique, is_free
 
@@ -155,6 +155,47 @@ def test_find_clique_against_subset_bruteforce():
             if got is not None:
                 assert len(got) == k
                 assert all((rows[u] >> v) & 1 for u, v in combinations(got, 2))
+
+
+def _general_clique(n, rows, k):
+    """The general path of ``find_clique``: vertices of degree >= k - 1,
+    extensions tried in ascending order, so the first clique found is the
+    lexicographically first one."""
+    allowed = sum(1 << v for v in range(n) if rows[v].bit_count() >= k - 1)
+
+    def rec(chosen, cand):
+        if len(chosen) == k:
+            return tuple(chosen)
+        for v in range(n):
+            if (cand >> v) & 1:
+                found = rec(chosen + [v], cand & rows[v] & ~((2 << v) - 1))
+                if found:
+                    return found
+        return None
+
+    return rec([], allowed)
+
+
+def test_triangle_test_returns_the_general_witness():
+    """``find_clique(n, rows, 3)`` answers with a bit test per edge; its
+    witness is the general search's, on every class of order <= 7 under
+    seeded relabelings and on seeded random graphs up to order 12."""
+    rng = random.Random(29)
+    cases = []
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            for _ in range(2):
+                perm = rng.sample(range(n), n)
+                cases.append((n, from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()]).rows))
+    for _ in range(2000):
+        n = rng.randrange(0, 13)
+        cases.append((n, _rand_rows(rng, n, rng.choice([0.1, 0.2, 0.35, 0.6, 0.9]))))
+    found = 0
+    for n, rows in cases:
+        want = _general_clique(n, rows, 3)
+        assert _kernels.find_clique(n, rows, 3) == want, (n, rows)
+        found += want is not None
+    assert 0 < found < len(cases)
 
 
 def test_find_embedding_against_permutation_bruteforce():

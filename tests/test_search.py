@@ -5,11 +5,14 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import burnside_graph_count, labeled_orbit_count
 from qturan import _kernels
 from qturan import families as F
+from qturan import search as S
+from qturan import spectral
 from qturan import verify as V
 from qturan.bounds import CriterionParams
 from qturan.graphs import (
@@ -121,6 +124,17 @@ def test_order_7_labeling_count_is_pinned(monkeypatch):
 def test_enumeration_cap_directs_to_corpus():
     with pytest.raises(ValueError, match="ingest_corpus"):
         list(enumerate_graphs(10))
+
+
+def test_count_classes_checks_the_order_before_enumerating(monkeypatch):
+    def refused(n):
+        raise AssertionError(f"enumerated order {n}")
+
+    monkeypatch.setattr(S, "_classes", refused)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        count_classes(-1)
+    with pytest.raises(ValueError, match="capped at n=9; use ingest_corpus"):
+        count_classes(10)
 
 
 def test_ingest_corpus(tmp_path):
@@ -314,6 +328,43 @@ def test_ranked_scans_match_unranked_loop():
                 assert _without_elapsed(got) == _without_elapsed(
                     _unranked_q(n, f, min_degree_above=above)
                 ), (tag, above)
+
+
+def test_narrow_brackets_replace_the_default_tolerance_solves(monkeypatch):
+    """Every class that ``suite_q_turan(n_max=7)`` visits has a bracket
+    narrower than eig_tol, so no eigensolve runs at the default eig_tol;
+    the re-solves of the tied sets at eig_tol / 100 remain."""
+    solves = []
+    inner = spectral._solve_radius
+
+    def counted(g, mode, eig_tol):
+        solves.append(eig_tol)
+        return inner(g, mode, eig_tol)
+
+    monkeypatch.setattr(spectral, "_solve_radius", counted)
+    spectral._solve_cached.cache_clear()
+    assert V.suite_q_turan(n_max=7).ok
+    assert solves.count(DEFAULT_TOL.eig_tol) == 0
+    assert solves.count(DEFAULT_TOL.eig_tol / 100) == 21
+
+
+def test_wide_brackets_defer_to_q_value(monkeypatch):
+    """A bracket wider than eig_tol never decides a class: with every lower
+    end lowered by a seeded amount up to 1e-6 (still rigorous, the order
+    untouched), the scans still match the unranked loop."""
+    rng = np.random.default_rng(5)
+
+    def widened(n):
+        lo, hi, order = S._rank(_classes(n))
+        return lo - rng.uniform(0.0, 1e-6, len(lo)), hi, order
+
+    monkeypatch.setattr(S, "_class_ranking", widened)
+    for n in range(4, 8):
+        for f in _SCAN_TARGETS:
+            for above in (None, 0.45 * n):
+                got = extremal_q(n, f, min_degree_above=above)
+                want = _unranked_q(n, f, min_degree_above=above)
+                assert _without_elapsed(got) == _without_elapsed(want), (n, to_graph6(f), above)
 
 
 def test_ranked_scans_match_unranked_loop_on_mixed_corpus(tmp_path):

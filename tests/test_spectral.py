@@ -57,6 +57,7 @@ def test_component_matrix_matches_per_bit_reference():
         parts = [sample_gnp(rng.randrange(1, 40), rng.random(), rng) for _ in range(rng.randrange(2, 5))]
         graphs.append(_shuffled_union(parts, rng))
     graphs += [_shuffled_union([sample_gnp(n, 0.3, rng), F.path(3), F.empty(2)], rng) for n in (58, 59, 60, 120)]
+    graphs += [sample_gnp(n, rng.random(), rng) for n in range(1, 18) for _ in range(3)]
     comps_checked = 0
     for g in graphs:
         for comp in g.components():
@@ -325,6 +326,25 @@ def test_q_upper_bounds_are_tight():
             assert 0.0 <= hi - q <= 1e-9 * max(1.0, q), (g, hi, q)
 
 
+def test_q_brackets_hold_the_top_eigenvalue_tightly():
+    """lo <= top ``eigvalsh`` value <= hi on every class of order <= 7 and
+    on the mixed-component corpus, with hi - lo within 1e-9 relative and lo
+    within eig_tol of ``q_value``: the scans take lo as a class's q when the
+    bracket is that narrow."""
+    checked = 0
+    for n, gs in _bound_corpus().items():
+        lo, hi = S.q_brackets(gs)
+        assert np.array_equal(hi, S.q_upper_bounds(gs))
+        top = np.linalg.eigvalsh(np.stack([q_matrix(g) for g in gs]))[:, -1]
+        for g, a, t, b in zip(gs, lo, top, hi):
+            q = S.q_value(g)
+            assert a <= t <= b, (g, a, t, b)
+            assert b - a <= 1e-9 * max(1.0, q), (g, a, b)
+            assert abs(a - q) <= S.DEFAULT_TOL.eig_tol, (g, a, q)
+            checked += 1
+    assert checked > 1400
+
+
 @pytest.mark.parametrize("g6, q", [("EIa?", 3.0), ("GIQCC?", 4.0)])
 def test_q_upper_bounds_per_component_pass(g6, q):
     """2P_3 and 2K_{1,3}: the top eigenvector of the whole Q vanishes on one
@@ -345,7 +365,7 @@ def test_q_upper_bounds_block_size_shrinks_with_order(monkeypatch):
 
     def recorded(block):
         sizes.append(len(block))
-        return np.zeros(len(block))
+        return np.zeros((2, len(block)))
 
     monkeypatch.setattr(S, "_block_upper_bounds", recorded)
     cases = [(9, S.BOUND_BLOCK + 3, [S.BOUND_BLOCK, 3]), (10, 13300, [13271, 29]),

@@ -98,6 +98,15 @@ def test_suite_q_turan_violation_texts(monkeypatch, value_off, maximizers, want)
     assert res.violations == want
 
 
+def test_maximizer_test_counts_each_class_once():
+    """A repeated maximizer does not stand in for a missing class: K_{3,4}
+    is missing below, so the r = 2 set test at n = 7 fails."""
+    k16, k25, k34 = (F.complete_bipartite(a, 7 - a) for a in (1, 2, 3))
+    assert not V._maximizers_are([_g6(k16), _g6(k16), _g6(k25)], [k16, k25, k34])
+    assert not V._maximizers_are([_g6(k16), _g6(k25), _g6(k34)], [k16, k16, k25])
+    assert V._maximizers_are([_g6(k34), _g6(k16), _g6(k25)], [k16, k25, k34])
+
+
 def test_clique_suites_take_one_r_and_refuse_r_below_2(monkeypatch):
     scans = []
 
