@@ -28,8 +28,6 @@ from .spectral import (
     turan_q,
     turan_quadratic,
 )
-from .subgraph import contains_subgraph
-from . import families
 
 
 class BoundEntry(NamedTuple):
@@ -98,15 +96,6 @@ def write_reports_csv(reports, stream) -> None:
             writer.writerow({k: v for k, v in e.as_record(rep.graph_id).items()})
 
 
-def merge_reports(reports) -> List[BoundReport]:
-    """Deterministic merge of per-graph reports by graph6 key."""
-    by_key: Dict[str, BoundReport] = {}
-    for rep in reports:
-        agg = by_key.setdefault(rep.graph_id, BoundReport(rep.graph_id))
-        agg.entries.extend(rep.entries)
-    return [by_key[k] for k in sorted(by_key)]
-
-
 @dataclass(frozen=True)
 class CriterionParams:
     """Parameters of the spectral criterion: 0 < epsilon < 1/2 and
@@ -151,30 +140,6 @@ def _entry(
     return BoundEntry(name, lhs, rhs, slack, holds, abs(slack) <= tol.cmp_tol, report_only, note)
 
 
-def _require_clique_free(g: Graph, r: int) -> None:
-    found, phi = contains_subgraph(g, families.complete(r + 1))
-    if found:
-        raise ValueError(
-            f"precondition violated: graph contains K_{r + 1} on vertices {phi}"
-        )
-
-
-def check_turan_edges(g: Graph, r: int, tol: Tolerance = DEFAULT_TOL) -> List[BoundEntry]:
-    """e(G) <= (1 - 1/r) n^2 / 2 and the sharp form e(G) <= e(T_{n,r}),
-    for K_{r+1}-free G."""
-    _require_clique_free(g, r)
-    m = g.m
-    weak = _entry("turan_edges", m, (1 - 1 / r) * g.n * g.n / 2, tol)
-    sharp = _entry("turan_edges_sharp", m, float(turan_edges(g.n, min(r, g.n))), tol)
-    return [weak, sharp]
-
-
-def check_wilf(g: Graph, r: int, tol: Tolerance = DEFAULT_TOL) -> BoundEntry:
-    """lambda(G) <= (1 - 1/r) n for K_{r+1}-free G."""
-    _require_clique_free(g, r)
-    return _entry("wilf", lambda_value(g, tol), (1 - 1 / r) * g.n, tol)
-
-
 def check_bound_chain(g: Graph, tol: Tolerance = DEFAULT_TOL) -> List[BoundEntry]:
     """4e(G)/n <= 2 lambda(G) <= q(G) <= 2 Delta(G), for every graph."""
     if g.n < 1:
@@ -187,16 +152,6 @@ def check_bound_chain(g: Graph, tol: Tolerance = DEFAULT_TOL) -> List[BoundEntry
         _entry("chain_lambda_vs_q", lam2, q, tol),
         _entry("chain_q_vs_maxdeg", q, 2.0 * dmax, tol),
     ]
-
-
-def check_abreu_nikiforov(g: Graph, r: int, tol: Tolerance = DEFAULT_TOL) -> List[BoundEntry]:
-    """q(G) <= 2 (1 - 1/r) n and the sharp form q(G) <= q(T_{n,r}),
-    for K_{r+1}-free G."""
-    _require_clique_free(g, r)
-    q = q_value(g, tol)
-    weak = _entry("abreu_nikiforov", q, 2 * (1 - 1 / r) * g.n, tol)
-    sharp = _entry("q_turan_sharp", q, turan_q(g.n, min(r, g.n)), tol)
-    return [weak, sharp]
 
 
 def check_merris(g: Graph, tol: Tolerance = DEFAULT_TOL) -> BoundEntry:

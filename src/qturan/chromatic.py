@@ -1,25 +1,19 @@
-"""Exact chromatic number, r-partiteness, color-criticality, and
-color-k-criticality (induced-matching deletion + vertex-deletion stability).
+"""Exact chromatic number, r-partiteness and color-criticality (one edge
+whose deletion lowers the chromatic number).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
-from .graphs import Graph, delete_vertex
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
 class CriticalityWitness:
-    """Edge set whose deletion lowers the chromatic number.
+    """Edge set whose deletion lowers the chromatic number."""
 
-    ``kind`` is "edge" for single-edge criticality, "induced_matching" for
-    the k-edge variant.
-    """
-
-    kind: str
     edges: Tuple[Tuple[int, int], ...]
     chi_before: int
     chi_after: int
@@ -149,59 +143,7 @@ def is_color_critical(g: Graph) -> Tuple[bool, Optional[CriticalityWitness]]:
     chi = chromatic_number(g)
     for e in g.edges():
         if is_k_colorable(_delete_edges(g, [e]), chi - 1):
-            w = CriticalityWitness("edge", (e,), chi, chi - 1)
+            w = CriticalityWitness((e,), chi, chi - 1)
             return True, w
     return False, None
 
-
-def enumerate_induced_matchings(g: Graph, k: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
-    """All k-sets of pairwise disjoint edges with no edge of G joining two of
-    them; exhaustive and duplicate-free in lexicographic edge order."""
-    if k < 1:
-        raise ValueError(f"matching size must be >= 1, got {k}")
-    edges = g.edges()
-
-    def compatible(e1, e2) -> bool:
-        a, b = e1
-        c, d = e2
-        if len({a, b, c, d}) < 4:
-            return False
-        for u in (a, b):
-            for v in (c, d):
-                if g.has_edge(u, v):
-                    return False
-        return True
-
-    for combo in combinations(edges, k):
-        if all(compatible(e1, e2) for e1, e2 in combinations(combo, 2)):
-            yield combo
-
-
-def is_color_k_critical(g: Graph, k: int) -> Tuple[bool, Optional[CriticalityWitness]]:
-    """True iff (a) some induced matching of size k deletes down to a smaller
-    chromatic number, and (b) no deletion of k-1 vertices lowers it.
-
-    Condition (b) is read literally over all (k-1)-subsets, so it is vacuous
-    at k = 1 and the test then agrees with single-edge color-criticality.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if g.n == 0 or g.m == 0:
-        return False, None
-    chi = chromatic_number(g)
-    witness = None
-    for matching in enumerate_induced_matchings(g, k):
-        if is_k_colorable(_delete_edges(g, matching), chi - 1):
-            witness = CriticalityWitness("induced_matching", matching, chi, chi - 1)
-            break
-    if witness is None:
-        return False, None
-    for subset in combinations(range(g.n), k - 1):
-        h = g
-        for v in sorted(subset, reverse=True):
-            h = delete_vertex(h, v)
-        if h.n == 0:
-            continue
-        if is_k_colorable(h, chi - 1):
-            return False, None
-    return True, witness

@@ -29,8 +29,11 @@ class InputError(ValueError):
 
 
 def load_graph(text: str) -> Graph:
-    """Interpret a CLI graph argument as a family spec or a graph6 line."""
-    if is_family_spec(text):
+    """Interpret a CLI graph argument as a family spec or a graph6 line.
+
+    No graph6 line holds a ':', so any text with one is read as a spec, and
+    an unknown kind gets the parser's list of valid kinds."""
+    if is_family_spec(text) or ":" in text:
         return parse_family_spec(text).build()
     try:
         return parse_graph6(text.encode("ascii"))

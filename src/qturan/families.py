@@ -1,7 +1,7 @@
 """Constructors for the named graph families: Turan graphs, split graphs,
-generalized books, wheels, complete bipartite graphs plus an edge, the
-joined-Turan family and the Petersen graph, with the ``kind:params`` spec
-parser built on one constructor table.
+generalized books, wheels, complete bipartite graphs plus an edge and the
+Petersen graph, with the ``kind:params`` spec parser built on one
+constructor table.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Tuple
 
+from ._kernels import CANONICAL_MAX_ORDER
 from .graphs import Graph, from_edges, join
 
 
@@ -114,13 +115,6 @@ def kst_plus(s: int, t: int) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-def h_graph(n: int, r: int, k: int) -> Graph:
-    """Join of K_{k-1} with the Turan graph T_{n-k+1, r}."""
-    if k < 1 or r < 2 or n < k - 1 + r:
-        raise ValueError(f"needs k >= 1, r >= 2, n >= k-1+r, got n={n}, r={r}, k={k}")
-    return join(complete(k - 1), turan(n - k + 1, r))
-
-
 def petersen() -> Graph:
     """Petersen graph as the Kneser graph KG(5,2): vertices are the 2-subsets
     of a 5-set, adjacent when disjoint."""
@@ -148,7 +142,6 @@ _FAMILY_TABLE = {
     "generalized_book": (2, generalized_book),
     "wheel": (2, wheel),
     "kstplus": (2, kst_plus),
-    "h": (3, h_graph),
     "petersen": (0, petersen),
 }
 
@@ -158,7 +151,6 @@ _FAMILY_ALIASES = {
     "kst": "complete_bipartite",
     "book": "generalized_book",
     "kst_plus": "kstplus",
-    "h_graph": "h",
 }
 
 # every kind the parser accepts, aliases included
@@ -186,7 +178,8 @@ class FamilySpec:
 
 
 def parse_family_spec(text: str) -> FamilySpec:
-    """Parse "kind:p1,p2,..."; unknown kinds list the valid ones."""
+    """Parse "kind:p1,p2,..."; unknown kinds list the valid ones, and a
+    parameter above the kernels' order cap is refused."""
     kind, _, rest = text.partition(":")
     kind = kind.strip()
     if kind not in _FAMILY_KINDS:
@@ -202,6 +195,12 @@ def parse_family_spec(text: str) -> FamilySpec:
         params = ()
     if len(params) != arity:
         raise ValueError(f"family {kind!r} takes {arity} parameters, got {len(params)}")
+    # checked before any graph is built; every table kind then has order <= 2 * cap
+    if any(p > CANONICAL_MAX_ORDER for p in params):
+        raise ValueError(
+            f"family parameters must be at most {CANONICAL_MAX_ORDER}, "
+            f"the largest order the kernels accept: {text!r}"
+        )
     return FamilySpec(kind, params)
 
 

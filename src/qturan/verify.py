@@ -100,13 +100,18 @@ suite_hofmeister = partial(_entry_sweep, "hofmeister")
 
 
 def _clique_scans(suite: str, n_max: int, r: Optional[int], scan: Callable):
-    """(n, rr, scan(n, K_{rr+1})) for 2 <= rr < n <= n_max, or for rr = r alone."""
+    """(n, rr, scan(n, K_{rr+1})) for 2 <= rr < n <= n_max, or for rr = r alone.
+
+    Each K_{rr+1} is built once, so the containment test's per-F cache finds
+    it by identity rather than by ``Graph.__eq__``."""
     if r is not None and r < 2:
         raise ValueError(f"suite {suite!r} needs r >= 2, got r={r}")
+    ranks = [r] if r is not None else range(2, n_max)
+    cliques = {rr: F.complete(rr + 1) for rr in ranks if rr < n_max}
     for n in range(3, n_max + 1):
-        for rr in [r] if r is not None else range(2, n):
+        for rr, f in cliques.items():
             if rr < n:
-                yield n, rr, scan(n, F.complete(rr + 1))
+                yield n, rr, scan(n, f)
 
 
 def _maximizers_are(graph6s: Sequence[str], classes: Sequence[Graph]) -> bool:

@@ -187,21 +187,6 @@ def test_criterion_15_report_only_trends():
                 f"    [report-only] {name}-free at n=8: max q = {rep.max_q:.6f}, "
                 f"q(T_(8,{r})) = {ref:.6f}, turan among maximizers: {is_turan}"
             )
-        # report-only: the color-k-critical conjecture probe at desk scale
-        # (F = 2K_3 is color-2-critical; its joined-Turan reference is
-        # K_1 v T_{7,2} at n = 8)
-        from qturan.graphs import from_edges
-
-        two_k3 = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        rep = extremal_q(8, two_k3)
-        h_ref = q_value(F.h_graph(8, 2, 2))
-        h_wins = any(
-            is_isomorphic(parse_graph6(g), F.h_graph(8, 2, 2)) for g in rep.extremal_graphs
-        )
-        print(
-            f"    [report-only] 2K3-free at n=8: max q = {rep.max_q:.6f}, "
-            f"q(K_1 v T_(7,2)) = {h_ref:.6f}, joined-Turan among maximizers: {h_wins}"
-        )
         # report-only: (qn) and (beg) defects along the K_4 reference sweep
         qs = {n: q_value(F.turan(n, 3)) for n in range(4, 41)}
         qn_first = B.check_qn_estimate(qs[5], params, 5).lhs

@@ -14,26 +14,7 @@ from qturan import verify as V
 from qturan.descent import lemma_min_check
 from qturan.graphs import from_edges, parse_graph6, to_graph6
 from qturan.search import enumerate_graphs
-from qturan.spectral import DEFAULT_TOL, Tolerance, q_value, turan_q
-
-
-def test_turan_edges_check():
-    es = B.check_turan_edges(F.turan(6, 3), 3)
-    assert es[0].equality and es[1].equality
-    es = B.check_turan_edges(F.cycle(5), 2)
-    assert es[0].holds and not es[0].equality
-    assert es[1].rhs == 6.0 and es[1].slack == 1.0  # e(T_{5,2}) = 6
-    es = B.check_turan_edges(F.empty(4), 2)
-    assert es[0].holds
-    with pytest.raises(ValueError, match="K_4"):
-        B.check_turan_edges(F.complete(4), 3)
-
-
-def test_wilf_check():
-    assert B.check_wilf(F.turan(6, 3), 3).equality
-    assert B.check_wilf(F.complete_bipartite(3, 3), 2).equality
-    e = B.check_wilf(F.cycle(5), 2)
-    assert e.holds and e.lhs == pytest.approx(2.0, abs=1e-9) and e.rhs == 2.5
+from qturan.spectral import DEFAULT_TOL, Tolerance, q_value
 
 
 def test_chain_check():
@@ -45,18 +26,6 @@ def test_chain_check():
     assert es[2].rhs == 6.0
     assert all(e.holds for e in es)
     assert all(e.holds and e.equality for e in B.check_bound_chain(F.complete(1)))
-
-
-def test_abreu_nikiforov_check():
-    es = B.check_abreu_nikiforov(F.turan(6, 3), 3)
-    assert es[0].equality and es[1].equality
-    es = B.check_abreu_nikiforov(F.cycle(5), 2)
-    assert es[0].holds and es[1].rhs == pytest.approx(5.0, abs=1e-9)
-    es = B.check_abreu_nikiforov(F.turan(7, 3), 3)
-    assert es[1].equality  # sharp form is an equality on the Turan graph itself
-    # the sharp rhs is the exact q(T_{n,r}), not a second eigensolve
-    for g, r in [(F.turan(6, 3), 3), (F.turan(7, 3), 3), (F.cycle(5), 2)]:
-        assert B.check_abreu_nikiforov(g, r)[1].rhs == turan_q(g.n, r)
 
 
 def test_merris_check():
@@ -294,21 +263,6 @@ def test_bound_report_extend_takes_an_entry_or_a_list():
     rep.extend(chain)
     assert rep.entries == [one] + chain
     assert all(isinstance(e, B.BoundEntry) for e in rep.entries)
-
-
-def test_merge_reports_is_deterministic_by_key():
-    a = B.BoundReport("Bw")
-    a.extend(B.check_merris(F.complete(3)))
-    b = B.BoundReport("A_")
-    b.extend(B.check_merris(F.complete(2)))
-    c = B.BoundReport("Bw")
-    c.extend(B.check_bound_chain(F.complete(3)))
-    merged = B.merge_reports([a, b, c])
-    assert [r.graph_id for r in merged] == ["A_", "Bw"]
-    assert len(merged[1].entries) == 4
-    again = B.merge_reports([c, a, b])
-    assert [r.graph_id for r in again] == ["A_", "Bw"]
-    assert {e.name for e in again[1].entries} == {e.name for e in merged[1].entries}
 
 
 # -- the bound sweeps of qturan.verify ------------------------------------------

@@ -1,4 +1,4 @@
-"""Chromatic module: exact chi vs brute force, criticality, matchings."""
+"""Chromatic module: exact chi vs brute force, r-partiteness, criticality."""
 
 import pytest
 
@@ -6,12 +6,10 @@ from conftest import all_labeled_graphs, brute_chromatic
 from qturan import families as F
 from qturan.chromatic import (
     chromatic_number,
-    enumerate_induced_matchings,
     is_color_critical,
-    is_color_k_critical,
     is_r_partite,
 )
-from qturan.graphs import from_edges, join
+from qturan.graphs import join
 
 
 def test_chi_matches_bruteforce_exhaustively():
@@ -80,45 +78,10 @@ def test_color_critical_families():
 
 def test_color_critical_witness():
     ok, w = is_color_critical(F.kst_plus(2, 3))
-    assert ok and w.kind == "edge" and w.chi_before == 3 and w.chi_after == 2
+    assert ok and w.chi_before == 3 and w.chi_after == 2
     assert w.edges == ((0, 1),)  # the embedded edge
     with pytest.raises(ValueError):
         is_color_critical(F.empty(3))
-
-
-def test_color_k_critical():
-    two_k3 = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    ok, w = is_color_k_critical(two_k3, 2)
-    assert ok and w.kind == "induced_matching" and len(w.edges) == 2
-    a, b = w.edges
-    assert {a[0], a[1]} <= {0, 1, 2} and {b[0], b[1]} <= {3, 4, 5}
-    ok, _ = is_color_k_critical(F.complete(4), 1)
-    assert ok
-    ok, _ = is_color_k_critical(F.complete_bipartite(3, 3), 1)
-    assert not ok
-    # k = 1 agrees with single-edge criticality on a sample
-    for g in [F.complete(5), F.cycle(7), F.wheel(1, 5), F.complete_bipartite(2, 4)]:
-        assert is_color_k_critical(g, 1)[0] == is_color_critical(g)[0]
-
-
-def test_petersen_k_criticality_report():
-    # the set of k for which the Petersen graph qualifies is reported, not
-    # asserted against any external value
-    ks = [k for k in (1, 2, 3) if is_color_k_critical(F.petersen(), k)[0]]
-    print(f"Petersen graph is color-k-critical for k in {ks} (report-only)")
-    assert all(1 <= k <= 3 for k in ks)
-
-
-def test_induced_matchings():
-    assert len(list(enumerate_induced_matchings(F.cycle(6), 2))) == 3
-    assert list(enumerate_induced_matchings(F.complete(4), 2)) == []
-    assert len(list(enumerate_induced_matchings(from_edges(4, [(0, 1), (2, 3)]), 2))) == 1
-    # every emitted pair really is induced
-    for combo in enumerate_induced_matchings(F.cycle(8), 3):
-        verts = [v for e in combo for v in e]
-        assert len(set(verts)) == 6
-    with pytest.raises(ValueError):
-        list(enumerate_induced_matchings(F.cycle(6), 0))
 
 
 def test_family_chromatic_claims_up_to_order_10():

@@ -39,6 +39,23 @@ def test_bad_input_exits_2(capsys):
     assert main(["search", "12", "--forbid", "clique:3"]) == 2  # over cap, no corpus
 
 
+def test_family_spec_over_the_order_cap_exits_2(capsys):
+    # the parser refuses the spec; complete:100000000 is never built
+    assert main(["q", "complete:100000000"]) == 2
+    captured = capsys.readouterr()
+    assert "family parameters must be at most 512" in captured.err
+    assert captured.out == ""
+
+
+def test_unknown_family_kind_lists_the_valid_kinds(capsys):
+    assert main(["q", "h:12,3,2"]) == 2
+    err = capsys.readouterr().err
+    assert "error: unknown family kind 'h'; valid kinds: " in err
+    kinds = err.strip().split("valid kinds: ")[1].split(", ")
+    assert "turan" in kinds and "petersen" in kinds
+    assert "h" not in kinds and "h_graph" not in kinds
+
+
 @pytest.mark.parametrize(
     "argv",
     [

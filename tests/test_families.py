@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qturan import families as F
+from qturan import _kernels, families as F
 from qturan.chromatic import chromatic_number
 from qturan.graphs import is_isomorphic
 from qturan.subgraph import has_clique, is_free
@@ -64,19 +64,6 @@ def test_turan_rows_match_definition():
             assert F.turan(n, r).rows == expected, (n, r)
 
 
-def test_h_graph_matches_definition():
-    for n, r, k in [(9, 3, 1), (7, 2, 2), (8, 3, 2), (12, 3, 4), (70, 5, 3), (66, 4, 6)]:
-        c = k - 1
-        part = [-1] * c + _turan_parts(n - c, r)
-        # the k-1 clique vertices come first and see everyone; the rest form
-        # T_{n-k+1,r}, adjacent across parts
-        expected = tuple(
-            sum(1 << w for w in range(n) if w != v and (v < c or w < c or part[w] != part[v]))
-            for v in range(n)
-        )
-        assert F.h_graph(n, r, k).rows == expected, (n, r, k)
-
-
 def test_turan_clique_free():
     for n in range(2, 11):
         for r in range(1, n + 1):
@@ -113,14 +100,6 @@ def test_kst_plus():
         F.kst_plus(1, 3)
 
 
-def test_h_graph():
-    assert is_isomorphic(F.h_graph(9, 3, 1), F.turan(9, 3))
-    assert F.h_graph(7, 2, 2).m == 15
-    assert F.h_graph(8, 3, 2).m == 7 + 16
-    with pytest.raises(ValueError):
-        F.h_graph(3, 3, 2)
-
-
 def test_petersen():
     p = F.petersen()
     assert p.n == 10 and p.m == 15 and set(p.degrees()) == {3}
@@ -129,7 +108,7 @@ def test_petersen():
 
 
 def test_family_spec_round_trip():
-    for text in ["turan:7,3", "book:3,2", "kstplus:2,4", "h:12,3,2", "petersen",
+    for text in ["turan:7,3", "book:3,2", "kstplus:2,4", "petersen",
                  "star:10", "clique:4", "split:6,2"]:
         spec = F.parse_family_spec(text)
         g = spec.build()
@@ -145,8 +124,7 @@ def test_family_spec_round_trip():
 
 def test_family_aliases_build_their_targets():
     pairs = [("clique:5", "complete:5"), ("kst:2,3", "complete_bipartite:2,3"),
-             ("book:3,2", "generalized_book:3,2"), ("kst_plus:2,4", "kstplus:2,4"),
-             ("h_graph:12,3,2", "h:12,3,2")]
+             ("book:3,2", "generalized_book:3,2"), ("kst_plus:2,4", "kstplus:2,4")]
     for alias, target in pairs:
         assert F.is_family_spec(alias) and F.is_family_spec(target)
         spec = F.parse_family_spec(alias)
@@ -157,6 +135,15 @@ def test_family_aliases_build_their_targets():
         F.parse_family_spec("blob:3")
     assert str(exc.value) == (
         "unknown family kind 'blob'; valid kinds: book, clique, complete, "
-        "complete_bipartite, cycle, empty, generalized_book, h, h_graph, kst, "
+        "complete_bipartite, cycle, empty, generalized_book, kst, "
         "kst_plus, kstplus, path, petersen, split, star, turan, wheel"
     )
+
+
+def test_family_spec_refuses_parameters_above_the_kernel_cap():
+    # refused by the parser, before any constructor could allocate the graph
+    assert _kernels.CANONICAL_MAX_ORDER == 512
+    for text in ("empty:1000000000", "complete:100000000", "turan:513,3", "kst:2,513"):
+        with pytest.raises(ValueError, match="at most 512"):
+            F.parse_family_spec(text)
+    assert F.parse_family_spec("turan:512,3").params == (512, 3)
