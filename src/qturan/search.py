@@ -26,7 +26,7 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .spectral import DEFAULT_TOL, Tolerance, q_brackets, q_value
+from .spectral import DEFAULT_TOL, Tolerance, q_brackets, q_rank_bounds, q_value
 from .subgraph import is_free
 
 ENUMERATION_CAP = 9
@@ -269,17 +269,29 @@ def _graph_source(n: int, corpus: Optional[str]) -> Sequence[Graph]:
 # -- extremal scans --------------------------------------------------------------
 
 
-def _rank(graphs: Sequence[Graph]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Brackets lo(G) <= q(G) <= hi(G) and the indices in descending-hi
-    order, ties in source order."""
-    lo, hi = q_brackets(graphs)
-    return lo, hi, np.argsort(-hi, kind="stable")
+def _rank(graphs: Sequence[Graph]) -> Tuple[np.ndarray, np.ndarray]:
+    """Rank bounds hi(G) >= q(G) and the indices in descending-hi order,
+    ties in source order."""
+    hi = q_rank_bounds(graphs)
+    return hi, np.argsort(-hi, kind="stable")
 
 
 @lru_cache(maxsize=16)
-def _class_ranking(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _class_ranking(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """``_rank`` of the order-n classes, computed on the first scan."""
     return _rank(_classes(n))
+
+
+def _bracket(g: Graph) -> Tuple[float, float]:
+    """The tight bracket lo(G) <= q(G) <= hi(G) of one graph."""
+    lo, hi = q_brackets([g])
+    return lo[0], hi[0]
+
+
+@lru_cache(maxsize=1 << 16)
+def _class_bracket(n: int, i: int) -> Tuple[float, float]:
+    """``_bracket`` of the i-th order-n class, shared by every scan at n."""
+    return _bracket(_classes(n)[i])
 
 
 def extremal_edges(
@@ -330,17 +342,20 @@ def extremal_q(
     """Max q(G) over F-free classes with all maximizers at cmp_tol, then an
     exact re-ranking of the tied set at eig_tol/100 to guard tolerance ties.
 
-    Classes are visited by descending upper end hi(G) of the bracket
-    lo(G) <= q(G) <= hi(G) that ranks them (``spectral.q_brackets``).
-    Containment runs only while hi >= best - cmp_tol - 1e-9 * max(1, best),
-    where best is the largest q of the F-free classes seen so far; every
-    class past that point has q below the final maximum by more than
-    cmp_tol plus that slack, so it can neither win nor move the record, and
-    the accumulate rule replayed in source order over the visited F-free
-    classes gives the result of a full scan. The q that decides an F-free
-    class is lo when hi - lo <= eig_tol, as close to q as ``q_value`` is
-    asked to be; only a wider bracket runs ``q_value``. The maximizers'
-    q, reported as ``max_q``, always comes from the re-solve.
+    Classes are visited by descending rank bound hi(G) >= q(G)
+    (``spectral.q_rank_bounds``, no eigensolve). Containment runs only while
+    hi >= best - cmp_tol - 1e-9 * max(1, best), where best is the largest q
+    of the F-free classes seen so far; every class past that point has q
+    below the final maximum by more than cmp_tol plus that slack, so it can
+    neither win nor move the record, and the accumulate rule replayed in
+    source order over the visited F-free classes gives the result of a full
+    scan. Only a visited F-free class gets its tight bracket
+    lo(G) <= q(G) <= hi(G) (``spectral.q_brackets`` of that one graph,
+    cached per class for the built-in enumeration, so the scans at one
+    order share it). The q that decides it is lo when the bracket is at
+    most eig_tol wide, as close to q as ``q_value`` is asked to be; only a
+    wider bracket runs ``q_value``. The maximizers' q, reported as
+    ``max_q``, always comes from the re-solve.
     ``min_degree_above`` restricts the scan to delta(G) > that value.
 
     ``jobs`` is ignored: every scan runs in-process. The keyword stays only
@@ -349,11 +364,11 @@ def extremal_q(
     """
     t0 = time.perf_counter()
     graphs = _graph_source(n, corpus)
-    lo, hi, order = _class_ranking(n) if corpus is None else _rank(graphs)
+    rank, order = _class_ranking(n) if corpus is None else _rank(graphs)
     best = float("-inf")
     found: List[Tuple[int, float]] = []
     for i in order:
-        if hi[i] < best - tol.cmp_tol - 1e-9 * max(1.0, best):
+        if rank[i] < best - tol.cmp_tol - 1e-9 * max(1.0, best):
             break
         g = graphs[i]
         if min_degree_above is not None:
@@ -362,7 +377,8 @@ def extremal_q(
                 continue
         if not is_free(g, f):
             continue
-        q = lo[i] if hi[i] - lo[i] <= tol.eig_tol else q_value(g, tol)
+        lo, hi = _class_bracket(n, i) if corpus is None else _bracket(g)
+        q = lo if hi - lo <= tol.eig_tol else q_value(g, tol)
         best = max(best, q)
         found.append((i, q))
     found.sort()

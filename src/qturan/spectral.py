@@ -252,7 +252,7 @@ def turan_q(n: int, r: int) -> float:
         k *= 2
 
 
-# -- batched upper bounds ------------------------------------------------------
+# -- batched bounds ------------------------------------------------------------
 
 # graphs per stacked block: an order-9 block holds 16384 x 81 float64 (10.6 MB)
 BOUND_BLOCK = 1 << 14
@@ -264,10 +264,69 @@ _BOUND_REL_GAP = 1e-9
 # the rounding of their own n-term sums and division, and that of the
 # Rayleigh quotient behind q_value, so lo <= q <= hi holds in floating point
 _BOUND_ROUNDING_ULPS = 8
+# sweeps of x <- (Q + I) x behind q_rank_bounds: of 2 to 8 sweeps, 4 gave the
+# fastest suite_q_turan at n_max 7 and 8 (fewer looser bounds visit more
+# classes, more cost more in the ranking)
+_RANK_SWEEPS = 4
+
+
+def _by_blocks(graphs: Sequence[Graph], block_fn, rows: int) -> np.ndarray:
+    """``block_fn`` of each block of ``BOUND_BLOCK`` same-order graphs, fewer
+    above order 9 so a stack stays within 10.6 MB, as ``rows`` rows."""
+    out = np.empty((rows, len(graphs)))
+    n = graphs[0].n if graphs else 0
+    for g in graphs:
+        if g.n != n:
+            raise ValueError(f"q bounds need one order, got {n} and {g.n}")
+    step = max(1, BOUND_BLOCK * 81 // max(81, n * n))
+    for start in range(0, len(graphs), step):
+        block = graphs[start: start + step]
+        out[:, start: start + len(block)] = block_fn(block)
+    return out
+
+
+def _q_stack(graphs: Sequence[Graph]) -> np.ndarray:
+    """The Q matrices of a block of same-order graphs, stacked."""
+    n = graphs[0].n
+    bits = _unpack_rows([r for g in graphs for r in g.rows], n)
+    mats = bits.reshape(len(graphs), n, -1)[:, :, :n].astype(np.float64)
+    diag = np.arange(n)
+    mats[:, diag, diag] = mats.sum(axis=2)
+    return mats
+
+
+def q_rank_bounds(graphs: Sequence[Graph]) -> np.ndarray:
+    """Rigorous upper bounds hi(G) >= q(G) for a list of graphs of one order,
+    with no eigensolve: the key the q-scans order classes by.
+
+    ``_RANK_SWEEPS`` batched sweeps x <- (Q + I) x from x = 1, each divided
+    by max(x), keep every entry at least (2n - 1)^-sweeps > 0, on isolated
+    vertices and every component too. The Collatz-Wielandt bound
+    max_u (Qx)_u / x_u on that positive x bounds q from above, and is
+    raised by the ulps of ``q_brackets``. It is looser than the hi of
+    ``q_brackets``, which only makes a scan visit a few more classes.
+    """
+    return _by_blocks(graphs, _block_rank_bounds, 1)[0]
+
+
+def _block_rank_bounds(graphs: Sequence[Graph]) -> np.ndarray:
+    """``q_rank_bounds`` of one block."""
+    n = graphs[0].n
+    if n <= 1:
+        return np.zeros(len(graphs))
+    mats = _q_stack(graphs)
+    x = np.ones((len(graphs), n))
+    for _ in range(_RANK_SWEEPS):
+        x += np.einsum("...ij,...j->...i", mats, x)
+        x /= x.max(axis=1, keepdims=True)
+    y = np.einsum("...ij,...j->...i", mats, x)
+    ulps = _BOUND_ROUNDING_ULPS * n * np.finfo(np.float64).eps
+    return (y / x).max(axis=1) * (1.0 + ulps)
 
 
 def q_brackets(graphs: Sequence[Graph]) -> Tuple[np.ndarray, np.ndarray]:
-    """Rigorous brackets lo(G) <= q(G) <= hi(G) for a list of graphs of one order.
+    """Rigorous, tight brackets lo(G) <= q(G) <= hi(G) for a list of graphs
+    of one order.
 
     One batched ``eigh`` runs on the stacked Q matrices; each graph gets, on
     x' = |v| + eps*1 with v the eigenvector of the top eigenvalue, the
@@ -280,19 +339,11 @@ def q_brackets(graphs: Sequence[Graph]) -> Tuple[np.ndarray, np.ndarray]:
     max(1, lo) takes both ends as the largest over its components instead,
     each on that component's own Q, as rigorous since q(G) is the largest q
     of a component. Both ends are moved outward by a few ulps per vertex for
-    rounding. Blocks of ``BOUND_BLOCK`` graphs, fewer above order 9, keep
-    every stack within the 10.6 MB of an order-9 block.
+    rounding. A row depends on its graph alone, so the q-scans bracket one
+    class at a time, only the classes they decide.
     """
-    out = np.empty((2, len(graphs)))
-    n = graphs[0].n if graphs else 0
-    for g in graphs:
-        if g.n != n:
-            raise ValueError(f"q brackets need one order, got {n} and {g.n}")
-    step = max(1, BOUND_BLOCK * 81 // max(81, n * n))
-    for start in range(0, len(graphs), step):
-        block = graphs[start: start + step]
-        out[:, start: start + len(block)] = _block_upper_bounds(block)
-    return out[0], out[1]
+    lo, hi = _by_blocks(graphs, _block_upper_bounds, 2)
+    return lo, hi
 
 
 def q_upper_bounds(graphs: Sequence[Graph]) -> np.ndarray:
@@ -312,11 +363,7 @@ def _block_upper_bounds(graphs: Sequence[Graph]) -> np.ndarray:
     n = graphs[0].n
     if n <= 1:
         return np.zeros((2, len(graphs)))
-    bits = _unpack_rows([r for g in graphs for r in g.rows], n)
-    mats = bits.reshape(len(graphs), n, -1)[:, :, :n].astype(np.float64)
-    diag = np.arange(n)
-    mats[:, diag, diag] = mats.sum(axis=2)
-    hi, lo = _cw_bounds(mats)
+    hi, lo = _cw_bounds(_q_stack(graphs))
     for i in np.flatnonzero(hi - lo > _BOUND_REL_GAP * np.maximum(1.0, lo)):
         g = graphs[i]
         ends = [_cw_bounds(_component_matrix(g, c, "q")) for c in g.components()]

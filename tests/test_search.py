@@ -348,23 +348,65 @@ def test_narrow_brackets_replace_the_default_tolerance_solves(monkeypatch):
     assert solves.count(DEFAULT_TOL.eig_tol / 100) == 21
 
 
-def test_wide_brackets_defer_to_q_value(monkeypatch):
-    """A bracket wider than eig_tol never decides a class: with every lower
-    end lowered by a seeded amount up to 1e-6 (still rigorous, the order
-    untouched), the scans still match the unranked loop."""
+@pytest.fixture
+def fresh_brackets():
+    """An empty per-class bracket cache before and after the test, so that
+    a patched ``q_brackets`` neither reads nor leaves cached brackets."""
+    S._class_bracket.cache_clear()
+    yield
+    S._class_bracket.cache_clear()
+
+
+def test_wide_brackets_defer_to_q_value(monkeypatch, fresh_brackets):
+    """A bracket wider than eig_tol never decides a class: with the lower
+    end of every bracket a scan takes lowered by a seeded amount up to 1e-6
+    (still rigorous, the order untouched), the scans still match the
+    unranked loop."""
     rng = np.random.default_rng(5)
+    inner = S.q_brackets
 
-    def widened(n):
-        lo, hi, order = S._rank(_classes(n))
-        return lo - rng.uniform(0.0, 1e-6, len(lo)), hi, order
+    def widened(graphs):
+        lo, hi = inner(graphs)
+        return lo - rng.uniform(0.0, 1e-6, len(lo)), hi
 
-    monkeypatch.setattr(S, "_class_ranking", widened)
+    monkeypatch.setattr(S, "q_brackets", widened)
     for n in range(4, 8):
         for f in _SCAN_TARGETS:
             for above in (None, 0.45 * n):
                 got = extremal_q(n, f, min_degree_above=above)
                 want = _unranked_q(n, f, min_degree_above=above)
                 assert _without_elapsed(got) == _without_elapsed(want), (n, to_graph6(f), above)
+
+
+def test_scans_bracket_only_the_classes_they_decide(monkeypatch, fresh_brackets):
+    """The ranking needs no bracket: during ``suite_q_turan(n_max=7)`` and
+    the W6 and B_{3,2} scans at order 7, each tight bracket is of one graph,
+    and each visited F-free class gets one, however many of the scans at its
+    order visit it."""
+    sizes = []
+    inner_brackets = S.q_brackets
+
+    def counted(graphs):
+        sizes.append(len(graphs))
+        return inner_brackets(graphs)
+
+    decided = []
+    inner_free = S.is_free
+
+    def free(g, f):
+        ok = inner_free(g, f)
+        if ok:
+            decided.append(g)
+        return ok
+
+    monkeypatch.setattr(S, "q_brackets", counted)
+    monkeypatch.setattr(S, "is_free", free)
+    assert V.suite_q_turan(n_max=7).ok
+    assert (len(sizes), len(decided)) == (21, 21)
+    extremal_q(7, F.wheel(1, 5))
+    extremal_q(7, F.generalized_book(3, 2))
+    assert sizes == [1] * len(set(decided))
+    assert (len(decided), len(set(decided))) == (23, 22)
 
 
 def test_ranked_scans_match_unranked_loop_on_mixed_corpus(tmp_path):
@@ -405,26 +447,50 @@ def _relabeled(g, rng):
 GOLDEN_REPORTS = Path(__file__).parent / "data" / "scan_reports_n7.json"
 
 
-def test_scan_reports_match_golden(monkeypatch):
-    """Reports (minus ``elapsed``) written by the unranked scans that the
-    ranked ones replaced, compared as text, byte for byte."""
-    suite_reports = []
+def _suite_q_turan_reports(monkeypatch, n_max):
+    """The scan reports (minus ``elapsed``) that ``suite_q_turan(n_max)``
+    makes, in scan order; the suite must pass."""
+    reports = []
     inner = V.extremal_q
 
     def recorded(*args, **kwargs):
         rep = inner(*args, **kwargs)
-        suite_reports.append(_without_elapsed(rep))
+        reports.append(_without_elapsed(rep))
         return rep
 
     monkeypatch.setattr(V, "extremal_q", recorded)
-    assert V.suite_q_turan(n_max=7).ok
+    assert V.suite_q_turan(n_max=n_max).ok
+    return reports
+
+
+def test_scan_reports_match_golden(monkeypatch):
+    """Reports (minus ``elapsed``) written by the unranked scans that the
+    ranked ones replaced, compared as text, byte for byte."""
     payload = {
-        "suite_q_turan(n_max=7)": suite_reports,
+        "suite_q_turan(n_max=7)": _suite_q_turan_reports(monkeypatch, 7),
         "extremal_q(7, wheel(1,5))": _without_elapsed(extremal_q(7, F.wheel(1, 5))),
         "extremal_q(7, generalized_book(3,2))": _without_elapsed(extremal_q(7, F.generalized_book(3, 2))),
         "extremal_edges(7, complete(4))": _without_elapsed(extremal_edges(7, F.complete(4))),
     }
     assert json.dumps(payload, indent=2) + "\n" == GOLDEN_REPORTS.read_text()
+
+
+# SHA-256 of the order-8 reports below, pinned from the scans that ordered
+# the classes by the upper ends of their ``q_brackets``
+SCAN_REPORTS_N8_DIGEST = "e19a058c3cd6bcaeadeab752c189b455cd9e1999614cc2f7fea49b386a842a27"
+
+
+def test_order_8_scan_reports_match_digest(monkeypatch):
+    """The golden file stops at order 7; the order-8 reports (minus
+    ``elapsed``), as the same JSON text, must hash to the pinned digest."""
+    payload = {
+        "suite_q_turan(n_max=8)": _suite_q_turan_reports(monkeypatch, 8),
+        "extremal_q(8, wheel(1,5))": _without_elapsed(extremal_q(8, F.wheel(1, 5))),
+        "extremal_q(8, generalized_book(3,2))": _without_elapsed(extremal_q(8, F.generalized_book(3, 2))),
+        "extremal_q(8, kst_plus(2,3))": _without_elapsed(extremal_q(8, F.kst_plus(2, 3))),
+    }
+    text = json.dumps(payload, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SCAN_REPORTS_N8_DIGEST
 
 
 def test_suite_q_turan_judges_with_cmp_tol(monkeypatch):

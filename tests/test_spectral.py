@@ -345,6 +345,32 @@ def test_q_brackets_hold_the_top_eigenvalue_tightly():
     assert checked > 1400
 
 
+def test_q_rank_bounds_dominate_the_top_eigenvalue(monkeypatch):
+    """The eigensolve-free rank bound is at least the top ``eigvalsh`` value
+    and at least the lo of ``q_brackets`` on every class of order <= 8 and
+    on the mixed-component corpus, isolated vertices and disconnected
+    graphs included; splitting the stacks into blocks of 5 moves no bound."""
+    by_order = _bound_corpus()
+    by_order[8] = by_order.get(8, []) + list(enumerate_graphs(8))
+    isolated = [g for gs in by_order.values() for g in gs if 0 in g.degrees() and g.m]
+    split = [g for gs in by_order.values() for g in gs if len(g.components()) > 1 and 0 not in g.degrees()]
+    assert len(isolated) > 100 and len(split) > 100
+    ranks = {}
+    for n, gs in by_order.items():
+        ranks[n] = rank = S.q_rank_bounds(gs)
+        lo, _ = S.q_brackets(gs)
+        top = np.linalg.eigvalsh(np.stack([q_matrix(g) for g in gs]))[:, -1]
+        assert rank.shape == (len(gs),)
+        for g, b, t, a in zip(gs, rank, top, lo):
+            assert b >= t and b >= a, (g, b, t, a)
+    monkeypatch.setattr(S, "BOUND_BLOCK", 5)
+    for n, gs in by_order.items():
+        assert np.array_equal(S.q_rank_bounds(gs), ranks[n]), n
+    assert S.q_rank_bounds([]).shape == (0,)
+    with pytest.raises(ValueError, match="one order"):
+        S.q_rank_bounds([F.complete(3), F.complete(4)])
+
+
 @pytest.mark.parametrize("g6, q", [("EIa?", 3.0), ("GIQCC?", 4.0)])
 def test_q_upper_bounds_per_component_pass(g6, q):
     """2P_3 and 2K_{1,3}: the top eigenvector of the whole Q vanishes on one
