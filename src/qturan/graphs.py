@@ -1,8 +1,7 @@
 """Immutable simple-graph representation with graph6 I/O and canonical forms.
 
 Vertices are ``0..n-1``; adjacency is stored as one integer bitmask per
-vertex. All operations copy, never mutate, so Graph values are safe to share
-between workers.
+vertex. All operations copy, never mutate.
 """
 
 from __future__ import annotations
@@ -46,9 +45,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {to_graph6(self)!r})"
-
-    def __reduce__(self):
-        return (Graph, (self.n, self.rows))
 
     # -- basic accessors ---------------------------------------------------
 

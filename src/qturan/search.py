@@ -26,7 +26,7 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .spectral import DEFAULT_TOL, Tolerance, q_brackets, q_rank_bounds, q_value
+from .spectral import DEFAULT_TOL, Tolerance, q_bracket, q_rank_bounds, q_value
 from .subgraph import is_free
 
 ENUMERATION_CAP = 9
@@ -220,14 +220,9 @@ def count_classes(n: int) -> int:
     return sum(1 for _ in enumerate_graphs(n))
 
 
-def ingest_corpus(
-    path: str, strict: bool = False, errors: Optional[List[Tuple[int, str]]] = None
-) -> Iterator[Graph]:
-    """Stream graphs from a newline-separated graph6 file.
-
-    Malformed lines: in strict mode the error (with line number) aborts the
-    stream; otherwise it is appended to ``errors`` and the stream continues.
-    """
+def ingest_corpus(path: str) -> Iterator[Graph]:
+    """Stream graphs from a newline-separated graph6 file, skipping blank
+    lines. A malformed line aborts the stream with its line number."""
     resolved = resolve_corpus_path(path)
 
     def gen():
@@ -239,10 +234,7 @@ def ingest_corpus(
                 try:
                     yield parse_graph6(line)
                 except Graph6Error as exc:
-                    if strict:
-                        raise Graph6Error(f"line {lineno}: {exc.message}", exc.offset) from None
-                    if errors is not None:
-                        errors.append((lineno, str(exc)))
+                    raise Graph6Error(f"line {lineno}: {exc.message}", exc.offset) from None
 
     return gen()
 
@@ -262,36 +254,110 @@ def _graph_source(n: int, corpus: Optional[str]) -> Sequence[Graph]:
     if corpus is not None:
         # corpus files may bundle several orders; an (n, F) report only
         # concerns order-n entries, but a malformed line of any order aborts
-        return [g for g in ingest_corpus(corpus, strict=True) if g.n == n]
+        return [g for g in ingest_corpus(corpus) if g.n == n]
     return tuple(enumerate_graphs(n))
 
 
 # -- extremal scans --------------------------------------------------------------
 
 
-def _rank(graphs: Sequence[Graph]) -> Tuple[np.ndarray, np.ndarray]:
-    """Rank bounds hi(G) >= q(G) and the indices in descending-hi order,
-    ties in source order."""
-    hi = q_rank_bounds(graphs)
-    return hi, np.argsort(-hi, kind="stable")
+def _rank(graphs: Sequence[Graph], mode: str) -> Tuple[np.ndarray, np.ndarray]:
+    """The visiting keys of a scan and the indices in descending-key order,
+    ties in source order: edge counts (``mode == "edges"``) or rank bounds
+    hi(G) >= q(G) (``"q"``)."""
+    if mode == "edges":
+        keys = np.array([g.m for g in graphs], dtype=np.float64)
+    else:
+        keys = q_rank_bounds(graphs)
+    return keys, np.argsort(-keys, kind="stable")
 
 
-@lru_cache(maxsize=16)
-def _class_ranking(n: int) -> Tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=32)
+def _class_ranking(n: int, mode: str) -> Tuple[np.ndarray, np.ndarray]:
     """``_rank`` of the order-n classes, computed on the first scan."""
-    return _rank(_classes(n))
-
-
-def _bracket(g: Graph) -> Tuple[float, float]:
-    """The tight bracket lo(G) <= q(G) <= hi(G) of one graph."""
-    lo, hi = q_brackets([g])
-    return lo[0], hi[0]
+    return _rank(_classes(n), mode)
 
 
 @lru_cache(maxsize=1 << 16)
-def _class_bracket(n: int, i: int) -> Tuple[float, float]:
-    """``_bracket`` of the i-th order-n class, shared by every scan at n."""
-    return _bracket(_classes(n)[i])
+def _cached_bracket(g: Graph) -> Tuple[float, float]:
+    """``q_bracket`` of a graph, shared by every scan that decides it."""
+    return q_bracket(g)
+
+
+def _extremal(
+    n: int,
+    f: Graph,
+    mode: str,
+    corpus: Optional[str],
+    tol: Tolerance,
+    min_degree_above: Optional[float] = None,
+) -> SearchReport:
+    """The maximizer scan behind ``extremal_edges`` (``mode == "edges"``)
+    and ``extremal_q`` (``"q"``).
+
+    Graphs are visited by descending key, an upper bound on the value that
+    decides them: the edge count itself, or the rank bound hi(G) >= q(G)
+    (``spectral.q_rank_bounds``, no eigensolve). Containment runs only while
+    key >= best - tie_tol - 1e-9 * max(1, best), where best is the largest
+    value of the F-free graphs seen so far and tie_tol is cmp_tol for q and
+    0 for edge counts (for which the test is exactly m >= best). Every graph
+    past that point has a value below the final maximum by more than tie_tol
+    plus that slack, so it can neither win nor move the record, and the
+    accumulate rule replayed in source order over the visited F-free graphs
+    gives the result of a full scan.
+    """
+    t0 = time.perf_counter()
+    graphs = _graph_source(n, corpus)
+    keys, order = _class_ranking(n, mode) if corpus is None else _rank(graphs, mode)
+    tie_tol = tol.cmp_tol if mode == "q" else 0.0
+    best = float("-inf")
+    found: List[Tuple[int, float]] = []
+    for i in order:
+        if keys[i] < best - tie_tol - 1e-9 * max(1.0, best):
+            break
+        g = graphs[i]
+        if min_degree_above is not None:
+            degs = g.degrees()
+            if not degs or min(degs) <= min_degree_above:
+                continue
+        if not is_free(g, f):
+            continue
+        if mode == "edges":
+            value = g.m
+        else:
+            lo, hi = _cached_bracket(g)
+            value = lo if hi - lo <= tol.eig_tol else q_value(g, tol)
+        best = max(best, value)
+        found.append((i, value))
+    found.sort()
+    best = float("-inf")
+    winners: List[Graph] = []
+    for i, value in found:
+        if value > best + tie_tol:
+            best = value
+            winners = [graphs[i]]
+        elif value >= best - tie_tol:
+            winners.append(graphs[i])
+            best = max(best, value)
+    if mode == "edges":
+        max_q = max((q_value(g, tol) for g in winners), default=None)
+    elif winners:
+        fine = Tolerance(eig_tol=tol.eig_tol / 100, cmp_tol=tol.cmp_tol)
+        refined = [(q_value(g, fine), g) for g in winners]
+        max_q = max(q for q, _ in refined)
+        winners = [g for q, g in refined if q >= max_q - tol.cmp_tol]
+    else:
+        max_q = None
+    return SearchReport(
+        n=n,
+        forbidden=to_graph6(f).decode("ascii"),
+        mode=mode,
+        ex_edges=max((g.m for g in winners), default=None),
+        max_q=max_q,
+        extremal_graphs=[to_graph6(g).decode("ascii") for g in winners],
+        scanned=len(graphs),
+        elapsed=time.perf_counter() - t0,
+    )
 
 
 def extremal_edges(
@@ -300,35 +366,14 @@ def extremal_edges(
     corpus: Optional[str] = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> SearchReport:
-    """ex(n, F) with every extremal isomorphism class, in source order.
+    """ex(n, F) with every extremal isomorphism class, in source order, and
+    the largest q of those classes as ``max_q``.
 
     Graphs are visited by descending edge count, so containment is tested
     only down to the first F-free edge count; the record and ties use exact
     integer comparison.
     """
-    t0 = time.perf_counter()
-    graphs = _graph_source(n, corpus)
-    best = -1
-    found: List[int] = []
-    for i in sorted(range(len(graphs)), key=lambda i: -graphs[i].m):
-        g = graphs[i]
-        if g.m < best:
-            break
-        if is_free(g, f):
-            best = g.m
-            found.append(i)
-    winners = [graphs[i] for i in sorted(found)]
-    qmax = max((q_value(g, tol) for g in winners), default=None)
-    return SearchReport(
-        n=n,
-        forbidden=to_graph6(f).decode("ascii"),
-        mode="edges",
-        ex_edges=best if best >= 0 else None,
-        max_q=qmax,
-        extremal_graphs=[to_graph6(g).decode("ascii") for g in winners],
-        scanned=len(graphs),
-        elapsed=time.perf_counter() - t0,
-    )
+    return _extremal(n, f, "edges", corpus, tol)
 
 
 def extremal_q(
@@ -342,83 +387,30 @@ def extremal_q(
     """Max q(G) over F-free classes with all maximizers at cmp_tol, then an
     exact re-ranking of the tied set at eig_tol/100 to guard tolerance ties.
 
-    Classes are visited by descending rank bound hi(G) >= q(G)
-    (``spectral.q_rank_bounds``, no eigensolve). Containment runs only while
-    hi >= best - cmp_tol - 1e-9 * max(1, best), where best is the largest q
-    of the F-free classes seen so far; every class past that point has q
-    below the final maximum by more than cmp_tol plus that slack, so it can
-    neither win nor move the record, and the accumulate rule replayed in
-    source order over the visited F-free classes gives the result of a full
-    scan. Only a visited F-free class gets its tight bracket
-    lo(G) <= q(G) <= hi(G) (``spectral.q_brackets`` of that one graph,
-    cached per class for the built-in enumeration, so the scans at one
-    order share it). The q that decides it is lo when the bracket is at
-    most eig_tol wide, as close to q as ``q_value`` is asked to be; only a
-    wider bracket runs ``q_value``. The maximizers' q, reported as
-    ``max_q``, always comes from the re-solve.
+    Classes are visited by descending rank bound (see ``_extremal``). Only a
+    visited F-free class gets its tight bracket lo(G) <= q(G) <= hi(G)
+    (``spectral.q_bracket``, cached per graph, so the scans at one order
+    share it). The q that decides it is lo when the bracket is at most
+    eig_tol wide, as close to q as ``q_value`` is asked to be; only a wider
+    bracket runs ``q_value``. The maximizers' q, reported as ``max_q``,
+    always comes from the re-solve.
     ``min_degree_above`` restricts the scan to delta(G) > that value.
 
     ``jobs`` is ignored: every scan runs in-process. The keyword stays only
     because the benchmark harness (``perfbench/worker.py``) still calls
     ``extremal_q(n, f, jobs=1)``; drop it once the harness stops passing it.
     """
-    t0 = time.perf_counter()
-    graphs = _graph_source(n, corpus)
-    rank, order = _class_ranking(n) if corpus is None else _rank(graphs)
-    best = float("-inf")
-    found: List[Tuple[int, float]] = []
-    for i in order:
-        if rank[i] < best - tol.cmp_tol - 1e-9 * max(1.0, best):
-            break
-        g = graphs[i]
-        if min_degree_above is not None:
-            degs = g.degrees()
-            if not degs or min(degs) <= min_degree_above:
-                continue
-        if not is_free(g, f):
-            continue
-        lo, hi = _class_bracket(n, i) if corpus is None else _bracket(g)
-        q = lo if hi - lo <= tol.eig_tol else q_value(g, tol)
-        best = max(best, q)
-        found.append((i, q))
-    found.sort()
-    best = float("-inf")
-    winners: List[Graph] = []
-    for i, q in found:
-        if q > best + tol.cmp_tol:
-            best = q
-            winners = [graphs[i]]
-        elif q >= best - tol.cmp_tol:
-            winners.append(graphs[i])
-            best = max(best, q)
-    if winners:
-        fine = Tolerance(eig_tol=tol.eig_tol / 100, cmp_tol=tol.cmp_tol)
-        refined = [(q_value(g, fine), g) for g in winners]
-        best = max(q for q, _ in refined)
-        winners = [g for q, g in refined if q >= best - tol.cmp_tol]
-    return SearchReport(
-        n=n,
-        forbidden=to_graph6(f).decode("ascii"),
-        mode="q",
-        ex_edges=max((g.m for g in winners), default=None),
-        max_q=best if winners else None,
-        extremal_graphs=[to_graph6(g).decode("ascii") for g in winners],
-        scanned=len(graphs),
-        elapsed=time.perf_counter() - t0,
-    )
+    return _extremal(n, f, "q", corpus, tol, min_degree_above)
 
 
-def turan_density_estimate(
-    f: Graph, n_max: int, corpus_by_n: Optional[Dict[int, str]] = None
-) -> DensityEstimate:
+def turan_density_estimate(f: Graph, n_max: int) -> DensityEstimate:
     """Exact ex(n,F)/C(n,2) for n from |F| to n_max, with the limit hint
     1 - 1/(chi(F) - 1)."""
     if f.n < 2:
         raise ValueError("forbidden graph needs at least 2 vertices")
     points = []
     for n in range(f.n, n_max + 1):
-        corpus = corpus_by_n.get(n) if corpus_by_n else None
-        rep = extremal_edges(n, f, corpus=corpus)
+        rep = extremal_edges(n, f)
         points.append((n, rep.ex_edges, n * (n - 1) // 2))
     chi = chromatic_number(f)
     hint = 1.0 - 1.0 / (chi - 1) if chi >= 2 else 0.0

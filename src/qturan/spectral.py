@@ -252,14 +252,12 @@ def turan_q(n: int, r: int) -> float:
         k *= 2
 
 
-# -- batched bounds ------------------------------------------------------------
+# -- rigorous bounds -----------------------------------------------------------
 
 # graphs per stacked block: an order-9 block holds 16384 x 81 float64 (10.6 MB)
 BOUND_BLOCK = 1 << 14
 # added to every entry of |v| so the vector is strictly positive where v is 0
 _BOUND_EPS = 1e-12
-# a row gets the per-component pass when hi - lo > _BOUND_REL_GAP * max(1, lo)
-_BOUND_REL_GAP = 1e-9
 # hi is raised and lo lowered by this many ulps per vertex: enough to cover
 # the rounding of their own n-term sums and division, and that of the
 # Rayleigh quotient behind q_value, so lo <= q <= hi holds in floating point
@@ -270,10 +268,10 @@ _BOUND_ROUNDING_ULPS = 8
 _RANK_SWEEPS = 4
 
 
-def _by_blocks(graphs: Sequence[Graph], block_fn, rows: int) -> np.ndarray:
+def _by_blocks(graphs: Sequence[Graph], block_fn) -> np.ndarray:
     """``block_fn`` of each block of ``BOUND_BLOCK`` same-order graphs, fewer
-    above order 9 so a stack stays within 10.6 MB, as ``rows`` rows."""
-    out = np.empty((rows, len(graphs)))
+    above order 9 so a stack stays within 10.6 MB, as one array."""
+    out = np.empty(len(graphs))
     n = graphs[0].n if graphs else 0
     for g in graphs:
         if g.n != n:
@@ -281,7 +279,7 @@ def _by_blocks(graphs: Sequence[Graph], block_fn, rows: int) -> np.ndarray:
     step = max(1, BOUND_BLOCK * 81 // max(81, n * n))
     for start in range(0, len(graphs), step):
         block = graphs[start: start + step]
-        out[:, start: start + len(block)] = block_fn(block)
+        out[start: start + len(block)] = block_fn(block)
     return out
 
 
@@ -303,10 +301,10 @@ def q_rank_bounds(graphs: Sequence[Graph]) -> np.ndarray:
     by max(x), keep every entry at least (2n - 1)^-sweeps > 0, on isolated
     vertices and every component too. The Collatz-Wielandt bound
     max_u (Qx)_u / x_u on that positive x bounds q from above, and is
-    raised by the ulps of ``q_brackets``. It is looser than the hi of
-    ``q_brackets``, which only makes a scan visit a few more classes.
+    raised by the ulps of ``q_bracket``. It is looser than the hi of
+    ``q_bracket``, which only makes a scan visit a few more classes.
     """
-    return _by_blocks(graphs, _block_rank_bounds, 1)[0]
+    return _by_blocks(graphs, _block_rank_bounds)
 
 
 def _block_rank_bounds(graphs: Sequence[Graph]) -> np.ndarray:
@@ -324,31 +322,24 @@ def _block_rank_bounds(graphs: Sequence[Graph]) -> np.ndarray:
     return (y / x).max(axis=1) * (1.0 + ulps)
 
 
-def q_brackets(graphs: Sequence[Graph]) -> Tuple[np.ndarray, np.ndarray]:
-    """Rigorous, tight brackets lo(G) <= q(G) <= hi(G) for a list of graphs
-    of one order.
+def q_bracket(g: Graph) -> Tuple[float, float]:
+    """A rigorous, tight bracket lo(G) <= q(G) <= hi(G).
 
-    One batched ``eigh`` runs on the stacked Q matrices; each graph gets, on
-    x' = |v| + eps*1 with v the eigenvector of the top eigenvalue, the
-    Collatz-Wielandt bound hi = max_u (Qx')_u / x'_u and the Rayleigh quotient
-    lo = x'^T Q x' / x'^T x'. For every positive x' the first bounds the
-    spectral radius of a nonnegative matrix from above and the second bounds
-    the largest eigenvalue from below, so both are rigorous however accurate
-    LAPACK's v is; v only makes them tight. On a disconnected graph v may
-    vanish on a component and leave hi loose: a row with hi - lo > 1e-9 *
-    max(1, lo) takes both ends as the largest over its components instead,
-    each on that component's own Q, as rigorous since q(G) is the largest q
-    of a component. Both ends are moved outward by a few ulps per vertex for
-    rounding. A row depends on its graph alone, so the q-scans bracket one
-    class at a time, only the classes they decide.
+    On each component's own Q, ``eigh`` gives the top eigenvector v; on
+    x' = |v| + eps*1 the Collatz-Wielandt bound max_u (Qx')_u / x'_u bounds
+    the spectral radius of that nonnegative matrix from above and the
+    Rayleigh quotient x'^T Q x' / x'^T x' bounds its largest eigenvalue from
+    below. Both are rigorous for every positive x', however accurate
+    LAPACK's v is; v only makes them tight. q(G) is the largest q of a
+    component, so each end is the largest over the components (on the
+    whole Q of a disconnected graph v may vanish on a component and leave
+    hi loose). Both ends are moved outward by a few ulps per vertex for
+    rounding. The q-scans bracket only the classes they decide.
     """
-    lo, hi = _by_blocks(graphs, _block_upper_bounds, 2)
-    return lo, hi
-
-
-def q_upper_bounds(graphs: Sequence[Graph]) -> np.ndarray:
-    """The upper ends hi(G) >= q(G) of ``q_brackets``."""
-    return q_brackets(graphs)[1]
+    ends = [_cw_bounds(_component_matrix(g, c, "q")) for c in g.components()]
+    hi, lo = np.max(ends, axis=0)
+    ulps = _BOUND_ROUNDING_ULPS * g.n * np.finfo(np.float64).eps
+    return float(lo * (1.0 - ulps)), float(hi * (1.0 + ulps))
 
 
 def _cw_bounds(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -356,20 +347,6 @@ def _cw_bounds(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     xp = np.abs(np.linalg.eigh(mats)[1][..., -1]) + _BOUND_EPS
     y = np.einsum("...ij,...j->...i", mats, xp)
     return (y / xp).max(axis=-1), (xp * y).sum(axis=-1) / (xp * xp).sum(axis=-1)
-
-
-def _block_upper_bounds(graphs: Sequence[Graph]) -> np.ndarray:
-    """``q_brackets`` of one block, as the rows (lo, hi) of one array."""
-    n = graphs[0].n
-    if n <= 1:
-        return np.zeros((2, len(graphs)))
-    hi, lo = _cw_bounds(_q_stack(graphs))
-    for i in np.flatnonzero(hi - lo > _BOUND_REL_GAP * np.maximum(1.0, lo)):
-        g = graphs[i]
-        ends = [_cw_bounds(_component_matrix(g, c, "q")) for c in g.components()]
-        hi[i], lo[i] = np.max(ends, axis=0)
-    ulps = _BOUND_ROUNDING_ULPS * n * np.finfo(np.float64).eps
-    return np.stack((lo * (1.0 - ulps), hi * (1.0 + ulps)))
 
 
 def rayleigh_q(g: Graph, x: Sequence[float]) -> float:

@@ -144,14 +144,10 @@ def test_ingest_corpus(tmp_path):
     assert got == [F.complete(2), F.complete(3)]
     path.write_bytes(b"")
     assert list(ingest_corpus(str(path))) == []
-    # malformed line reported with its line number, stream continues
+    # a malformed line aborts the stream with its line number
     path.write_bytes(b"A_\n!!bad!!\nBw\n")
-    errs = []
-    got = list(ingest_corpus(str(path), errors=errs))
-    assert got == [F.complete(2), F.complete(3)]
-    assert len(errs) == 1 and errs[0][0] == 2
     with pytest.raises(Graph6Error, match="line 2"):
-        list(ingest_corpus(str(path), strict=True))
+        list(ingest_corpus(str(path)))
 
 
 def test_corpus_dir_env(tmp_path, monkeypatch):
@@ -350,11 +346,11 @@ def test_narrow_brackets_replace_the_default_tolerance_solves(monkeypatch):
 
 @pytest.fixture
 def fresh_brackets():
-    """An empty per-class bracket cache before and after the test, so that
-    a patched ``q_brackets`` neither reads nor leaves cached brackets."""
-    S._class_bracket.cache_clear()
+    """An empty bracket cache before and after the test, so that a patched
+    ``q_bracket`` neither reads nor leaves cached brackets."""
+    S._cached_bracket.cache_clear()
     yield
-    S._class_bracket.cache_clear()
+    S._cached_bracket.cache_clear()
 
 
 def test_wide_brackets_defer_to_q_value(monkeypatch, fresh_brackets):
@@ -363,13 +359,13 @@ def test_wide_brackets_defer_to_q_value(monkeypatch, fresh_brackets):
     (still rigorous, the order untouched), the scans still match the
     unranked loop."""
     rng = np.random.default_rng(5)
-    inner = S.q_brackets
+    inner = S.q_bracket
 
-    def widened(graphs):
-        lo, hi = inner(graphs)
-        return lo - rng.uniform(0.0, 1e-6, len(lo)), hi
+    def widened(g):
+        lo, hi = inner(g)
+        return lo - rng.uniform(0.0, 1e-6), hi
 
-    monkeypatch.setattr(S, "q_brackets", widened)
+    monkeypatch.setattr(S, "q_bracket", widened)
     for n in range(4, 8):
         for f in _SCAN_TARGETS:
             for above in (None, 0.45 * n):
@@ -380,15 +376,14 @@ def test_wide_brackets_defer_to_q_value(monkeypatch, fresh_brackets):
 
 def test_scans_bracket_only_the_classes_they_decide(monkeypatch, fresh_brackets):
     """The ranking needs no bracket: during ``suite_q_turan(n_max=7)`` and
-    the W6 and B_{3,2} scans at order 7, each tight bracket is of one graph,
-    and each visited F-free class gets one, however many of the scans at its
-    order visit it."""
-    sizes = []
-    inner_brackets = S.q_brackets
+    the W6 and B_{3,2} scans at order 7, each visited F-free class gets one
+    tight bracket, however many of the scans at its order visit it."""
+    bracketed = []
+    inner_bracket = S.q_bracket
 
-    def counted(graphs):
-        sizes.append(len(graphs))
-        return inner_brackets(graphs)
+    def counted(g):
+        bracketed.append(g)
+        return inner_bracket(g)
 
     decided = []
     inner_free = S.is_free
@@ -399,13 +394,13 @@ def test_scans_bracket_only_the_classes_they_decide(monkeypatch, fresh_brackets)
             decided.append(g)
         return ok
 
-    monkeypatch.setattr(S, "q_brackets", counted)
+    monkeypatch.setattr(S, "q_bracket", counted)
     monkeypatch.setattr(S, "is_free", free)
     assert V.suite_q_turan(n_max=7).ok
-    assert (len(sizes), len(decided)) == (21, 21)
+    assert (len(bracketed), len(decided)) == (21, 21)
     extremal_q(7, F.wheel(1, 5))
     extremal_q(7, F.generalized_book(3, 2))
-    assert sizes == [1] * len(set(decided))
+    assert len(bracketed) == len(set(bracketed)) and set(bracketed) == set(decided)
     assert (len(decided), len(set(decided))) == (23, 22)
 
 
@@ -476,7 +471,7 @@ def test_scan_reports_match_golden(monkeypatch):
 
 
 # SHA-256 of the order-8 reports below, pinned from the scans that ordered
-# the classes by the upper ends of their ``q_brackets``
+# the classes by the upper ends of their tight brackets
 SCAN_REPORTS_N8_DIGEST = "e19a058c3cd6bcaeadeab752c189b455cd9e1999614cc2f7fea49b386a842a27"
 
 

@@ -293,61 +293,27 @@ def _bound_corpus():
     return by_order
 
 
-def test_q_upper_bounds_dominate_q(monkeypatch):
-    by_order = _bound_corpus()
-    bounds = {n: S.q_upper_bounds(gs) for n, gs in by_order.items()}
-    checked = 0
-    for n, gs in by_order.items():
-        assert bounds[n].shape == (len(gs),)
-        for g, hi in zip(gs, bounds[n]):
-            assert hi >= S.q_value(g), (g, hi)
-            checked += 1
-    assert checked > 1400
-    # a small block constant splits each stack across several blocks; every
-    # row is iterated on its own, so the bounds stay valid and tight
-    monkeypatch.setattr(S, "BOUND_BLOCK", 5)
-    for n in (5, 6, 7):
-        blocked = S.q_upper_bounds(by_order[n])
-        assert len(by_order[n]) > 2 * S.BOUND_BLOCK
-        for g, hi in zip(by_order[n], blocked):
-            assert hi >= S.q_value(g)
-        assert np.allclose(blocked, bounds[n], rtol=1e-12, atol=0)
-    assert S.q_upper_bounds([]).shape == (0,)
-    with pytest.raises(ValueError, match="one order"):
-        S.q_upper_bounds([F.complete(3), F.complete(4)])
-
-
-def test_q_upper_bounds_are_tight():
-    """hi - q stays within 1e-9 relative on every class of order <= 7 and on
-    the mixed-component corpus; the scan's pruning relies on it."""
-    for gs in _bound_corpus().values():
-        for g, hi in zip(gs, S.q_upper_bounds(gs)):
-            q = S.q_value(g)
-            assert 0.0 <= hi - q <= 1e-9 * max(1.0, q), (g, hi, q)
-
-
 def test_q_brackets_hold_the_top_eigenvalue_tightly():
-    """lo <= top ``eigvalsh`` value <= hi on every class of order <= 7 and
-    on the mixed-component corpus, with hi - lo within 1e-9 relative and lo
-    within eig_tol of ``q_value``: the scans take lo as a class's q when the
-    bracket is that narrow."""
+    """lo <= top ``eigvalsh`` value <= hi and ``q_value`` <= hi on every
+    class of order <= 7 and on the mixed-component corpus, with hi - lo
+    within 1e-9 relative and lo within eig_tol of ``q_value``: the scans
+    take lo as a class's q when the bracket is that narrow."""
     checked = 0
-    for n, gs in _bound_corpus().items():
-        lo, hi = S.q_brackets(gs)
-        assert np.array_equal(hi, S.q_upper_bounds(gs))
+    for gs in _bound_corpus().values():
         top = np.linalg.eigvalsh(np.stack([q_matrix(g) for g in gs]))[:, -1]
-        for g, a, t, b in zip(gs, lo, top, hi):
+        for g, t in zip(gs, top):
+            lo, hi = S.q_bracket(g)
             q = S.q_value(g)
-            assert a <= t <= b, (g, a, t, b)
-            assert b - a <= 1e-9 * max(1.0, q), (g, a, b)
-            assert abs(a - q) <= S.DEFAULT_TOL.eig_tol, (g, a, q)
+            assert lo <= t <= hi and q <= hi, (g, lo, t, hi, q)
+            assert hi - lo <= 1e-9 * max(1.0, q), (g, lo, hi)
+            assert abs(lo - q) <= S.DEFAULT_TOL.eig_tol, (g, lo, q)
             checked += 1
     assert checked > 1400
 
 
 def test_q_rank_bounds_dominate_the_top_eigenvalue(monkeypatch):
     """The eigensolve-free rank bound is at least the top ``eigvalsh`` value
-    and at least the lo of ``q_brackets`` on every class of order <= 8 and
+    and at least the lo of ``q_bracket`` on every class of order <= 8 and
     on the mixed-component corpus, isolated vertices and disconnected
     graphs included; splitting the stacks into blocks of 5 moves no bound."""
     by_order = _bound_corpus()
@@ -358,10 +324,10 @@ def test_q_rank_bounds_dominate_the_top_eigenvalue(monkeypatch):
     ranks = {}
     for n, gs in by_order.items():
         ranks[n] = rank = S.q_rank_bounds(gs)
-        lo, _ = S.q_brackets(gs)
         top = np.linalg.eigvalsh(np.stack([q_matrix(g) for g in gs]))[:, -1]
         assert rank.shape == (len(gs),)
-        for g, b, t, a in zip(gs, rank, top, lo):
+        for g, b, t in zip(gs, rank, top):
+            a = S.q_bracket(g)[0]
             assert b >= t and b >= a, (g, b, t, a)
     monkeypatch.setattr(S, "BOUND_BLOCK", 5)
     for n, gs in by_order.items():
@@ -375,35 +341,36 @@ def test_q_rank_bounds_dominate_the_top_eigenvalue(monkeypatch):
 def test_q_upper_bounds_per_component_pass(g6, q):
     """2P_3 and 2K_{1,3}: the top eigenvector of the whole Q vanishes on one
     component, so its certificate alone is loose (about 4 and 6, the largest
-    row sum there), and the per-component pass makes the bound tight."""
+    row sum there), and ``q_bracket``, taken over the components, is tight."""
     g = parse_graph6(g6)
     assert len(g.components()) == 2
     hi, lo = S._cw_bounds(S._component_matrix(g, list(range(g.n)), "q")[None])
     assert hi[0] > q + 0.5 and lo[0] == pytest.approx(q)
-    assert 0.0 <= S.q_upper_bounds([g])[0] - S.q_value(g) <= 1e-9 * q
+    lo, hi = S.q_bracket(g)
+    assert lo <= q <= hi and hi - lo <= 1e-9 * q
 
 
 def test_q_upper_bounds_block_size_shrinks_with_order(monkeypatch):
-    """Graphs per block: BOUND_BLOCK up to order 9, then BOUND_BLOCK * 81 / n^2
-    so no block's matrices exceed the order-9 size, and at least one. The
-    blocks are recorded, not solved."""
+    """Graphs per block of ``q_rank_bounds``: BOUND_BLOCK up to order 9,
+    then BOUND_BLOCK * 81 / n^2 so no block's matrices exceed the order-9
+    size, and at least one. The blocks are recorded, not solved."""
     sizes = []
 
     def recorded(block):
         sizes.append(len(block))
-        return np.zeros((2, len(block)))
+        return np.zeros(len(block))
 
-    monkeypatch.setattr(S, "_block_upper_bounds", recorded)
+    monkeypatch.setattr(S, "_block_rank_bounds", recorded)
     cases = [(9, S.BOUND_BLOCK + 3, [S.BOUND_BLOCK, 3]), (10, 13300, [13271, 29]),
              (64, 700, [324, 324, 52]), (300, 30, [14, 14, 2]), (1200, 3, [1, 1, 1])]
     for n, count, want in cases:
         sizes.clear()
-        assert S.q_upper_bounds([F.empty(n)] * count).shape == (count,)
+        assert S.q_rank_bounds([F.empty(n)] * count).shape == (count,)
         assert sizes == want, n
     # the one-order check covers the whole list, not each block alone
     monkeypatch.setattr(S, "BOUND_BLOCK", 1)
     with pytest.raises(ValueError, match="one order"):
-        S.q_upper_bounds([F.complete(3), F.complete(4)])
+        S.q_rank_bounds([F.complete(3), F.complete(4)])
 
 
 @pytest.mark.parametrize("field", ["eig_tol", "cmp_tol"])
