@@ -60,7 +60,7 @@ def cmd_q(args) -> int:
     print(f"graph6     {to_graph6(g).decode()}")
     print(f"n, m       {g.n}, {prof.edge_count}")
     print(f"delta, Delta  {prof.min_degree}, {prof.max_degree}")
-    print(f"q(G)       {qres.radius:.12f}   ({qres.method}, {qres.iterations} its, residual {qres.residual:.2e})")
+    print(f"q(G)       {qres.radius:.12f}   (residual {qres.residual:.2e})")
     print(f"lambda(G)  {ares.radius:.12f}")
     chain = B.check_bound_chain(g, tol)
     for e in chain:
@@ -172,7 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"qturan {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--eig-tol", type=float, default=1e-10, help="eigensolver tolerance")
+    common.add_argument(
+        "--eig-tol", type=float, default=1e-10,
+        help="widest q bracket a scan takes as q; floor of the eigensolve residual gate",
+    )
     common.add_argument("--cmp-tol", type=float, default=1e-9, help="comparison tolerance")
     common.add_argument("--json", metavar="PATH", help="write machine-readable report")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -339,15 +339,10 @@ def _extremal(
         elif value >= best - tie_tol:
             winners.append(graphs[i])
             best = max(best, value)
-    if mode == "edges":
-        max_q = max((q_value(g, tol) for g in winners), default=None)
-    elif winners:
-        fine = Tolerance(eig_tol=tol.eig_tol / 100, cmp_tol=tol.cmp_tol)
-        refined = [(q_value(g, fine), g) for g in winners]
-        max_q = max(q for q, _ in refined)
+    refined = [(q_value(g, tol), g) for g in winners]
+    max_q = max((q for q, _ in refined), default=None)
+    if mode == "q":
         winners = [g for q, g in refined if q >= max_q - tol.cmp_tol]
-    else:
-        max_q = None
     return SearchReport(
         n=n,
         forbidden=to_graph6(f).decode("ascii"),
@@ -384,16 +379,16 @@ def extremal_q(
     min_degree_above: Optional[float] = None,
     jobs: int = 1,
 ) -> SearchReport:
-    """Max q(G) over F-free classes with all maximizers at cmp_tol, then an
-    exact re-ranking of the tied set at eig_tol/100 to guard tolerance ties.
+    """Max q(G) over F-free classes with all maximizers at cmp_tol; the tied
+    set is then re-ranked by ``q_value``, which sets ``max_q``.
 
     Classes are visited by descending rank bound (see ``_extremal``). Only a
     visited F-free class gets its tight bracket lo(G) <= q(G) <= hi(G)
     (``spectral.q_bracket``, cached per graph, so the scans at one order
     share it). The q that decides it is lo when the bracket is at most
-    eig_tol wide, as close to q as ``q_value`` is asked to be; only a wider
-    bracket runs ``q_value``. The maximizers' q, reported as ``max_q``,
-    always comes from the re-solve.
+    eig_tol wide; only a wider bracket runs ``q_value``. The maximizers' q,
+    reported as ``max_q``, always comes from ``q_value``, and a maximizer
+    whose ``q_value`` lies more than cmp_tol below ``max_q`` is dropped.
     ``min_degree_above`` restricts the scan to delta(G) > that value.
 
     ``jobs`` is ignored: every scan runs in-process. The keyword stays only

@@ -1,11 +1,13 @@
 """Spectral computations: signless-Laplacian and adjacency radii, Perron
 vectors, Rayleigh quotients, eigenequation residuals, degree powers.
 
-Primary route is power iteration on the nonnegative matrix itself; when it
-stalls, numpy's dense symmetric eigensolver (``eigh``, LAPACK) is the
-fallback, and the same residual gate judges either route. The Turán graphs
-T_{n,r} need neither: ``turan_q`` gives their q exactly, in integer
-arithmetic.
+Every radius comes from one route: numpy's dense symmetric eigensolver
+(``eigh``, LAPACK) on each component of order >= 2, whose result a residual
+gate judges. Its O(k^3) time and O(k^2) memory per order-k component suit
+the desk-scale inputs (classes of order <= 9, family specs of order
+<= 1,024); a dense G(5000, 1/2) takes about 13 s and 1 GiB. The Turán
+graphs T_{n,r} need no eigensolve: ``turan_q`` gives their q exactly, in
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -19,14 +21,16 @@ import numpy as np
 
 from .graphs import Graph
 
-POWER_ITERATION_CAP = 10 ** 6
-_STAGNATION_WINDOW = 2048
-
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numeric tolerances: ``eig_tol`` for eigensolves, ``cmp_tol`` for
-    classifying inequality slack."""
+    """Numeric tolerances: ``cmp_tol`` for classifying inequality slack, and
+    ``eig_tol`` for eigensolves.
+
+    ``eig_tol`` is the widest certified bracket lo <= q <= hi whose lo a
+    q-scan takes as a class's q, and the floor of the residual gate
+    (max(eig_tol, 1e-7)) that every solve must pass. ``eigh`` itself does
+    not take it, so a smaller ``eig_tol`` does not make q more accurate."""
 
     eig_tol: float = 1e-10
     cmp_tol: float = 1e-9
@@ -43,8 +47,10 @@ DEFAULT_TOL = Tolerance()
 class SpectralResult:
     """Largest eigenvalue with a nonnegative unit eigenvector.
 
-    ``residual`` is the max eigenequation defect; ``method`` records whether
-    power iteration converged or the dense solver was used.
+    ``residual`` is the max eigenequation defect. ``iterations`` is always 0
+    and ``method`` always ``"dense"``: every solve is one ``eigh`` per
+    component. Both fields stay because the benchmark harness
+    (``perfbench/tracing.py``) still reads them.
     """
 
     radius: float
@@ -56,45 +62,6 @@ class SpectralResult:
 
 class SpectralError(RuntimeError):
     pass
-
-
-# -- power iteration ---------------------------------------------------------
-
-
-def _power_largest(
-    mat: np.ndarray, eig_tol: float, shift: float = 0.0
-) -> Tuple[float, np.ndarray, int, bool]:
-    """Power iteration for the largest eigenvalue of a nonnegative symmetric
-    matrix; ``shift`` is added during iteration (and removed from the
-    reported eigenvalue) to break plus/minus ties for adjacency matrices.
-
-    Returns (eigenvalue, unit vector, iterations, converged). The start
-    vector is the degree sequence (row sums) plus a uniform 1e-3.
-    """
-    n = mat.shape[0]
-    work = mat + shift * np.eye(n) if shift else mat
-    x = mat.sum(axis=1) + 1e-3
-    x /= math.sqrt(float(x @ x))
-    last_window = math.inf
-    for it in range(1, POWER_ITERATION_CAP + 1):
-        y = work @ x
-        lam = float(x @ y)
-        res = float(np.max(np.abs(y - lam * x)))
-        if res <= eig_tol:
-            return lam - shift, x, it, True
-        ny = math.sqrt(float(y @ y))
-        if ny == 0.0:
-            return lam - shift, x, it, True
-        x = y / ny
-        if it % _STAGNATION_WINDOW == 0:
-            # bail out early when the defect is no longer shrinking fast
-            # enough to reach eig_tol in reasonable time
-            if res > 0.5 * last_window:
-                return lam - shift, x, it, False
-            last_window = res
-    y = work @ x
-    lam = float(x @ y)
-    return lam - shift, x, POWER_ITERATION_CAP, False
 
 
 def _dense_largest(mat: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -127,8 +94,8 @@ def _component_matrix(g: Graph, comp: Sequence[int], mode: str) -> np.ndarray:
     The bit rows are unpacked in one step (``_unpack_rows``) and the
     component's columns are kept. The result must be a
     C-ordered float64 array: with a column-sliced layout BLAS sums
-    ``mat @ x`` in another order, which moves q by an ulp (q(T_{5,2}) would
-    read 4.999999999999999 instead of 5.000000000000001).
+    ``mat @ x`` in another order, which moves the residual that
+    ``_solve_radius`` reports by an ulp.
     """
     k = len(comp)
     bits = _unpack_rows([g.rows[v] for v in comp], g.n)
@@ -146,44 +113,27 @@ def _residual(mat: np.ndarray, lam: float, x: np.ndarray) -> float:
 def _solve_radius(g: Graph, mode: str, eig_tol: float) -> SpectralResult:
     if g.n == 0:
         raise ValueError("spectral radius undefined for the empty vertex set")
-    best = None  # (radius, comp, vec, iters, dense_used, residual)
-    total_iters = 0
-    any_dense = False
+    best = None  # (radius, comp, vec, residual)
     for comp in g.components():
         k = len(comp)
         if k == 1:
-            cand = (0.0, comp, np.array([1.0]), 0, False, 0.0)
+            cand = (0.0, comp, np.array([1.0]), 0.0)
         else:
             mat = _component_matrix(g, comp, mode)
-            shift = 0.0
-            if mode == "a":
-                # adjacency matrices of bipartite components have a -radius
-                # eigenvalue; a positive shift restores strict dominance
-                shift = float(np.max(mat.sum(axis=1))) + 1.0
-            lam, x, iters, ok = _power_largest(mat, eig_tol, shift)
-            total_iters += iters
-            if not ok:
-                lam, x = _dense_largest(mat)
-                any_dense = True
+            lam, x = _dense_largest(mat)
             res = _residual(mat, lam, x)
             if res > max(eig_tol, 1e-7):
                 raise SpectralError(
                     f"eigensolve failed: residual {res:.3e} on component of order {k}"
                 )
-            cand = (lam, comp, x, iters, not ok, res)
+            cand = (lam, comp, x, res)
         if best is None or cand[0] > best[0]:
             best = cand
-    lam, comp, x, _, _, res = best
+    lam, comp, x, res = best
     vec = [0.0] * g.n
     for i, v in enumerate(comp):
         vec[v] = max(float(x[i]), 0.0)
-    return SpectralResult(
-        radius=lam,
-        vector=tuple(vec),
-        residual=res,
-        iterations=total_iters,
-        method="dense" if any_dense else "power",
-    )
+    return SpectralResult(radius=lam, vector=tuple(vec), residual=res, iterations=0, method="dense")
 
 
 @lru_cache(maxsize=1 << 18)

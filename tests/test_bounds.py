@@ -301,14 +301,23 @@ def test_entry_suites_use_the_given_tolerance():
     assert sum(e.equality for r in chain.reports for e in r.entries) == 54
 
 
-def test_lemma_min_suite_uses_the_given_tolerance():
-    # a Perron vector solved only to 1e-3 breaks the bound on a few graphs
-    rough = Tolerance(eig_tol=1e-3)
+def test_lemma_min_suite_uses_the_given_tolerance(monkeypatch):
+    # at cmp_tol 1e-18 the rounding-level negative slacks of a few graphs
+    # (equality cases of the bound) count as violations
+    strict = Tolerance(cmp_tol=1e-18)
     graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
-    want = [to_graph6(g).decode() for g in graphs if lemma_min_check(g, rough) < -rough.cmp_tol]
+    want = [to_graph6(g).decode() for g in graphs if lemma_min_check(g, strict) < -strict.cmp_tol]
     assert want
-    res = V.suite_lemma_min(n_max=5, tol=rough, samples=0)
+    tols = []
+
+    def recorded(g, tol):
+        tols.append(tol)
+        return lemma_min_check(g, tol)
+
+    monkeypatch.setattr(V, "lemma_min_check", recorded)
+    res = V.suite_lemma_min(n_max=5, tol=strict, samples=0)
     assert [v.split(":")[0] for v in res.violations] == want
+    assert len(tols) == len(graphs) and all(t is strict for t in tols)
     assert not V.suite_lemma_min(n_max=5, samples=0).violations
 
 

@@ -328,8 +328,9 @@ def test_ranked_scans_match_unranked_loop():
 
 def test_narrow_brackets_replace_the_default_tolerance_solves(monkeypatch):
     """Every class that ``suite_q_turan(n_max=7)`` visits has a bracket
-    narrower than eig_tol, so no eigensolve runs at the default eig_tol;
-    the re-solves of the tied sets at eig_tol / 100 remain."""
+    narrower than eig_tol, so no eigensolve decides a class; the only solves
+    are the 21 ``q_value`` calls on the maximizers that set ``max_q``, all at
+    the given eig_tol."""
     solves = []
     inner = spectral._solve_radius
 
@@ -340,8 +341,8 @@ def test_narrow_brackets_replace_the_default_tolerance_solves(monkeypatch):
     monkeypatch.setattr(spectral, "_solve_radius", counted)
     spectral._solve_cached.cache_clear()
     assert V.suite_q_turan(n_max=7).ok
-    assert solves.count(DEFAULT_TOL.eig_tol) == 0
-    assert solves.count(DEFAULT_TOL.eig_tol / 100) == 21
+    assert solves.count(DEFAULT_TOL.eig_tol) == 21
+    assert solves.count(DEFAULT_TOL.eig_tol / 100) == 0
 
 
 @pytest.fixture
@@ -470,9 +471,9 @@ def test_scan_reports_match_golden(monkeypatch):
     assert json.dumps(payload, indent=2) + "\n" == GOLDEN_REPORTS.read_text()
 
 
-# SHA-256 of the order-8 reports below, pinned from the scans that ordered
-# the classes by the upper ends of their tight brackets
-SCAN_REPORTS_N8_DIGEST = "e19a058c3cd6bcaeadeab752c189b455cd9e1999614cc2f7fea49b386a842a27"
+# SHA-256 of the order-8 reports below, pinned from the scans whose max_q is
+# the eigh q of each maximizer
+SCAN_REPORTS_N8_DIGEST = "a26ff75ba1561ec756e56034edb4b1f148403f2a16f7a2d2d9683eb4b71fb03c"
 
 
 def test_order_8_scan_reports_match_digest(monkeypatch):

@@ -1,6 +1,7 @@
-"""Spectral module: power iteration against numpy's ``eigvalsh`` as the
-second route, the dense fallback on long paths, the exact Turán radius,
-Rayleigh quotients, residuals, degree powers and batched upper bounds."""
+"""Spectral module: the per-component ``eigh`` solve against numpy's
+``eigvalsh`` and closed forms as second routes, long paths, the exact Turán
+radius, Rayleigh quotients, residuals, degree powers and batched upper
+bounds."""
 
 import decimal
 import math
@@ -72,18 +73,18 @@ def test_component_matrix_matches_per_bit_reference():
 
 
 @pytest.mark.parametrize("n, r, q_hex", [
-    (5, 2, "0x1.4000000000001p+2"),
-    (6, 3, "0x1.fffffffffffffp+2"),
-    (7, 3, "0x1.28cc1f315b3d6p+3"),
+    (5, 2, "0x1.3fffffffffffep+2"),
+    (6, 3, "0x1.0000000000000p+3"),
+    (7, 3, "0x1.28cc1f315b3d5p+3"),
     (40, 5, "0x1.fffffffffffffp+5"),
-    (64, 7, "0x1.b6c8424f16e3ap+6"),
-    (65, 2, "0x1.0400000000000p+6"),
-    (100, 12, "0x1.6e940d487f572p+7"),
+    (64, 7, "0x1.b6c8424f16e44p+6"),
+    (65, 2, "0x1.0400000000001p+6"),
+    (100, 12, "0x1.6e940d487f57cp+7"),
 ])
 def test_turan_q_bits_pinned(n, r, q_hex):
-    # power iteration's last bits depend on how the matrix-vector product is
-    # summed, which follows the matrix layout; these are the values of the
-    # per-bit matrix build, so a layout change that moves q by an ulp fails
+    # the last bits of the eigh radius of the per-bit matrix build, pinned so
+    # that a change to the matrix or the solve that moves q by an ulp fails;
+    # they are not the correctly rounded q (that is turan_q)
     assert S.q_value(F.turan(n, r)).hex() == q_hex
 
 
@@ -121,7 +122,7 @@ def test_turan_q_matches_dense_oracle():
 
 def test_turan_q_within_residual_bound_of_power_iteration():
     # symmetric residual bound: some eigenvalue lies within ||Qx - qx||_2 <=
-    # sqrt(n) * residual of the power-iteration q; 4 ulp cover the rounding
+    # sqrt(n) * residual of the eigensolved q; 4 ulp cover the rounding
     for n in range(3, 101):
         for r in range(2, min(n, 12) + 1):
             res = S.q_radius(F.turan(n, r))
@@ -132,8 +133,7 @@ def test_turan_q_within_residual_bound_of_power_iteration():
 
 @pytest.mark.parametrize("n", [300, 400])
 def test_dense_fallback_on_long_paths(n):
-    # power iteration stalls on P_n (its spectral gap shrinks like 1/n^2), so
-    # both radii come from the dense route; the path spectra are closed forms
+    # P_n's spectral gap shrinks like 1/n^2; the path spectra are closed forms
     for solve, exact in [
         (S.q_radius, 2 + 2 * math.cos(math.pi / n)),
         (S.adjacency_radius, 2 * math.cos(math.pi / (n + 1))),
@@ -144,11 +144,21 @@ def test_dense_fallback_on_long_paths(n):
         assert all(x >= 0 for x in res.vector)
         assert abs(sum(x * x for x in res.vector) - 1.0) <= 1e-12
         assert res.residual <= 1e-12 * res.radius
-    # a disconnected graph whose long component falls back and loses to K_3
+    # a disconnected graph whose long component loses to K_3
     g = from_edges(n + 3, F.path(n).edges() + [(n, n + 1), (n, n + 2), (n + 1, n + 2)])
     res = S.q_radius(g)
     assert res.method == "dense"
     assert abs(res.radius - 4.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [200, 300])
+def test_long_path_perron_vector_matches_closed_form(n):
+    # Q(P_n) is similar to the path Laplacian under a diagonal of signs, so
+    # its Perron vector is |cos((2j + 1)(n - 1) pi / 2n)|, normalized
+    want = np.abs(np.cos((2 * np.arange(n) + 1) * (n - 1) * np.pi / (2 * n)))
+    want /= np.linalg.norm(want)
+    got = np.array(S.q_radius(F.path(n)).vector)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_known_radii():
