@@ -14,7 +14,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, spectral
 from .bounds import CriterionParams
 from .chromatic import chromatic_number
 from .families import turan
@@ -26,7 +26,7 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .spectral import DEFAULT_TOL, Tolerance, q_bracket, q_rank_bounds, q_value
+from .spectral import DEFAULT_TOL, Tolerance, q_rank_bounds, q_value
 from .subgraph import is_free
 
 ENUMERATION_CAP = 9
@@ -278,12 +278,6 @@ def _class_ranking(n: int, mode: str) -> Tuple[np.ndarray, np.ndarray]:
     return _rank(_classes(n), mode)
 
 
-@lru_cache(maxsize=1 << 16)
-def _cached_bracket(g: Graph) -> Tuple[float, float]:
-    """``q_bracket`` of a graph, shared by every scan that decides it."""
-    return q_bracket(g)
-
-
 def _extremal(
     n: int,
     f: Graph,
@@ -325,8 +319,9 @@ def _extremal(
         if mode == "edges":
             value = g.m
         else:
-            lo, hi = _cached_bracket(g)
-            value = lo if hi - lo <= tol.eig_tol else q_value(g, tol)
+            res = spectral.q_radius(g, tol)  # via the module, so a traced q_radius sees it
+            lo, hi = res.bracket
+            value = lo if hi - lo <= tol.eig_tol else res.radius
         best = max(best, value)
         found.append((i, value))
     found.sort()
@@ -383,12 +378,13 @@ def extremal_q(
     set is then re-ranked by ``q_value``, which sets ``max_q``.
 
     Classes are visited by descending rank bound (see ``_extremal``). Only a
-    visited F-free class gets its tight bracket lo(G) <= q(G) <= hi(G)
-    (``spectral.q_bracket``, cached per graph, so the scans at one order
-    share it). The q that decides it is lo when the bracket is at most
-    eig_tol wide; only a wider bracket runs ``q_value``. The maximizers' q,
-    reported as ``max_q``, always comes from ``q_value``, and a maximizer
-    whose ``q_value`` lies more than cmp_tol below ``max_q`` is dropped.
+    visited F-free class is solved: one ``q_radius`` (cached per graph, so
+    the scans at one order share it) gives q and its tight bracket
+    lo(G) <= q(G) <= hi(G). The q that decides the class is lo when the
+    bracket is at most eig_tol wide, and the radius otherwise. The
+    maximizers' q, reported as ``max_q``, always comes from ``q_value``, and
+    a maximizer whose ``q_value`` lies more than cmp_tol below ``max_q`` is
+    dropped.
     ``min_degree_above`` restricts the scan to delta(G) > that value.
 
     ``jobs`` is ignored: every scan runs in-process. The keyword stays only

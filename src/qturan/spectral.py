@@ -3,11 +3,12 @@ vectors, Rayleigh quotients, eigenequation residuals, degree powers.
 
 Every radius comes from one route: numpy's dense symmetric eigensolver
 (``eigh``, LAPACK) on each component of order >= 2, whose result a residual
-gate judges. Its O(k^3) time and O(k^2) memory per order-k component suit
-the desk-scale inputs (classes of order <= 9, family specs of order
-<= 1,024); a dense G(5000, 1/2) takes about 13 s and 1 GiB. The Turán
-graphs T_{n,r} need no eigensolve: ``turan_q`` gives their q exactly, in
-integer arithmetic.
+gate judges. The same solve certifies a bracket lo <= radius <= hi from its
+eigenvector, which the q-scans decide classes by. Its O(k^3) time and
+O(k^2) memory per order-k component suit the desk-scale inputs (classes of
+order <= 9, family specs of order <= 1,024); a dense G(5000, 1/2) takes
+about 13 s and 1 GiB. The Turán graphs T_{n,r} need no eigensolve:
+``turan_q`` gives their q exactly, in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -47,15 +48,17 @@ DEFAULT_TOL = Tolerance()
 class SpectralResult:
     """Largest eigenvalue with a nonnegative unit eigenvector.
 
-    ``residual`` is the max eigenequation defect. ``iterations`` is always 0
-    and ``method`` always ``"dense"``: every solve is one ``eigh`` per
-    component. Both fields stay because the benchmark harness
+    ``residual`` is the max eigenequation defect. ``bracket`` is a rigorous
+    (lo, hi) with lo <= radius <= hi (see ``_solve_radius``). ``iterations``
+    is always 0 and ``method`` always ``"dense"``: every solve is one
+    ``eigh`` per component. Both fields stay because the benchmark harness
     (``perfbench/tracing.py``) still reads them.
     """
 
     radius: float
     vector: Tuple[float, ...]
     residual: float
+    bracket: Tuple[float, float]
     iterations: int
     method: str
 
@@ -64,16 +67,19 @@ class SpectralError(RuntimeError):
     pass
 
 
-def _dense_largest(mat: np.ndarray) -> Tuple[float, np.ndarray]:
+def _dense_largest(mat: np.ndarray) -> Tuple[float, np.ndarray, Tuple[float, float]]:
+    """Top eigenvalue, its eigenvector made nonnegative and unit, and
+    ``_cw_bounds`` on the eigenvector as ``eigh`` returned it."""
     vals, vecs = np.linalg.eigh(mat)
     lam = float(vals[-1])
-    v = vecs[:, -1].copy()
+    top = vecs[:, -1]
+    v = top.copy()
     j = int(np.argmax(np.abs(v)))
     if v[j] < 0:
         v = -v
     np.clip(v, 0.0, None, out=v)
     v /= math.sqrt(float(v @ v))
-    return lam, v
+    return lam, v, _cw_bounds(mat, top)
 
 
 def _unpack_rows(rows: Sequence[int], n: int) -> np.ndarray:
@@ -111,29 +117,43 @@ def _residual(mat: np.ndarray, lam: float, x: np.ndarray) -> float:
 
 
 def _solve_radius(g: Graph, mode: str, eig_tol: float) -> SpectralResult:
+    """The top eigenpair of the component with the largest radius, and a
+    rigorous bracket lo <= radius <= hi from the same ``eigh``.
+
+    On each component's matrix M with top eigenvector v, x' = |v| + eps*1
+    gives the Collatz-Wielandt bound max_u (Mx')_u / x'_u >= rho(M) and the
+    Rayleigh quotient x'^T M x' / x'^T x' <= rho(M), rigorous for every
+    positive x' however accurate v is. Each end is the largest over the
+    components (an isolated vertex gives 0), moved outward by a few ulps per
+    vertex for rounding.
+    """
     if g.n == 0:
         raise ValueError("spectral radius undefined for the empty vertex set")
     best = None  # (radius, comp, vec, residual)
+    hi = lo = 0.0
     for comp in g.components():
         k = len(comp)
         if k == 1:
             cand = (0.0, comp, np.array([1.0]), 0.0)
         else:
             mat = _component_matrix(g, comp, mode)
-            lam, x = _dense_largest(mat)
+            lam, x, (c_hi, c_lo) = _dense_largest(mat)
             res = _residual(mat, lam, x)
             if res > max(eig_tol, 1e-7):
                 raise SpectralError(
                     f"eigensolve failed: residual {res:.3e} on component of order {k}"
                 )
             cand = (lam, comp, x, res)
+            hi, lo = max(hi, c_hi), max(lo, c_lo)
         if best is None or cand[0] > best[0]:
             best = cand
     lam, comp, x, res = best
     vec = [0.0] * g.n
     for i, v in enumerate(comp):
         vec[v] = max(float(x[i]), 0.0)
-    return SpectralResult(radius=lam, vector=tuple(vec), residual=res, iterations=0, method="dense")
+    ulps = _BOUND_ROUNDING_ULPS * g.n * np.finfo(np.float64).eps
+    bracket = (float(lo * (1.0 - ulps)), float(hi * (1.0 + ulps)))
+    return SpectralResult(lam, tuple(vec), res, bracket, iterations=0, method="dense")
 
 
 @lru_cache(maxsize=1 << 18)
@@ -251,8 +271,8 @@ def q_rank_bounds(graphs: Sequence[Graph]) -> np.ndarray:
     by max(x), keep every entry at least (2n - 1)^-sweeps > 0, on isolated
     vertices and every component too. The Collatz-Wielandt bound
     max_u (Qx)_u / x_u on that positive x bounds q from above, and is
-    raised by the ulps of ``q_bracket``. It is looser than the hi of
-    ``q_bracket``, which only makes a scan visit a few more classes.
+    raised by the ulps of ``SpectralResult.bracket``. It is looser than the
+    hi of that bracket, which only makes a scan visit a few more classes.
     """
     return _by_blocks(graphs, _block_rank_bounds)
 
@@ -272,30 +292,10 @@ def _block_rank_bounds(graphs: Sequence[Graph]) -> np.ndarray:
     return (y / x).max(axis=1) * (1.0 + ulps)
 
 
-def q_bracket(g: Graph) -> Tuple[float, float]:
-    """A rigorous, tight bracket lo(G) <= q(G) <= hi(G).
-
-    On each component's own Q, ``eigh`` gives the top eigenvector v; on
-    x' = |v| + eps*1 the Collatz-Wielandt bound max_u (Qx')_u / x'_u bounds
-    the spectral radius of that nonnegative matrix from above and the
-    Rayleigh quotient x'^T Q x' / x'^T x' bounds its largest eigenvalue from
-    below. Both are rigorous for every positive x', however accurate
-    LAPACK's v is; v only makes them tight. q(G) is the largest q of a
-    component, so each end is the largest over the components (on the
-    whole Q of a disconnected graph v may vanish on a component and leave
-    hi loose). Both ends are moved outward by a few ulps per vertex for
-    rounding. The q-scans bracket only the classes they decide.
-    """
-    ends = [_cw_bounds(_component_matrix(g, c, "q")) for c in g.components()]
-    hi, lo = np.max(ends, axis=0)
-    ulps = _BOUND_ROUNDING_ULPS * g.n * np.finfo(np.float64).eps
-    return float(lo * (1.0 - ulps)), float(hi * (1.0 + ulps))
-
-
-def _cw_bounds(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(Collatz-Wielandt bound, Rayleigh quotient) on |top eigenvector| + eps per matrix."""
-    xp = np.abs(np.linalg.eigh(mats)[1][..., -1]) + _BOUND_EPS
-    y = np.einsum("...ij,...j->...i", mats, xp)
+def _cw_bounds(mat: np.ndarray, v: np.ndarray) -> Tuple[float, float]:
+    """(Collatz-Wielandt bound, Rayleigh quotient) of ``mat`` on |v| + eps."""
+    xp = np.abs(v) + _BOUND_EPS
+    y = np.einsum("...ij,...j->...i", mat, xp)
     return (y / xp).max(axis=-1), (xp * y).sum(axis=-1) / (xp * xp).sum(axis=-1)
 
 

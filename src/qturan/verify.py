@@ -102,12 +102,15 @@ suite_hofmeister = partial(_entry_sweep, "hofmeister")
 def _clique_scans(suite: str, n_max: int, r: Optional[int], scan: Callable):
     """(n, rr, scan(n, K_{rr+1})) for 2 <= rr < n <= n_max, or for rr = r alone.
 
+    An r below 2 or at least n_max, which would scan nothing, is refused.
     Each K_{rr+1} is built once, so the containment test's per-F cache finds
     it by identity rather than by ``Graph.__eq__``."""
     if r is not None and r < 2:
         raise ValueError(f"suite {suite!r} needs r >= 2, got r={r}")
+    if r is not None and r >= n_max:
+        raise ValueError(f"suite {suite!r} needs r < n_max, got r={r}, n_max={n_max}")
     ranks = [r] if r is not None else range(2, n_max)
-    cliques = {rr: F.complete(rr + 1) for rr in ranks if rr < n_max}
+    cliques = {rr: F.complete(rr + 1) for rr in ranks}
     for n in range(3, n_max + 1):
         for rr, f in cliques.items():
             if rr < n:

@@ -1,5 +1,6 @@
 """Enumeration, corpus ingestion, extremal scans, density, min-degree families."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -263,8 +264,8 @@ def _unranked_edges(n, f, corpus=None, tol=DEFAULT_TOL):
 
 def _unranked_q(n, f, corpus=None, tol=DEFAULT_TOL, min_degree_above=None):
     """extremal_q as a plain loop: containment and q_value on every graph of
-    the source, the accumulate rule in source order, then the re-solve of
-    the tied set."""
+    the source, the accumulate rule in source order, then one q_value per
+    winner, which sets max_q and drops a winner more than cmp_tol below it."""
     graphs = _source(n, corpus)
     best, winners = float("-inf"), []
     for g in graphs:
@@ -279,8 +280,7 @@ def _unranked_q(n, f, corpus=None, tol=DEFAULT_TOL, min_degree_above=None):
             winners.append(g)
             best = max(best, q)
     if winners:
-        fine = Tolerance(eig_tol=tol.eig_tol / 100, cmp_tol=tol.cmp_tol)
-        refined = [(q_value(g, fine), g) for g in winners]
+        refined = [(q_value(g, tol), g) for g in winners]
         best = max(q for q, _ in refined)
         winners = [g for q, g in refined if q >= best - tol.cmp_tol]
     return SearchReport(
@@ -328,30 +328,37 @@ def test_ranked_scans_match_unranked_loop():
 
 def test_narrow_brackets_replace_the_default_tolerance_solves(monkeypatch):
     """Every class that ``suite_q_turan(n_max=7)`` visits has a bracket
-    narrower than eig_tol, so no eigensolve decides a class; the only solves
-    are the 21 ``q_value`` calls on the maximizers that set ``max_q``, all at
-    the given eig_tol."""
-    solves = []
+    narrower than eig_tol, so its lo decides the class. Each of the 21
+    visited classes costs one solve at the given eig_tol and one ``eigh``
+    call, which also give the maximizers' ``max_q``."""
+    solves, eighs = [], []
     inner = spectral._solve_radius
+    inner_eigh = np.linalg.eigh
 
     def counted(g, mode, eig_tol):
-        solves.append(eig_tol)
-        return inner(g, mode, eig_tol)
+        res = inner(g, mode, eig_tol)
+        solves.append((eig_tol, res.bracket))
+        return res
+
+    def counted_eigh(a, *args, **kwargs):
+        eighs.append(a.shape)
+        return inner_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "_solve_radius", counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     spectral._solve_cached.cache_clear()
     assert V.suite_q_turan(n_max=7).ok
-    assert solves.count(DEFAULT_TOL.eig_tol) == 21
-    assert solves.count(DEFAULT_TOL.eig_tol / 100) == 0
+    assert len(solves) == len(eighs) == 21
+    assert all(t == DEFAULT_TOL.eig_tol and hi - lo <= t for t, (lo, hi) in solves)
 
 
 @pytest.fixture
 def fresh_brackets():
-    """An empty bracket cache before and after the test, so that a patched
-    ``q_bracket`` neither reads nor leaves cached brackets."""
-    S._cached_bracket.cache_clear()
+    """An empty solve cache before and after the test, so that a patched
+    ``_solve_radius`` neither reads nor leaves cached results."""
+    spectral._solve_cached.cache_clear()
     yield
-    S._cached_bracket.cache_clear()
+    spectral._solve_cached.cache_clear()
 
 
 def test_wide_brackets_defer_to_q_value(monkeypatch, fresh_brackets):
@@ -360,13 +367,14 @@ def test_wide_brackets_defer_to_q_value(monkeypatch, fresh_brackets):
     (still rigorous, the order untouched), the scans still match the
     unranked loop."""
     rng = np.random.default_rng(5)
-    inner = S.q_bracket
+    inner = spectral._solve_radius
 
-    def widened(g):
-        lo, hi = inner(g)
-        return lo - rng.uniform(0.0, 1e-6), hi
+    def widened(g, mode, eig_tol):
+        res = inner(g, mode, eig_tol)
+        lo, hi = res.bracket
+        return dataclasses.replace(res, bracket=(lo - rng.uniform(0.0, 1e-6), hi))
 
-    monkeypatch.setattr(S, "q_bracket", widened)
+    monkeypatch.setattr(spectral, "_solve_radius", widened)
     for n in range(4, 8):
         for f in _SCAN_TARGETS:
             for above in (None, 0.45 * n):
@@ -376,15 +384,16 @@ def test_wide_brackets_defer_to_q_value(monkeypatch, fresh_brackets):
 
 
 def test_scans_bracket_only_the_classes_they_decide(monkeypatch, fresh_brackets):
-    """The ranking needs no bracket: during ``suite_q_turan(n_max=7)`` and
-    the W6 and B_{3,2} scans at order 7, each visited F-free class gets one
-    tight bracket, however many of the scans at its order visit it."""
-    bracketed = []
-    inner_bracket = S.q_bracket
+    """The ranking needs no eigensolve: during ``suite_q_turan(n_max=7)``
+    and the W6 and B_{3,2} scans at order 7, each visited F-free class is
+    solved once, however many of the scans at its order visit it, and that
+    solve gives both its bracket and the maximizers' ``max_q``."""
+    solved = []
+    inner_solve = spectral._solve_radius
 
-    def counted(g):
-        bracketed.append(g)
-        return inner_bracket(g)
+    def counted(g, mode, eig_tol):
+        solved.append(g)
+        return inner_solve(g, mode, eig_tol)
 
     decided = []
     inner_free = S.is_free
@@ -395,13 +404,13 @@ def test_scans_bracket_only_the_classes_they_decide(monkeypatch, fresh_brackets)
             decided.append(g)
         return ok
 
-    monkeypatch.setattr(S, "q_bracket", counted)
+    monkeypatch.setattr(spectral, "_solve_radius", counted)
     monkeypatch.setattr(S, "is_free", free)
     assert V.suite_q_turan(n_max=7).ok
-    assert (len(bracketed), len(decided)) == (21, 21)
+    assert (len(solved), len(decided)) == (21, 21)
     extremal_q(7, F.wheel(1, 5))
     extremal_q(7, F.generalized_book(3, 2))
-    assert len(bracketed) == len(set(bracketed)) and set(bracketed) == set(decided)
+    assert len(solved) == len(set(solved)) and set(solved) == set(decided)
     assert (len(decided), len(set(decided))) == (23, 22)
 
 

@@ -3,6 +3,7 @@
 radius, Rayleigh quotients, residuals, degree powers and batched upper
 bounds."""
 
+import dataclasses
 import decimal
 import math
 import random
@@ -258,7 +259,7 @@ def test_eigen_residual_perturbation_grows():
     for delta in (1e-6, 1e-4, 1e-2):
         vec = list(res.vector)
         vec[0] += delta
-        pert = S.SpectralResult(res.radius, tuple(vec), res.residual, res.iterations, res.method)
+        pert = dataclasses.replace(res, vector=tuple(vec))
         assert S.eigen_residual(g, pert) > base
         assert S.eigen_residual(g, pert) == pytest.approx(delta * (res.radius - 2), rel=1e-3)
 
@@ -303,29 +304,34 @@ def _bound_corpus():
     return by_order
 
 
-def test_q_brackets_hold_the_top_eigenvalue_tightly():
-    """lo <= top ``eigvalsh`` value <= hi and ``q_value`` <= hi on every
-    class of order <= 7 and on the mixed-component corpus, with hi - lo
-    within 1e-9 relative and lo within eig_tol of ``q_value``: the scans
-    take lo as a class's q when the bracket is that narrow."""
+@pytest.mark.parametrize("mode", ["q", "a"])
+def test_q_brackets_hold_the_top_eigenvalue_tightly(mode):
+    """The bracket of a Q (``mode == "q"``) or A (``"a"``) solve holds
+    lo <= top ``eigvalsh`` value <= hi and radius <= hi on every class of
+    order <= 7 and on the mixed-component corpus, with hi - lo within 1e-9
+    relative and lo within eig_tol of the radius: the scans take lo as a
+    class's q when the bracket is that narrow."""
+    solve = S.q_radius if mode == "q" else S.adjacency_radius
     checked = 0
     for gs in _bound_corpus().values():
-        top = np.linalg.eigvalsh(np.stack([q_matrix(g) for g in gs]))[:, -1]
+        mats = [reference_component_matrix(g, range(g.n), mode) for g in gs]
+        top = np.linalg.eigvalsh(np.stack(mats))[:, -1]
         for g, t in zip(gs, top):
-            lo, hi = S.q_bracket(g)
-            q = S.q_value(g)
-            assert lo <= t <= hi and q <= hi, (g, lo, t, hi, q)
-            assert hi - lo <= 1e-9 * max(1.0, q), (g, lo, hi)
-            assert abs(lo - q) <= S.DEFAULT_TOL.eig_tol, (g, lo, q)
+            res = solve(g)
+            lo, hi = res.bracket
+            assert lo <= t <= hi and res.radius <= hi, (g, lo, t, hi, res.radius)
+            assert hi - lo <= 1e-9 * max(1.0, res.radius), (g, lo, hi)
+            assert abs(lo - res.radius) <= S.DEFAULT_TOL.eig_tol, (g, lo, res.radius)
             checked += 1
     assert checked > 1400
 
 
 def test_q_rank_bounds_dominate_the_top_eigenvalue(monkeypatch):
     """The eigensolve-free rank bound is at least the top ``eigvalsh`` value
-    and at least the lo of ``q_bracket`` on every class of order <= 8 and
-    on the mixed-component corpus, isolated vertices and disconnected
-    graphs included; splitting the stacks into blocks of 5 moves no bound."""
+    and at least the lo of the ``q_radius`` bracket on every class of order
+    <= 8 and on the mixed-component corpus, isolated vertices and
+    disconnected graphs included; splitting the stacks into blocks of 5
+    moves no bound."""
     by_order = _bound_corpus()
     by_order[8] = by_order.get(8, []) + list(enumerate_graphs(8))
     isolated = [g for gs in by_order.values() for g in gs if 0 in g.degrees() and g.m]
@@ -337,7 +343,7 @@ def test_q_rank_bounds_dominate_the_top_eigenvalue(monkeypatch):
         top = np.linalg.eigvalsh(np.stack([q_matrix(g) for g in gs]))[:, -1]
         assert rank.shape == (len(gs),)
         for g, b, t in zip(gs, rank, top):
-            a = S.q_bracket(g)[0]
+            a = S.q_radius(g).bracket[0]
             assert b >= t and b >= a, (g, b, t, a)
     monkeypatch.setattr(S, "BOUND_BLOCK", 5)
     for n, gs in by_order.items():
@@ -351,12 +357,14 @@ def test_q_rank_bounds_dominate_the_top_eigenvalue(monkeypatch):
 def test_q_upper_bounds_per_component_pass(g6, q):
     """2P_3 and 2K_{1,3}: the top eigenvector of the whole Q vanishes on one
     component, so its certificate alone is loose (about 4 and 6, the largest
-    row sum there), and ``q_bracket``, taken over the components, is tight."""
+    row sum there), and the ``q_radius`` bracket, taken over the components,
+    is tight."""
     g = parse_graph6(g6)
     assert len(g.components()) == 2
-    hi, lo = S._cw_bounds(S._component_matrix(g, list(range(g.n)), "q")[None])
-    assert hi[0] > q + 0.5 and lo[0] == pytest.approx(q)
-    lo, hi = S.q_bracket(g)
+    mat = S._component_matrix(g, list(range(g.n)), "q")
+    hi, lo = S._cw_bounds(mat, np.linalg.eigh(mat)[1][:, -1])
+    assert hi > q + 0.5 and lo == pytest.approx(q)
+    lo, hi = S.q_radius(g).bracket
     assert lo <= q <= hi and hi - lo <= 1e-9 * q
 
 

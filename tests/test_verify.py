@@ -124,6 +124,8 @@ def test_clique_suites_take_one_r_and_refuse_r_below_2(monkeypatch):
     for suite, name in ((V.suite_turan, "turan"), (V.suite_q_turan, "q-turan")):
         with pytest.raises(ValueError, match=f"suite '{name}' needs r >= 2, got r=1"):
             suite(n_max=6, r=1)
+        with pytest.raises(ValueError, match=f"suite '{name}' needs r < n_max, got r=6, n_max=6"):
+            suite(n_max=6, r=6)
     assert len(scans) == 5
 
 
