@@ -8,6 +8,7 @@ and extremal sweeps.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 # canonical_labeling recurses once per vertex, find_clique once per clique
@@ -231,6 +232,36 @@ def find_clique(n: int, rows: Sequence[int], k: int) -> Optional[Tuple[int, ...]
     return None
 
 
+@lru_cache(maxsize=256)
+def _embedding_plan(
+    fn: int, f_rows: Tuple[int, ...]
+) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...], Tuple[int, ...], Tuple[int, ...]]:
+    """F's side of ``find_embedding``, computed once per F: the F-vertices in
+    descending-degree order and, per position, the earlier positions it must
+    be G-adjacent to, its count of F-neighbors placed later, and its degree."""
+    fdeg = [f_rows[v].bit_count() for v in range(fn)]
+    order = sorted(range(fn), key=lambda v: (-fdeg[v], v))
+    pos = [0] * fn
+    for i, v in enumerate(order):
+        pos[v] = i
+    need_prev = []
+    later_deg = []
+    for i, v in enumerate(order):
+        prev = []
+        later = 0
+        m = f_rows[v]
+        while m:
+            w = (m & -m).bit_length() - 1
+            m &= m - 1
+            if pos[w] < i:
+                prev.append(pos[w])
+            else:
+                later += 1
+        need_prev.append(tuple(prev))
+        later_deg.append(later)
+    return tuple(order), tuple(need_prev), tuple(later_deg), tuple(fdeg[v] for v in order)
+
+
 def find_embedding(
     fn: int,
     f_rows: Sequence[int],
@@ -240,9 +271,10 @@ def find_embedding(
     """Find an injective map embedding F into G as a (not necessarily
     induced) subgraph; returns ``phi`` with ``phi[f_vertex] = g_vertex``.
 
-    F-vertices are processed in descending-degree order. Candidates are
-    filtered by degree and by adjacency to already-mapped F-neighbors, plus a
-    count check that enough unused G-neighbors remain for the unmapped ones.
+    F-vertices are processed in descending-degree order (``_embedding_plan``,
+    built once per F). Candidates are filtered by degree and by adjacency to
+    already-mapped F-neighbors, plus a count check that enough unused
+    G-neighbors remain for the unmapped ones.
     """
     if fn == 0:
         return ()
@@ -252,42 +284,22 @@ def find_embedding(
         raise ValueError(
             f"embedding search supports F of order up to {CANONICAL_MAX_ORDER}, got order {fn}"
         )
-    fdeg = [f_rows[v].bit_count() for v in range(fn)]
-    gdeg = [g_rows[v].bit_count() for v in range(gn)]
-    order = sorted(range(fn), key=lambda v: (-fdeg[v], v))
-    pos = [0] * fn
-    for i, v in enumerate(order):
-        pos[v] = i
-    # per position: mask of earlier positions that must be G-adjacent, count
-    # of F-neighbors not yet placed, and degree-feasible base candidates
-    need_prev = [0] * fn
-    later_deg = [0] * fn
-    base = [0] * fn
-    for i, v in enumerate(order):
-        m = f_rows[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            if pos[w] < i:
-                need_prev[i] |= 1 << pos[w]
-            else:
-                later_deg[i] += 1
-        bmask = 0
-        for g in range(gn):
-            if gdeg[g] >= fdeg[v]:
-                bmask |= 1 << g
-        base[i] = bmask
+    order, need_prev, later_deg, fdeg = _embedding_plan(fn, tuple(f_rows))
+    # at_least[d] = G-vertices of degree >= d, for d up to F's largest degree
+    dmax = fdeg[0]
+    at_least = [0] * (dmax + 1)
+    for g in range(gn):
+        at_least[min(g_rows[g].bit_count(), dmax)] |= 1 << g
+    for d in range(dmax - 1, -1, -1):
+        at_least[d] |= at_least[d + 1]
 
     phi_pos = [0] * fn
 
     def rec(i: int, used: int) -> bool:
         if i == fn:
             return True
-        cand = base[i] & ~used
-        m = need_prev[i]
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
+        cand = at_least[fdeg[i]] & ~used
+        for j in need_prev[i]:
             cand &= g_rows[phi_pos[j]]
         need_later = later_deg[i]
         c = cand

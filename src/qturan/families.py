@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Tuple
+from typing import Optional, Tuple
 
 from ._kernels import CANONICAL_MAX_ORDER
 from .graphs import Graph, from_edges, join
@@ -79,6 +79,33 @@ def turan_edges(n: int, r: int) -> int:
         raise ValueError(f"turan graph needs 1 <= r <= n, got r={r}, n={n}")
     b, s = divmod(n, r)
     return (n * n - s * (b + 1) * (b + 1) - (r - s) * b * b) // 2
+
+
+def multipartite_parts(g: Graph) -> Optional[Tuple[int, ...]]:
+    """Ascending part sizes of G if it is complete multipartite (its
+    complement is a disjoint union of cliques), else None.
+
+    v's part is its non-neighborhood ``full & ~rows[v]``, v included; G is
+    complete multipartite iff every u in that part has the same one, which
+    takes one bit test per vertex. Two complete multipartite graphs are
+    isomorphic iff their part sizes agree.
+    """
+    full = (1 << g.n) - 1
+    sizes = []
+    seen = 0
+    for v in range(g.n):
+        if seen >> v & 1:
+            continue
+        part = full & ~g.rows[v]
+        m = part
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            if full & ~g.rows[u] != part:
+                return None
+        seen |= part
+        sizes.append(part.bit_count())
+    return tuple(sorted(sizes))
 
 
 def split(n: int, k: int) -> Graph:

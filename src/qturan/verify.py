@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import bounds as B
 from . import families as F
-from .graphs import Graph, canonical_form, canonical_graph, is_isomorphic, parse_graph6, to_graph6
+from .graphs import Graph, parse_graph6, to_graph6
 from .search import (
     enumerate_graphs,
     extremal_edges,
@@ -102,11 +102,13 @@ suite_hofmeister = partial(_entry_sweep, "hofmeister")
 def _clique_scans(suite: str, n_max: int, r: Optional[int], scan: Callable):
     """(n, rr, scan(n, K_{rr+1})) for 2 <= rr < n <= n_max, or for rr = r alone.
 
-    An r below 2 or at least n_max, which would scan nothing, is refused.
-    Each K_{rr+1} is built once, so the containment test's per-F cache finds
-    it by identity rather than by ``Graph.__eq__``."""
+    An n_max below 3, or an r below 2 or at least n_max, which would scan
+    nothing, is refused. Each K_{rr+1} is built once, so the containment
+    test's per-F cache finds it by identity rather than by ``Graph.__eq__``."""
     if r is not None and r < 2:
         raise ValueError(f"suite {suite!r} needs r >= 2, got r={r}")
+    if n_max < 3:
+        raise ValueError(f"suite {suite!r} needs n_max >= 3, got n_max={n_max}")
     if r is not None and r >= n_max:
         raise ValueError(f"suite {suite!r} needs r < n_max, got r={r}, n_max={n_max}")
     ranks = [r] if r is not None else range(2, n_max)
@@ -119,9 +121,14 @@ def _clique_scans(suite: str, n_max: int, r: Optional[int], scan: Callable):
 
 def _maximizers_are(graph6s: Sequence[str], classes: Sequence[Graph]) -> bool:
     """The maximizer graph6 list holds each of ``classes`` exactly once, up to
-    isomorphism: the two sides agree as multisets of canonical forms."""
-    got = sorted(canonical_form(parse_graph6(g6)) for g6 in graph6s)
-    return got == sorted(map(canonical_form, classes))
+    isomorphism. Every class must be complete multipartite, which its part
+    sizes fix up to isomorphism, so the two sides are compared as multisets
+    of ``families.multipartite_parts``."""
+    want = [F.multipartite_parts(g) for g in classes]
+    if None in want:
+        raise ValueError("expected maximizer classes must be complete multipartite")
+    got = [F.multipartite_parts(parse_graph6(g6)) for g6 in graph6s]
+    return None not in got and sorted(got) == sorted(want)
 
 
 def suite_turan(n_max: int = 8, r: Optional[int] = None) -> VerifyResult:
@@ -186,20 +193,18 @@ def suite_degree_power(n_max: int = 8, tol: Tolerance = DEFAULT_TOL) -> VerifyRe
             if e.equality and g.m >= 1:
                 if n == 6:
                     equality_at_6.append(g6)
-                # equality clause: only regular complete 3-partite graphs qualify
-                if n % 3 != 0 or not is_isomorphic(g, F.turan(n, 3)):
+                # equality clause: only regular complete 3-partite graphs
+                # qualify; parts (n/3,)*3 sum to n only when 3 divides n
+                if F.multipartite_parts(g) != (n // 3,) * 3:
                     res.violations.append(
                         f"{g6}: degree-power equality on a graph "
                         f"that is not regular complete 3-partite"
                     )
-    if n_max >= 6:
-        canon_want = {to_graph6(canonical_graph(F.turan(6, 3))).decode()}
-        got = set(equality_at_6)
-        if got != canon_want:
-            res.violations.append(
-                f"degree-power equality set at n=6 (m>=1) is {sorted(got)}, "
-                f"expected exactly the regular complete 3-partite graph"
-            )
+    if n_max >= 6 and not _maximizers_are(equality_at_6, [F.turan(6, 3)]):
+        res.violations.append(
+            f"degree-power equality set at n=6 (m>=1) is {sorted(set(equality_at_6))}, "
+            f"expected exactly the regular complete 3-partite graph"
+        )
     res.findings.append("non-clique color-critical F: asymptotic, report-only")
     return res
 
@@ -262,6 +267,10 @@ def suite_graph6(n_max: int = 7) -> VerifyResult:
 
 
 def suite_density(n_max: int = 8) -> VerifyResult:
+    if n_max < 3:
+        raise ValueError(
+            f"suite 'density' needs n_max >= 3, the order of its smallest F, got n_max={n_max}"
+        )
     res = VerifyResult("density", 0)
     for f, name in [
         (F.complete(3), "K3"),

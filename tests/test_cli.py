@@ -175,13 +175,19 @@ def test_verify_csv(capsys, tmp_path):
 
 
 def test_verify_refuses_flags_it_would_ignore(capsys, tmp_path):
-    # r < 2 and r >= n_max are refused, as is an --n-max, --r or --csv the
-    # suite's signature lacks
+    # r < 2, r >= n_max and an n_max that leaves nothing to scan are refused,
+    # as is an --n-max, --r or --csv the suite's signature lacks
     csv = tmp_path / "x.csv"
     for argv, names in [
         (["verify", "turan", "--r", "0"], ["'turan'", "r=0"]),
         (["verify", "q-turan", "--r", "-1"], ["'q-turan'", "r=-1"]),
         (["verify", "q-turan", "--r", "8", "--n-max", "8"], ["'q-turan'", "r=8", "n_max=8"]),
+        (["verify", "q-turan", "--n-max", "2"], ["'q-turan'", "n_max >= 3", "n_max=2"]),
+        (["verify", "turan", "--n-max", "0"], ["'turan'", "n_max >= 3", "n_max=0"]),
+        (["verify", "turan", "--n-max", "1"], ["'turan'", "n_max=1"]),
+        (["verify", "turan", "--n-max", "2"], ["'turan'", "n_max=2"]),
+        (["verify", "turan", "--r", "2", "--n-max", "2"], ["'turan'", "n_max=2"]),
+        (["verify", "density", "--n-max", "2"], ["'density'", "n_max >= 3", "n_max=2"]),
         (["verify", "stability", "--r", "3", "--csv", str(csv)], ["'stability'", "--r", "--csv"]),
         (["verify", "facts", "--n-max", "3"], ["'facts'", "--n-max"]),
     ]:

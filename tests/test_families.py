@@ -1,11 +1,14 @@
 """Family constructors: edge counts, isomorphism anchors, freeness, parity."""
 
+import random
+
 import numpy as np
 import pytest
 
 from qturan import _kernels, families as F
 from qturan.chromatic import chromatic_number
-from qturan.graphs import is_isomorphic
+from qturan.graphs import Graph, canonical_form, from_edges, is_isomorphic, join
+from qturan.search import enumerate_graphs
 from qturan.subgraph import has_clique, is_free
 
 
@@ -147,3 +150,53 @@ def test_family_spec_refuses_parameters_above_the_kernel_cap():
         with pytest.raises(ValueError, match="at most 512"):
             F.parse_family_spec(text)
     assert F.parse_family_spec("turan:512,3").params == (512, 3)
+
+
+def _complement_is_cliques(g):
+    # brute force: every component of the complement is a clique in it
+    full = (1 << g.n) - 1
+    co = Graph(g.n, tuple(full & ~r & ~(1 << v) for v, r in enumerate(g.rows)))
+    return all(
+        co.has_edge(u, w) for comp in co.components() for u in comp for w in comp if u < w
+    )
+
+
+def _multipartite(parts):
+    g = F.empty(0)
+    for size in parts:
+        g = join(g, F.empty(size))
+    return g
+
+
+def test_multipartite_parts_recognize_the_complete_multipartite_classes():
+    rng = random.Random(67)
+    seen = {}
+    for n in range(8):
+        for g in enumerate_graphs(n) if n else [F.empty(0)]:
+            parts = F.multipartite_parts(g)
+            assert (parts is not None) == _complement_is_cliques(g), g
+            perm = rng.sample(range(n), n)
+            relabeled = from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert F.multipartite_parts(relabeled) == parts, g
+            if parts is not None:
+                # equal parts <=> isomorphic: each part multiset names one class
+                assert sum(parts) == n and list(parts) == sorted(parts)
+                assert parts not in seen, (g, seen[parts])
+                seen[parts] = g
+                assert canonical_form(_multipartite(parts)) == canonical_form(g)
+    # one class per partition of n, n = 0..7
+    assert len(seen) == 1 + 1 + 2 + 3 + 5 + 7 + 11 + 15
+
+
+def test_multipartite_parts_examples():
+    for g in (F.cycle(5), F.path(4), from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])):
+        assert F.multipartite_parts(g) is None
+    k4_minus_e = from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    assert F.multipartite_parts(k4_minus_e) == (1, 1, 2)
+    assert F.multipartite_parts(F.turan(6, 3)) == (2, 2, 2)
+    k114 = _multipartite((1, 1, 4))
+    assert F.multipartite_parts(k114) == (1, 1, 4) != F.multipartite_parts(F.turan(6, 3))
+    assert F.multipartite_parts(F.turan(7, 3)) == (2, 2, 3)
+    assert F.multipartite_parts(F.complete(4)) == (1, 1, 1, 1)
+    assert F.multipartite_parts(F.empty(3)) == (3,)
+    assert F.multipartite_parts(F.complete_bipartite(2, 5)) == (2, 5)

@@ -213,6 +213,37 @@ def test_find_embedding_against_permutation_bruteforce():
                 assert g.has_edge(got[i], got[j])
 
 
+def test_embedding_plan_is_shared_by_equal_f():
+    """F's plan is cached by its rows: a list and a tuple of the same rows
+    give the same witness, and one F reused across G of orders 1..9 agrees
+    with the brute-force search on every one."""
+    rng = random.Random(71)
+    f = from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+    found = 0
+    for gn in range(1, 10):
+        for _ in range(15):
+            g = Graph(gn, _rand_rows(rng, gn, rng.choice([0.3, 0.5, 0.8])))
+            got = _kernels.find_embedding(f.n, f.rows, gn, g.rows)
+            assert _kernels.find_embedding(f.n, list(f.rows), gn, list(g.rows)) == got
+            assert (got is not None) == brute_contains(g, f), (gn, g.rows)
+            found += got is not None
+    assert 0 < found < 9 * 15
+
+
+def test_find_embedding_degree_and_isolated_vertices():
+    # an F-vertex of degree 4 cannot land in C_6, whose maximum degree is 2
+    star5 = from_edges(5, [(0, v) for v in range(1, 5)])
+    c6 = from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    assert _kernels.find_embedding(5, star5.rows, 6, c6.rows) is None
+    # isolated F-vertices take any unused G-vertex, isolated ones included
+    f = from_edges(5, [(1, 3)])
+    g = from_edges(6, [(4, 5)])
+    phi = _kernels.find_embedding(f.n, f.rows, g.n, g.rows)
+    assert phi is not None and len(set(phi)) == 5 and g.has_edge(phi[1], phi[3])
+    assert _kernels.find_embedding(3, empty(3).rows, 3, empty(3).rows) == (0, 1, 2)
+    assert _kernels.find_embedding(3, empty(3).rows, 2, empty(2).rows) is None
+
+
 def test_canonical_form_order_cap():
     # the labeling recurses once per vertex: up to the cap it must finish,
     # past it it must refuse with a ValueError, never a RecursionError

@@ -1,4 +1,4 @@
-"""Verdict texts of the clique-scan and stability suites, pinned word for word.
+"""Verdict texts of the clique-scan, degree-power and stability suites, pinned word for word.
 
 The scans are stubbed so that each suite sees a wrong value or a wrong
 maximizer set; the violation strings are what ``qturan verify`` prints.
@@ -6,6 +6,7 @@ maximizer set; the violation strings are what ``qturan verify`` prints.
 
 import pytest
 
+import qturan.bounds as B
 import qturan.chromatic as C
 from qturan import families as F
 from qturan import verify as V
@@ -107,6 +108,20 @@ def test_maximizer_test_counts_each_class_once():
     assert V._maximizers_are([_g6(k34), _g6(k16), _g6(k25)], [k16, k25, k34])
 
 
+def test_maximizer_test_compares_part_sizes():
+    """The sides are compared by part sizes, so a maximizer that is not
+    complete multipartite never matches, and an expected class that is not
+    one is refused."""
+    t63, t73 = F.turan(6, 3), F.turan(7, 3)
+    assert V._maximizers_are([_g6(t73)], [t73])
+    assert not V._maximizers_are([_g6(t63)], [t73])
+    assert not V._maximizers_are([_g6(F.cycle(5))], [F.turan(5, 2)])
+    assert not V._maximizers_are([], [t73])
+    assert V._maximizers_are([], [])
+    with pytest.raises(ValueError, match="complete multipartite"):
+        V._maximizers_are([_g6(F.cycle(5))], [F.cycle(5)])
+
+
 def test_clique_suites_take_one_r_and_refuse_r_below_2(monkeypatch):
     scans = []
 
@@ -126,6 +141,10 @@ def test_clique_suites_take_one_r_and_refuse_r_below_2(monkeypatch):
             suite(n_max=6, r=1)
         with pytest.raises(ValueError, match=f"suite '{name}' needs r < n_max, got r=6, n_max=6"):
             suite(n_max=6, r=6)
+        # below order 3 no pair 2 <= r < n <= n_max exists, with or without --r
+        for n_max, r in ((2, None), (1, None), (0, None), (2, 2)):
+            with pytest.raises(ValueError, match=f"suite '{name}' needs n_max >= 3, got n_max={n_max}"):
+                suite(n_max=n_max, r=r)
     assert len(scans) == 5
 
 
@@ -139,3 +158,29 @@ def test_suite_stability_violation_texts(monkeypatch):
         "A_: triangle-free, delta>2n/5, not bipartite",
         "Bw: K4-free, delta>5n/8, not 3-partite",
     ]
+
+
+def test_suite_degree_power_violation_texts(monkeypatch):
+    """The equality clause names each equality graph that is not a regular
+    complete 3-partite graph, and the n = 6 equality set must be T_{6,3}
+    alone; the stub flags equality by edge count."""
+    def stub(min_edges):
+        def check(g, r, tol=DEFAULT_TOL):
+            return [B.BoundEntry("degree_power", 0.0, 0.0, 0.0, True, g.n == 6 and g.m >= min_edges)]
+        return check
+
+    monkeypatch.setattr(B, "check_degree_power", stub(11))
+    res = V.suite_degree_power(n_max=7)
+    assert res.checked == 1252
+    assert res.violations == [
+        "Evz_: degree-power equality on a graph that is not regular complete 3-partite",
+        "EznO: degree-power equality on a graph that is not regular complete 3-partite",
+        "degree-power equality set at n=6 (m>=1) is ['Evz_', 'EznO', 'EznW'], "
+        "expected exactly the regular complete 3-partite graph",
+    ]
+    monkeypatch.setattr(B, "check_degree_power", stub(13))
+    assert V.suite_degree_power(n_max=6).violations == [
+        "degree-power equality set at n=6 (m>=1) is [], "
+        "expected exactly the regular complete 3-partite graph",
+    ]
+    assert V.suite_degree_power(n_max=5).violations == []
