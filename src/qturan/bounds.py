@@ -144,8 +144,8 @@ def check_bound_chain(g: Graph, tol: Tolerance = DEFAULT_TOL) -> List[BoundEntry
     """4e(G)/n <= 2 lambda(G) <= q(G) <= 2 Delta(G), for every graph."""
     if g.n < 1:
         raise ValueError("chain bound needs n >= 1")
-    lam2 = 2 * lambda_value(g, tol)
-    q = q_value(g, tol)
+    lam2 = 2 * lambda_value(g)
+    q = q_value(g)
     dmax = max(g.degrees()) if g.n else 0
     return [
         _entry("chain_edges_vs_lambda", 4 * g.m / g.n, lam2, tol),
@@ -170,7 +170,7 @@ def check_merris(g: Graph, tol: Tolerance = DEFAULT_TOL) -> BoundEntry:
         best = val if best is None else max(best, val)
     if best is None:
         raise ValueError("Merris bound undefined: every vertex is isolated")
-    return _entry("merris", q_value(g, tol), best, tol)
+    return _entry("merris", q_value(g), best, tol)
 
 
 def edge_degree_sums_constant(g: Graph) -> bool:
@@ -187,7 +187,7 @@ def check_q_lower_degree(g: Graph, tol: Tolerance = DEFAULT_TOL) -> Tuple[BoundE
     if m < 1:
         raise ValueError("lower degree bound needs at least one edge")
     lhs = degree_power(g, 2) / m
-    entry = _entry("q_lower_degree", lhs, q_value(g, tol), tol)
+    entry = _entry("q_lower_degree", lhs, q_value(g), tol)
     return entry, edge_degree_sums_constant(g)
 
 
@@ -230,7 +230,7 @@ def check_hofmeister(g: Graph, tol: Tolerance = DEFAULT_TOL) -> Tuple[BoundEntry
     bipartite semi-regular; returns the entry plus that combinatorial flag."""
     if g.n < 1:
         raise ValueError("Hofmeister bound needs n >= 1")
-    lam = lambda_value(g, tol)
+    lam = lambda_value(g)
     lhs = degree_power(g, 2) / g.n
     entry = _entry("hofmeister", lhs, lam * lam, tol)
     degs = set(g.degrees())

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .graphs import Graph
+from .subgraph import clique_number
 
 
 @dataclass(frozen=True)
@@ -17,44 +18,6 @@ class CriticalityWitness:
     edges: Tuple[Tuple[int, int], ...]
     chi_before: int
     chi_after: int
-
-
-def _greedy_clique_bound(g: Graph) -> int:
-    """Size of a greedily grown clique (lower bound on chi)."""
-    if g.n == 0:
-        return 0
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    best = 1
-    for start in order[: min(g.n, 8)]:
-        clique_mask = 1 << start
-        size = 1
-        cand = g.rows[start]
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            clique_mask |= 1 << v
-            size += 1
-            cand &= g.rows[v]
-        best = max(best, size)
-    return best
-
-
-def _dsatur_upper(g: Graph) -> int:
-    """Number of colors used by DSATUR greedy (upper bound on chi)."""
-    n = g.n
-    colors = [-1] * n
-    neigh_colors = [set() for _ in range(n)]
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] < 0),
-            key=lambda u: (len(neigh_colors[u]), g.degree(u), -u),
-        )
-        c = 0
-        while c in neigh_colors[v]:
-            c += 1
-        colors[v] = c
-        for w in g.neighbors(v):
-            neigh_colors[w].add(c)
-    return max(colors) + 1 if n else 0
 
 
 def is_k_colorable(g: Graph, k: int) -> bool:
@@ -67,7 +30,8 @@ def is_k_colorable(g: Graph, k: int) -> bool:
     colors = [-1] * n
     neigh_colors = [0] * n  # bitmask of colors used by colored neighbors
 
-    def rec(colored: int) -> bool:
+    # the colored vertices number ``colored`` and use colors 0..in_use-1
+    def rec(colored: int, in_use: int) -> bool:
         if colored == n:
             return True
         # most saturated first, ties by degree then index
@@ -82,12 +46,7 @@ def is_k_colorable(g: Graph, k: int) -> bool:
                 v = u
         used = neigh_colors[v]
         # symmetry cap: allow at most one fresh color
-        maxc = 0
-        for u in range(n):
-            if colors[u] >= 0:
-                maxc = max(maxc, colors[u] + 1)
-        limit = min(k, maxc + 1)
-        for c in range(limit):
+        for c in range(min(k, in_use + 1)):
             if (used >> c) & 1:
                 continue
             colors[v] = c
@@ -96,27 +55,25 @@ def is_k_colorable(g: Graph, k: int) -> bool:
                 if colors[w] < 0 and not (neigh_colors[w] >> c) & 1:
                     neigh_colors[w] |= 1 << c
                     touched.append(w)
-            if rec(colored + 1):
+            if rec(colored + 1, max(in_use, c + 1)):
                 return True
             colors[v] = -1
             for w in touched:
                 neigh_colors[w] &= ~(1 << c)
         return False
 
-    return rec(0)
+    return rec(0, 0)
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number by branch and bound: greedy clique lower
-    bound, DSATUR upper bound, then k-colorability tests in between."""
+    """Exact chromatic number: the first k from the clique number up for
+    which ``is_k_colorable`` succeeds."""
     if g.n == 0:
         raise ValueError("chromatic number undefined for the empty vertex set")
-    lo = _greedy_clique_bound(g)
-    hi = _dsatur_upper(g)
-    for k in range(lo, hi):
-        if is_k_colorable(g, k):
-            return k
-    return hi
+    k = clique_number(g)
+    while not is_k_colorable(g, k):
+        k += 1
+    return k
 
 
 def is_r_partite(g: Graph, r: int) -> bool:
@@ -128,22 +85,17 @@ def is_r_partite(g: Graph, r: int) -> bool:
     return is_k_colorable(g, r)
 
 
-def _delete_edges(g: Graph, edges) -> Graph:
-    rows = list(g.rows)
-    for i, j in edges:
-        rows[i] &= ~(1 << j)
-        rows[j] &= ~(1 << i)
-    return Graph(g.n, tuple(rows))
-
-
 def is_color_critical(g: Graph) -> Tuple[bool, Optional[CriticalityWitness]]:
-    """True, with a witness edge, iff some single edge deletion lowers chi."""
+    """True, with a witness edge, iff some single edge deletion lowers chi.
+    Edges are tried in ``Graph.edges`` order; the first that works is the
+    witness."""
     if g.m == 0:
         raise ValueError("color-criticality needs at least one edge")
     chi = chromatic_number(g)
-    for e in g.edges():
-        if is_k_colorable(_delete_edges(g, [e]), chi - 1):
-            w = CriticalityWitness((e,), chi, chi - 1)
-            return True, w
+    for i, j in g.edges():
+        rows = list(g.rows)
+        rows[i] &= ~(1 << j)
+        rows[j] &= ~(1 << i)
+        if is_k_colorable(Graph(g.n, tuple(rows)), chi - 1):
+            return True, CriticalityWitness(((i, j),), chi, chi - 1)
     return False, None
-

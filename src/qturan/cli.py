@@ -42,7 +42,7 @@ def load_graph(text: str) -> Graph:
 
 
 def _tol(args) -> Tolerance:
-    return Tolerance(eig_tol=args.eig_tol, cmp_tol=args.cmp_tol)
+    return Tolerance(cmp_tol=args.cmp_tol)
 
 
 def _write_json(path: Optional[str], payload: str) -> None:
@@ -54,8 +54,8 @@ def _write_json(path: Optional[str], payload: str) -> None:
 def cmd_q(args) -> int:
     tol = _tol(args)
     g = load_graph(args.input)
-    qres = q_radius(g, tol)
-    ares = adjacency_radius(g, tol)
+    qres = q_radius(g)
+    ares = adjacency_radius(g)
     prof = degree_profile(g)
     print(f"graph6     {to_graph6(g).decode()}")
     print(f"n, m       {g.n}, {prof.edge_count}")
@@ -172,10 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"qturan {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--eig-tol", type=float, default=1e-10,
-        help="widest q bracket a scan takes as q; floor of the eigensolve residual gate",
-    )
     common.add_argument("--cmp-tol", type=float, default=1e-9, help="comparison tolerance")
     common.add_argument("--json", metavar="PATH", help="write machine-readable report")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -216,10 +212,7 @@ def main(argv=None) -> int:
         args.sigma = args.eps / 40.0
     try:
         return args.fn(args)
-    except (InputError, ValueError, Graph6Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -60,13 +60,13 @@ class DescentTrace:
         return json.dumps(payload, indent=2)
 
 
-def lemma_min_check(g: Graph, tol: Tolerance = DEFAULT_TOL) -> float:
+def lemma_min_check(g: Graph) -> float:
     """Slack of the min-entry bound: delta - x^2 (q^2 - 2 q delta + n delta).
 
     Nonnegative (within cmp_tol) for every graph; x is the minimum entry of
     the computed nonnegative unit eigenvector.
     """
-    res = q_radius(g, tol)
+    res = q_radius(g)
     q = res.radius
     x = min(res.vector)
     delta = min(g.degrees())
@@ -84,7 +84,7 @@ def lemma_mind_check(
     None when the preconditions fail; report-only below the asymptotic
     regime.
     """
-    res = q_radius(g, tol)
+    res = q_radius(g)
     if res.radius < reference_q - tol.cmp_tol:
         return None
     delta = min(g.degrees())
@@ -111,8 +111,8 @@ def lemma_dv_check(
     """
     if not preconditions_hold or g.n < 2:
         return None, None
-    q_h = q_value(g, tol)
-    q_del = q_value(delete_vertex(g, u), tol)
+    q_h = q_value(g)
+    q_del = q_value(delete_vertex(g, u))
     growth = q_del >= q_h * (1 - (1 - params.epsilon / 6) / (g.n - 1)) - tol.cmp_tol
     reference = q_del > reference_q_n1 + tol.cmp_tol
     return growth, reference
@@ -144,12 +144,12 @@ def descent_run(
     g = h
     while True:
         n = g.n
-        res = q_radius(g, tol)
+        res = q_radius(g)
         x = min(res.vector)
         ties = tuple(v for v, xv in enumerate(res.vector) if xv <= x + tol.cmp_tol)
         u = ties[0]
         delta = min(g.degrees())
-        slack32 = lemma_min_check(g, tol)
+        slack32 = lemma_min_check(g)
         ref_n = turan_q(n, params.r) if n >= params.r else 0.0
 
         stop = None

@@ -31,6 +31,9 @@ from .subgraph import is_free
 
 ENUMERATION_CAP = 9
 CORPUS_DIR_ENV = "QTURAN_CORPUS_DIR"
+# the widest certified bracket lo <= q <= hi whose lo a q-scan takes as a
+# class's q; every bracket of a class of order <= 8 is under 1e-11 wide
+_BRACKET_WIDTH = 1e-10
 
 
 @dataclass
@@ -299,6 +302,10 @@ def _extremal(
     plus that slack, so it can neither win nor move the record, and the
     accumulate rule replayed in source order over the visited F-free graphs
     gives the result of a full scan.
+
+    A q-scan decides a class by the lo of its solve's bracket when the
+    bracket is at most ``_BRACKET_WIDTH`` wide, and by the radius otherwise.
+    ``tol`` gives only cmp_tol.
     """
     t0 = time.perf_counter()
     graphs = _graph_source(n, corpus)
@@ -319,9 +326,9 @@ def _extremal(
         if mode == "edges":
             value = g.m
         else:
-            res = spectral.q_radius(g, tol)  # via the module, so a traced q_radius sees it
+            res = spectral.q_radius(g)  # via the module, so a traced q_radius sees it
             lo, hi = res.bracket
-            value = lo if hi - lo <= tol.eig_tol else res.radius
+            value = lo if hi - lo <= _BRACKET_WIDTH else res.radius
         best = max(best, value)
         found.append((i, value))
     found.sort()
@@ -334,7 +341,7 @@ def _extremal(
         elif value >= best - tie_tol:
             winners.append(graphs[i])
             best = max(best, value)
-    refined = [(q_value(g, tol), g) for g in winners]
+    refined = [(q_value(g), g) for g in winners]
     max_q = max((q for q, _ in refined), default=None)
     if mode == "q":
         winners = [g for q, g in refined if q >= max_q - tol.cmp_tol]
@@ -380,11 +387,10 @@ def extremal_q(
     Classes are visited by descending rank bound (see ``_extremal``). Only a
     visited F-free class is solved: one ``q_radius`` (cached per graph, so
     the scans at one order share it) gives q and its tight bracket
-    lo(G) <= q(G) <= hi(G). The q that decides the class is lo when the
-    bracket is at most eig_tol wide, and the radius otherwise. The
-    maximizers' q, reported as ``max_q``, always comes from ``q_value``, and
-    a maximizer whose ``q_value`` lies more than cmp_tol below ``max_q`` is
-    dropped.
+    lo(G) <= q(G) <= hi(G), which decides the class (see ``_extremal``).
+    The maximizers' q, reported as ``max_q``, always comes from ``q_value``,
+    and a maximizer whose ``q_value`` lies more than cmp_tol below ``max_q``
+    is dropped.
     ``min_degree_above`` restricts the scan to delta(G) > that value.
 
     ``jobs`` is ignored: every scan runs in-process. The keyword stays only

@@ -25,19 +25,16 @@ from .graphs import Graph
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numeric tolerances: ``cmp_tol`` for classifying inequality slack, and
-    ``eig_tol`` for eigensolves.
+    """``cmp_tol``: the slack within which an inequality counts as tight and
+    two values as tied.
 
-    ``eig_tol`` is the widest certified bracket lo <= q <= hi whose lo a
-    q-scan takes as a class's q, and the floor of the residual gate
-    (max(eig_tol, 1e-7)) that every solve must pass. ``eigh`` itself does
-    not take it, so a smaller ``eig_tol`` does not make q more accurate."""
+    Eigensolves take no tolerance: every solve must pass the residual gate
+    ``_RESIDUAL_GATE``, and ``eigh`` has no accuracy setting."""
 
-    eig_tol: float = 1e-10
     cmp_tol: float = 1e-9
 
     def __post_init__(self):
-        if not all(math.isfinite(t) and t > 0 for t in (self.eig_tol, self.cmp_tol)):
+        if not (math.isfinite(self.cmp_tol) and self.cmp_tol > 0):
             raise ValueError("tolerances must be finite and strictly positive")
 
 
@@ -65,6 +62,10 @@ class SpectralResult:
 
 class SpectralError(RuntimeError):
     pass
+
+
+# the largest eigenequation defect max |Mx - lam x| a solve may leave
+_RESIDUAL_GATE = 1e-7
 
 
 def _dense_largest(mat: np.ndarray) -> Tuple[float, np.ndarray, Tuple[float, float]]:
@@ -116,7 +117,7 @@ def _residual(mat: np.ndarray, lam: float, x: np.ndarray) -> float:
     return float(np.max(np.abs(mat @ x - lam * x)))
 
 
-def _solve_radius(g: Graph, mode: str, eig_tol: float) -> SpectralResult:
+def _solve_radius(g: Graph, mode: str) -> SpectralResult:
     """The top eigenpair of the component with the largest radius, and a
     rigorous bracket lo <= radius <= hi from the same ``eigh``.
 
@@ -139,7 +140,7 @@ def _solve_radius(g: Graph, mode: str, eig_tol: float) -> SpectralResult:
             mat = _component_matrix(g, comp, mode)
             lam, x, (c_hi, c_lo) = _dense_largest(mat)
             res = _residual(mat, lam, x)
-            if res > max(eig_tol, 1e-7):
+            if res > _RESIDUAL_GATE:
                 raise SpectralError(
                     f"eigensolve failed: residual {res:.3e} on component of order {k}"
                 )
@@ -157,28 +158,30 @@ def _solve_radius(g: Graph, mode: str, eig_tol: float) -> SpectralResult:
 
 
 @lru_cache(maxsize=1 << 18)
-def _solve_cached(g: Graph, mode: str, eig_tol: float) -> SpectralResult:
-    return _solve_radius(g, mode, eig_tol)
+def _solve_cached(g: Graph, mode: str) -> SpectralResult:
+    return _solve_radius(g, mode)
 
 
 def q_radius(g: Graph, tol: Optional[Tolerance] = None) -> SpectralResult:
-    """Largest eigenvalue of Q(G) = D(G) + A(G) with its Perron vector."""
-    tol = tol or DEFAULT_TOL
-    return _solve_cached(g, "q", tol.eig_tol)
+    """Largest eigenvalue of Q(G) = D(G) + A(G) with its Perron vector.
+
+    ``tol`` is ignored: the solve takes no tolerance. The parameter stays
+    only because the benchmark harness (``perfbench/tracing.py``) still
+    calls ``q_radius(g, tol)``; drop it once the harness stops passing it."""
+    return _solve_cached(g, "q")
 
 
-def adjacency_radius(g: Graph, tol: Optional[Tolerance] = None) -> SpectralResult:
+def adjacency_radius(g: Graph) -> SpectralResult:
     """Largest adjacency eigenvalue with a nonnegative unit eigenvector."""
-    tol = tol or DEFAULT_TOL
-    return _solve_cached(g, "a", tol.eig_tol)
+    return _solve_cached(g, "a")
 
 
-def q_value(g: Graph, tol: Optional[Tolerance] = None) -> float:
-    return q_radius(g, tol).radius
+def q_value(g: Graph) -> float:
+    return q_radius(g).radius
 
 
-def lambda_value(g: Graph, tol: Optional[Tolerance] = None) -> float:
-    return adjacency_radius(g, tol).radius
+def lambda_value(g: Graph) -> float:
+    return adjacency_radius(g).radius
 
 
 # -- exact Turán radius --------------------------------------------------------

@@ -231,7 +231,7 @@ def suite_lemma_min(
         graphs.append(sample_gnp(n, p, rng))
     res = VerifyResult("lemma-min", len(graphs))
     for g in graphs:
-        slack = lemma_min_check(g, tol)
+        slack = lemma_min_check(g)
         if slack < -tol.cmp_tol:
             res.violations.append(f"{to_graph6(g).decode()}: lemma-min slack={slack:.3e}")
     return res
@@ -312,7 +312,8 @@ _COMMON_KEYWORDS = ("n_max", "r", "tol", "collect_reports")
 
 def run_suite(name: str, **kwargs) -> VerifyResult:
     """Run a suite with the common keywords it takes (the others are dropped)
-    and its own; any other keyword raises TypeError."""
+    and its own; any other keyword raises TypeError. A run that checked
+    nothing raises ValueError, so it never reads as a pass."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; valid: {', '.join(sorted(SUITES))}")
     suite = SUITES[name]
@@ -320,4 +321,8 @@ def run_suite(name: str, **kwargs) -> VerifyResult:
     unknown = sorted(k for k in kwargs if k not in params and k not in _COMMON_KEYWORDS)
     if unknown:
         raise TypeError(f"suite {name!r} got unexpected keyword(s): {', '.join(unknown)}")
-    return suite(**{k: v for k, v in kwargs.items() if k in params})
+    res = suite(**{k: v for k, v in kwargs.items() if k in params})
+    if res.checked == 0:
+        where = f" at n_max={kwargs.get('n_max', params['n_max'].default)}" if "n_max" in params else ""
+        raise ValueError(f"suite {name!r} checked nothing{where}")
+    return res

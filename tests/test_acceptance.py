@@ -118,7 +118,7 @@ def test_criterion_09_lemma_min_entry():
 
 def test_criterion_10_fact21_margin():
     with criterion(10, "(n/4) q(T_{n,r}) < e(T_{n,r}) + 1 strictly, 3 <= n <= 300, 2 <= r <= min(n, 12)"):
-        tol = Tolerance(eig_tol=1e-10, cmp_tol=1e-9)
+        tol = Tolerance(cmp_tol=1e-9)
         checked = 0
         min_slack = None
         for n in range(3, 301):

@@ -1,5 +1,7 @@
 """Chromatic module: exact chi vs brute force, r-partiteness, criticality."""
 
+from collections import Counter
+
 import pytest
 
 from conftest import all_labeled_graphs, brute_chromatic
@@ -9,7 +11,8 @@ from qturan.chromatic import (
     is_color_critical,
     is_r_partite,
 )
-from qturan.graphs import join
+from qturan.graphs import Graph, join
+from qturan.search import enumerate_graphs
 
 
 def test_chi_matches_bruteforce_exhaustively():
@@ -82,6 +85,39 @@ def test_color_critical_witness():
     assert w.edges == ((0, 1),)  # the embedded edge
     with pytest.raises(ValueError):
         is_color_critical(F.empty(3))
+
+
+def _without_edge(g, i, j):
+    rows = list(g.rows)
+    rows[i] &= ~(1 << j)
+    rows[j] &= ~(1 << i)
+    return Graph(g.n, tuple(rows))
+
+
+def test_color_critical_matches_bruteforce_and_pins_the_small_f():
+    """On every class of order <= 6 with an edge, ``is_color_critical``
+    agrees with brute-force chi of each single-edge deletion, and its
+    witness is the first such edge in ``Graph.edges`` order. Among the
+    connected classes (the candidate F of the Q-Simonovits map) 36 are
+    color-critical with chi >= 4, 30 of them with chi 4, 5 with chi 5 and
+    1 with chi 6, and 46 with chi 3."""
+    critical = Counter()
+    for n in range(2, 7):
+        for g in enumerate_graphs(n):
+            if not g.m:
+                continue
+            chi = brute_chromatic(g)
+            drops = [e for e in g.edges() if brute_chromatic(_without_edge(g, *e)) < chi]
+            ok, w = is_color_critical(g)
+            assert ok == bool(drops), g
+            if ok:
+                assert (w.edges, w.chi_before, w.chi_after) == ((drops[0],), chi, chi - 1), g
+                if len(g.components()) == 1:
+                    critical[chi] += 1
+            else:
+                assert w is None, g
+    assert (critical[3], critical[4], critical[5], critical[6]) == (46, 30, 5, 1)
+    assert sum(k for chi, k in critical.items() if chi >= 4) == 36
 
 
 def test_family_chromatic_claims_up_to_order_10():

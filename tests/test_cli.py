@@ -60,7 +60,7 @@ def test_unknown_family_kind_lists_the_valid_kinds(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["q", "turan:7,3", "--eig-tol", "inf"],
+        ["q", "turan:7,3", "--cmp-tol", "inf"],
         ["verify", "chain", "--n-max", "4", "--cmp-tol", "inf"],
         ["verify", "chain", "--n-max", "4", "--cmp-tol", "nan"],
     ],
@@ -137,7 +137,7 @@ def _recording_stub(name, calls):
         bound = sig.bind(**kwargs)
         bound.apply_defaults()
         calls.append((kwargs, bound.arguments))
-        return V.VerifyResult(name, 0)
+        return V.VerifyResult(name, 1)  # one check, since a run of none is refused
 
     stub.__signature__ = sig
     return stub
@@ -156,7 +156,7 @@ def test_verify_default_order_is_the_suite_signature_default(capsys, monkeypatch
             assert ran["n_max"] == params["n_max"].default, name
             assert main(["verify", name, "--n-max", "5"]) == 0
             assert calls.pop()[1]["n_max"] == 5, name
-    assert "[q-turan] checked 0" in capsys.readouterr().out
+    assert "[q-turan] checked 1" in capsys.readouterr().out
 
 
 def test_verify_csv(capsys, tmp_path):
@@ -175,8 +175,8 @@ def test_verify_csv(capsys, tmp_path):
 
 
 def test_verify_refuses_flags_it_would_ignore(capsys, tmp_path):
-    # r < 2, r >= n_max and an n_max that leaves nothing to scan are refused,
-    # as is an --n-max, --r or --csv the suite's signature lacks
+    # r < 2, r >= n_max and an n_max that leaves nothing to scan or check
+    # are refused, as is an --n-max, --r or --csv the suite's signature lacks
     csv = tmp_path / "x.csv"
     for argv, names in [
         (["verify", "turan", "--r", "0"], ["'turan'", "r=0"]),
@@ -188,6 +188,12 @@ def test_verify_refuses_flags_it_would_ignore(capsys, tmp_path):
         (["verify", "turan", "--n-max", "2"], ["'turan'", "n_max=2"]),
         (["verify", "turan", "--r", "2", "--n-max", "2"], ["'turan'", "n_max=2"]),
         (["verify", "density", "--n-max", "2"], ["'density'", "n_max >= 3", "n_max=2"]),
+        (["verify", "chain", "--n-max", "0"], ["'chain'", "checked nothing", "n_max=0"]),
+        (["verify", "hofmeister", "--n-max", "0"], ["'hofmeister'", "n_max=0"]),
+        (["verify", "stability", "--n-max", "0"], ["'stability'", "n_max=0"]),
+        (["verify", "degree-power", "--n-max", "0"], ["'degree-power'", "n_max=0"]),
+        (["verify", "merris", "--n-max", "1"], ["'merris'", "checked nothing", "n_max=1"]),
+        (["verify", "lower-degree", "--n-max", "1"], ["'lower-degree'", "n_max=1"]),
         (["verify", "stability", "--r", "3", "--csv", str(csv)], ["'stability'", "--r", "--csv"]),
         (["verify", "facts", "--n-max", "3"], ["'facts'", "--n-max"]),
     ]:
@@ -197,6 +203,20 @@ def test_verify_refuses_flags_it_would_ignore(capsys, tmp_path):
     assert not csv.exists()
     assert main(["verify", "q-turan", "--n-max", "5", "--r", "3"]) == 0
     assert "[q-turan] checked 2: ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "5", "--forbid", "clique:3", "--corpus", "{dir}"],
+        ["q", "clique:3", "--json", "{dir}"],
+    ],
+)
+def test_unreadable_or_unwritable_path_exits_2(capsys, tmp_path, argv):
+    # a directory where a file is expected raises IsADirectoryError, an
+    # OSError; exit 1 would claim a proven inequality failed
+    assert main([a.format(dir=tmp_path) for a in argv]) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("s, t, max_q, maximizers", [

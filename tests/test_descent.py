@@ -134,7 +134,7 @@ def test_lemma_dv_caller_gates():
 def _explicit_preconditions(g, ref_n, params, tol=DEFAULT_TOL):
     """The deletion lemma's preconditions written out: q(H) at or above the
     reference and x^2 < (1 - eps)/n."""
-    res = q_radius(g, tol)
+    res = q_radius(g)
     x = min(res.vector)
     return res.radius >= ref_n - tol.cmp_tol and x * x < (1 - params.epsilon) / g.n
 

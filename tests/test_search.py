@@ -238,7 +238,7 @@ def _without_elapsed(rep):
 # -- ranked scans against the unranked loop ----------------------------------------
 
 
-def _unranked_edges(n, f, corpus=None, tol=DEFAULT_TOL):
+def _unranked_edges(n, f, corpus=None):
     """extremal_edges as a plain loop: containment on every graph of the
     source, in source order."""
     graphs = _source(n, corpus)
@@ -255,7 +255,7 @@ def _unranked_edges(n, f, corpus=None, tol=DEFAULT_TOL):
         forbidden=to_graph6(f).decode("ascii"),
         mode="edges",
         ex_edges=best if best >= 0 else None,
-        max_q=max((q_value(g, tol) for g in winners), default=None),
+        max_q=max((q_value(g) for g in winners), default=None),
         extremal_graphs=[to_graph6(g).decode("ascii") for g in winners],
         scanned=len(graphs),
         elapsed=0.0,
@@ -273,14 +273,14 @@ def _unranked_q(n, f, corpus=None, tol=DEFAULT_TOL, min_degree_above=None):
             continue
         if not is_free(g, f):
             continue
-        q = q_value(g, tol)
+        q = q_value(g)
         if q > best + tol.cmp_tol:
             best, winners = q, [g]
         elif q >= best - tol.cmp_tol:
             winners.append(g)
             best = max(best, q)
     if winners:
-        refined = [(q_value(g, tol), g) for g in winners]
+        refined = [(q_value(g), g) for g in winners]
         best = max(q for q, _ in refined)
         winners = [g for q, g in refined if q >= best - tol.cmp_tol]
     return SearchReport(
@@ -328,16 +328,16 @@ def test_ranked_scans_match_unranked_loop():
 
 def test_narrow_brackets_replace_the_default_tolerance_solves(monkeypatch):
     """Every class that ``suite_q_turan(n_max=7)`` visits has a bracket
-    narrower than eig_tol, so its lo decides the class. Each of the 21
-    visited classes costs one solve at the given eig_tol and one ``eigh``
-    call, which also give the maximizers' ``max_q``."""
+    at most ``_BRACKET_WIDTH`` wide, so its lo decides the class. Each of
+    the 21 visited classes costs one solve and one ``eigh`` call, which also
+    give the maximizers' ``max_q``."""
     solves, eighs = [], []
     inner = spectral._solve_radius
     inner_eigh = np.linalg.eigh
 
-    def counted(g, mode, eig_tol):
-        res = inner(g, mode, eig_tol)
-        solves.append((eig_tol, res.bracket))
+    def counted(g, mode):
+        res = inner(g, mode)
+        solves.append(res.bracket)
         return res
 
     def counted_eigh(a, *args, **kwargs):
@@ -349,7 +349,7 @@ def test_narrow_brackets_replace_the_default_tolerance_solves(monkeypatch):
     spectral._solve_cached.cache_clear()
     assert V.suite_q_turan(n_max=7).ok
     assert len(solves) == len(eighs) == 21
-    assert all(t == DEFAULT_TOL.eig_tol and hi - lo <= t for t, (lo, hi) in solves)
+    assert all(hi - lo <= S._BRACKET_WIDTH for lo, hi in solves)
 
 
 @pytest.fixture
@@ -362,15 +362,15 @@ def fresh_brackets():
 
 
 def test_wide_brackets_defer_to_q_value(monkeypatch, fresh_brackets):
-    """A bracket wider than eig_tol never decides a class: with the lower
-    end of every bracket a scan takes lowered by a seeded amount up to 1e-6
-    (still rigorous, the order untouched), the scans still match the
-    unranked loop."""
+    """A bracket wider than ``_BRACKET_WIDTH`` never decides a class: with
+    the lower end of every bracket a scan takes lowered by a seeded amount
+    up to 1e-6 (still rigorous, the order untouched), the scans still match
+    the unranked loop."""
     rng = np.random.default_rng(5)
     inner = spectral._solve_radius
 
-    def widened(g, mode, eig_tol):
-        res = inner(g, mode, eig_tol)
+    def widened(g, mode):
+        res = inner(g, mode)
         lo, hi = res.bracket
         return dataclasses.replace(res, bracket=(lo - rng.uniform(0.0, 1e-6), hi))
 
@@ -391,9 +391,9 @@ def test_scans_bracket_only_the_classes_they_decide(monkeypatch, fresh_brackets)
     solved = []
     inner_solve = spectral._solve_radius
 
-    def counted(g, mode, eig_tol):
+    def counted(g, mode):
         solved.append(g)
-        return inner_solve(g, mode, eig_tol)
+        return inner_solve(g, mode)
 
     decided = []
     inner_free = S.is_free
