@@ -11,7 +11,6 @@ recorded but a violation at small order is not an implementation bug.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
@@ -70,19 +69,6 @@ class BoundReport:
 
     graph_id: str
     entries: List[BoundEntry] = field(default_factory=list)
-
-    def extend(self, entries) -> None:
-        # an entry is itself iterable, so this test must come first
-        if isinstance(entries, BoundEntry):
-            self.entries.append(entries)
-        else:
-            self.entries.extend(entries)
-
-    def hard_violations(self) -> List[BoundEntry]:
-        return [e for e in self.entries if not e.report_only and not e.holds]
-
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(e.as_record(self.graph_id)) for e in self.entries)
 
 
 CSV_COLUMNS = ["graph6", "bound_name", "lhs", "rhs", "slack", "holds", "equality"]

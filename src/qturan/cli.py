@@ -21,7 +21,7 @@ from .descent import descent_run
 from .families import is_family_spec, parse_family_spec
 from .graphs import Graph, Graph6Error, degree_profile, parse_graph6, to_graph6
 from .search import ENUMERATION_CAP, extremal_edges, extremal_q
-from .spectral import Tolerance, adjacency_radius, q_radius
+from .spectral import DEFAULT_TOL, Tolerance, adjacency_radius, q_radius
 
 
 class InputError(ValueError):
@@ -42,7 +42,7 @@ def load_graph(text: str) -> Graph:
 
 
 def _tol(args) -> Tolerance:
-    return Tolerance(cmp_tol=args.cmp_tol)
+    return DEFAULT_TOL if args.cmp_tol is None else Tolerance(cmp_tol=args.cmp_tol)
 
 
 def _write_json(path: Optional[str], payload: str) -> None:
@@ -89,6 +89,7 @@ def cmd_verify(args) -> int:
             ("--n-max", "n_max", args.n_max is not None),
             ("--r", "r", args.r is not None),
             ("--csv", "collect_reports", bool(args.csv)),
+            ("--cmp-tol", "tol", args.cmp_tol is not None),
         )
         if given and name not in params
     ]
@@ -145,7 +146,7 @@ def cmd_search(args) -> int:
 
 def cmd_descent(args) -> int:
     tol = _tol(args)
-    params = B.CriterionParams(epsilon=args.eps, sigma=args.sigma, r=args.r)
+    params = B.CriterionParams.default(r=args.r, epsilon=args.eps)
     g = load_graph(args.input)
     trace = descent_run(
         g, params, floor=args.floor, keep_graphs=args.keep_graphs, tol=tol
@@ -172,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"qturan {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cmp-tol", type=float, default=1e-9, help="comparison tolerance")
+    common.add_argument("--cmp-tol", type=float, default=None, help="comparison tolerance (default 1e-9)")
     common.add_argument("--json", metavar="PATH", help="write machine-readable report")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -197,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("descent", parents=[common], help="min-Perron-entry deletion trace")
     p.add_argument("input", help="graph6 line or family spec")
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--sigma", type=float, default=None, help="default eps/40")
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--floor", type=int, default=1)
     p.add_argument("--keep-graphs", action="store_true", help="embed graph6 per step")
@@ -208,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "sigma", None) is None and hasattr(args, "eps"):
-        args.sigma = args.eps / 40.0
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -19,7 +19,6 @@ from .spectral import DEFAULT_TOL, Tolerance, q_radius, q_value, turan_q
 
 STOP_MIN_DEGREE = "min_degree_exceeded"
 STOP_FLOOR = "order_floor"
-STOP_Q_DROP = "q_dropped_below_reference"
 
 
 @dataclass(frozen=True)
@@ -123,16 +122,13 @@ def descent_run(
     params: CriterionParams,
     floor: int = 1,
     keep_graphs: bool = False,
-    stop_below_reference: bool = False,
     tol: Tolerance = DEFAULT_TOL,
 ) -> DescentTrace:
     """Run the deletion process from ``h`` down to ``floor``.
 
     At each order: compute the Perron pair of Q; stop when the minimum
     degree exceeds (pi - eps) n (the proof's exit); otherwise delete the
-    lowest-index vertex attaining the minimum Perron entry. With
-    ``stop_below_reference`` the run also stops once q falls below
-    q(T_{n,r}), which the proof's sequence never does.
+    lowest-index vertex attaining the minimum Perron entry.
 
     The reference q(T_{n,r}) stands in for the max radius over the
     min-degree family when a color-critical F with chi = r + 1 is
@@ -155,8 +151,6 @@ def descent_run(
         stop = None
         if delta > (params.pi - params.epsilon) * n:
             stop = STOP_MIN_DEGREE
-        elif stop_below_reference and res.radius < ref_n - tol.cmp_tol:
-            stop = STOP_Q_DROP
         elif n <= floor:
             stop = STOP_FLOOR
 

@@ -31,9 +31,6 @@ from .subgraph import is_free
 
 ENUMERATION_CAP = 9
 CORPUS_DIR_ENV = "QTURAN_CORPUS_DIR"
-# the widest certified bracket lo <= q <= hi whose lo a q-scan takes as a
-# class's q; every bracket of a class of order <= 8 is under 1e-11 wide
-_BRACKET_WIDTH = 1e-10
 
 
 @dataclass
@@ -292,20 +289,20 @@ def _extremal(
     """The maximizer scan behind ``extremal_edges`` (``mode == "edges"``)
     and ``extremal_q`` (``"q"``).
 
-    Graphs are visited by descending key, an upper bound on the value that
-    decides them: the edge count itself, or the rank bound hi(G) >= q(G)
-    (``spectral.q_rank_bounds``, no eigensolve). Containment runs only while
-    key >= best - tie_tol - 1e-9 * max(1, best), where best is the largest
-    value of the F-free graphs seen so far and tie_tol is cmp_tol for q and
-    0 for edge counts (for which the test is exactly m >= best). Every graph
-    past that point has a value below the final maximum by more than tie_tol
-    plus that slack, so it can neither win nor move the record, and the
-    accumulate rule replayed in source order over the visited F-free graphs
-    gives the result of a full scan.
+    Each F-free class the scan visits gives a floor and a value: its edge
+    count for both, or the lo of its ``q_radius`` bracket (lo <= q however
+    wide the bracket) and that solve's radius, the number ``q_value``
+    returns. Graphs are visited by descending key, an upper bound on the
+    value: the edge count itself, or the rank bound hi(G) >= q(G)
+    (``spectral.q_rank_bounds``, no eigensolve). The scan stops at the first
+    key below best - tie_tol - 1e-9 * max(1, best), where best is the
+    largest floor seen so far and tie_tol is cmp_tol for q and 0 for edge
+    counts (for which the test is exactly m >= best). Every graph past that
+    point has a value below the final maximum by more than tie_tol.
 
-    A q-scan decides a class by the lo of its solve's bracket when the
-    bracket is at most ``_BRACKET_WIDTH`` wide, and by the radius otherwise.
-    ``tol`` gives only cmp_tol.
+    The maximizers are the visited F-free classes whose value is within
+    tie_tol of the largest value, in source order; ``max_q`` is the largest
+    ``q_value`` among them. ``tol`` gives only cmp_tol.
     """
     t0 = time.perf_counter()
     graphs = _graph_source(n, corpus)
@@ -324,33 +321,20 @@ def _extremal(
         if not is_free(g, f):
             continue
         if mode == "edges":
-            value = g.m
+            floor = value = g.m
         else:
             res = spectral.q_radius(g)  # via the module, so a traced q_radius sees it
-            lo, hi = res.bracket
-            value = lo if hi - lo <= _BRACKET_WIDTH else res.radius
-        best = max(best, value)
+            floor, value = res.bracket[0], res.radius
+        best = max(best, floor)
         found.append((i, value))
-    found.sort()
-    best = float("-inf")
-    winners: List[Graph] = []
-    for i, value in found:
-        if value > best + tie_tol:
-            best = value
-            winners = [graphs[i]]
-        elif value >= best - tie_tol:
-            winners.append(graphs[i])
-            best = max(best, value)
-    refined = [(q_value(g), g) for g in winners]
-    max_q = max((q for q, _ in refined), default=None)
-    if mode == "q":
-        winners = [g for q, g in refined if q >= max_q - tol.cmp_tol]
+    top = max((value for _, value in found), default=None)
+    winners = [graphs[i] for i in sorted(i for i, value in found if value >= top - tie_tol)]
     return SearchReport(
         n=n,
         forbidden=to_graph6(f).decode("ascii"),
         mode=mode,
         ex_edges=max((g.m for g in winners), default=None),
-        max_q=max_q,
+        max_q=max((q_value(g) for g in winners), default=None),
         extremal_graphs=[to_graph6(g).decode("ascii") for g in winners],
         scanned=len(graphs),
         elapsed=time.perf_counter() - t0,
@@ -381,16 +365,15 @@ def extremal_q(
     min_degree_above: Optional[float] = None,
     jobs: int = 1,
 ) -> SearchReport:
-    """Max q(G) over F-free classes with all maximizers at cmp_tol; the tied
-    set is then re-ranked by ``q_value``, which sets ``max_q``.
+    """Max q(G) over F-free classes: the maximizers are the F-free classes
+    whose ``q_value`` is within cmp_tol of the largest, in source order, and
+    ``max_q`` is that largest ``q_value``.
 
     Classes are visited by descending rank bound (see ``_extremal``). Only a
     visited F-free class is solved: one ``q_radius`` (cached per graph, so
-    the scans at one order share it) gives q and its tight bracket
-    lo(G) <= q(G) <= hi(G), which decides the class (see ``_extremal``).
-    The maximizers' q, reported as ``max_q``, always comes from ``q_value``,
-    and a maximizer whose ``q_value`` lies more than cmp_tol below ``max_q``
-    is dropped.
+    the scans at one order share it) gives its q, which judges ties, and the
+    lo of its bracket lo(G) <= q(G) <= hi(G), which only moves the record
+    that stops the scan.
     ``min_degree_above`` restricts the scan to delta(G) > that value.
 
     ``jobs`` is ignored: every scan runs in-process. The keyword stays only

@@ -4,9 +4,9 @@ vectors, Rayleigh quotients, eigenequation residuals, degree powers.
 Every radius comes from one route: numpy's dense symmetric eigensolver
 (``eigh``, LAPACK) on each component of order >= 2, whose result a residual
 gate judges. The same solve certifies a bracket lo <= radius <= hi from its
-eigenvector, which the q-scans decide classes by. Its O(k^3) time and
-O(k^2) memory per order-k component suit the desk-scale inputs (classes of
-order <= 9, family specs of order <= 1,024); a dense G(5000, 1/2) takes
+eigenvector, whose lo sets the record that stops a q-scan. Its O(k^3) time
+and O(k^2) memory per order-k component suit the desk-scale inputs (classes
+of order <= 9, family specs of order <= 1,024); a dense G(5000, 1/2) takes
 about 13 s and 1 GiB. The Turán graphs T_{n,r} need no eigensolve:
 ``turan_q`` gives their q exactly, in integer arithmetic.
 """

@@ -2,7 +2,6 @@
 and the verify sweeps that fill the ledger."""
 
 import io
-import json
 import math
 
 import pytest
@@ -205,22 +204,16 @@ def test_fact2_property(x):
 
 
 def test_report_serialization_schema():
-    rep = B.BoundReport("Bw")
-    rep.extend(B.check_bound_chain(F.complete(3)))
-    rep.extend(B.check_qn_estimate(4.0, B.CriterionParams.default(2), 3))
-    lines = rep.to_jsonl().splitlines()
-    assert len(lines) == 4
-    for line in lines:
-        rec = json.loads(line)
-        for key in ("graph6", "bound_name", "lhs", "rhs", "slack", "holds", "equality"):
-            assert key in rec
-    assert json.loads(lines[-1])["reportOnly"] is True
+    entries = B.check_bound_chain(F.complete(3)) + [
+        B.check_qn_estimate(4.0, B.CriterionParams.default(2), 3)
+    ]
+    rep = B.BoundReport("Bw", entries)
     buf = io.StringIO()
     B.write_reports_csv([rep], buf)
     rows = buf.getvalue().splitlines()
     assert rows[0] == "graph6,bound_name,lhs,rhs,slack,holds,equality"
     assert len(rows) == 5
-    assert not rep.hard_violations()
+    assert all(e.holds for e in entries if not e.report_only)
 
 
 def test_bound_entry_is_an_immutable_hashable_record():
@@ -252,17 +245,6 @@ def test_bound_entry_is_an_immutable_hashable_record():
     bare = B.BoundEntry("x", 1.0, None, None, True, False)
     assert (bare.report_only, bare.note) == (False, "")
     assert list(bare.as_record("A_")) == ["graph6", "bound_name", "lhs", "rhs", "slack", "holds", "equality"]
-
-
-def test_bound_report_extend_takes_an_entry_or_a_list():
-    rep = B.BoundReport("Bw")
-    one = B.check_merris(F.complete(3))
-    rep.extend(one)
-    assert rep.entries == [one]
-    chain = B.check_bound_chain(F.complete(3))
-    rep.extend(chain)
-    assert rep.entries == [one] + chain
-    assert all(isinstance(e, B.BoundEntry) for e in rep.entries)
 
 
 # -- the bound sweeps of qturan.verify ------------------------------------------

@@ -115,10 +115,10 @@ def test_descent_command(capsys, tmp_path):
     assert "stop=order_floor" in out
 
 
-def test_descent_sigma_constraint(capsys):
-    rc = main(["descent", "turan:12,3", "--eps", "0.1", "--sigma", "0.01"])
+def test_descent_refuses_eps_outside_the_criterion_range(capsys):
+    rc = main(["descent", "turan:12,3", "--eps", "0.6"])
     assert rc == 2
-    assert "sigma < epsilon/36" in capsys.readouterr().err
+    assert "epsilon must be in (0, 1/2)" in capsys.readouterr().err
 
 
 def test_verify_command(capsys):
@@ -176,7 +176,8 @@ def test_verify_csv(capsys, tmp_path):
 
 def test_verify_refuses_flags_it_would_ignore(capsys, tmp_path):
     # r < 2, r >= n_max and an n_max that leaves nothing to scan or check
-    # are refused, as is an --n-max, --r or --csv the suite's signature lacks
+    # are refused, as is an --n-max, --r, --csv or --cmp-tol the suite's
+    # signature lacks
     csv = tmp_path / "x.csv"
     for argv, names in [
         (["verify", "turan", "--r", "0"], ["'turan'", "r=0"]),
@@ -196,6 +197,11 @@ def test_verify_refuses_flags_it_would_ignore(capsys, tmp_path):
         (["verify", "lower-degree", "--n-max", "1"], ["'lower-degree'", "n_max=1"]),
         (["verify", "stability", "--r", "3", "--csv", str(csv)], ["'stability'", "--r", "--csv"]),
         (["verify", "facts", "--n-max", "3"], ["'facts'", "--n-max"]),
+        (["verify", "turan", "--n-max", "5", "--cmp-tol", "0.5"], ["'turan'", "--cmp-tol"]),
+        (["verify", "stability", "--n-max", "4", "--cmp-tol", "7"], ["'stability'", "--cmp-tol"]),
+        (["verify", "facts", "--cmp-tol", "1e-9"], ["'facts'", "--cmp-tol"]),
+        (["verify", "graph6", "--cmp-tol", "0.5"], ["'graph6'", "--cmp-tol"]),
+        (["verify", "density", "--cmp-tol", "0.5"], ["'density'", "--cmp-tol"]),
     ]:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

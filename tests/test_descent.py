@@ -10,7 +10,6 @@ from qturan.bounds import CriterionParams
 from qturan.descent import (
     STOP_FLOOR,
     STOP_MIN_DEGREE,
-    STOP_Q_DROP,
     descent_run,
     lemma_dv_check,
     lemma_min_check,
@@ -52,14 +51,6 @@ def test_star_runs_to_floor_with_leaf_ties():
     assert first.min_entry_ties == tuple(range(1, 10))
     qs = [s.q for s in tr.steps]
     assert all(qs[i + 1] <= qs[i] + 1e-9 for i in range(len(qs) - 1))
-
-
-def test_stop_below_reference_is_opt_in():
-    # a star is far below q(T_{n,3}); only the flag makes that a stop
-    tr = descent_run(F.star(10), _params(), floor=1, stop_below_reference=True)
-    assert tr.stop_reason == STOP_Q_DROP and len(tr.steps) == 1
-    tr = descent_run(F.star(10), _params(), floor=1)
-    assert tr.stop_reason == STOP_FLOOR
 
 
 def test_trace_rederivable_from_kept_graphs():

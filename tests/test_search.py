@@ -315,22 +315,29 @@ _SCAN_TARGETS = [
 
 
 def test_ranked_scans_match_unranked_loop():
+    # cmp_tol 0.5 and 2.0 open tie windows far wider than any bracket, so
+    # that many scans there keep several maximizers
+    wide = (Tolerance(cmp_tol=0.5), Tolerance(cmp_tol=2.0))
+    tied = 0
     for n in range(1, 8):
         for f in _SCAN_TARGETS:
             tag = (n, to_graph6(f))
             assert _without_elapsed(extremal_edges(n, f)) == _without_elapsed(_unranked_edges(n, f)), tag
-            for above in (None, 0, 0.45 * n):
-                got = extremal_q(n, f, min_degree_above=above)
-                assert _without_elapsed(got) == _without_elapsed(
-                    _unranked_q(n, f, min_degree_above=above)
-                ), (tag, above)
+            for tol in (DEFAULT_TOL,) + wide:
+                for above in (None, 0, 0.45 * n):
+                    got = extremal_q(n, f, tol=tol, min_degree_above=above)
+                    assert _without_elapsed(got) == _without_elapsed(
+                        _unranked_q(n, f, tol=tol, min_degree_above=above)
+                    ), (tag, tol.cmp_tol, above)
+                    tied += tol in wide and len(got.extremal_graphs) > 1
+    assert tied == 179
 
 
 def test_narrow_brackets_replace_the_default_tolerance_solves(monkeypatch):
     """Every class that ``suite_q_turan(n_max=7)`` visits has a bracket
-    at most ``_BRACKET_WIDTH`` wide, so its lo decides the class. Each of
-    the 21 visited classes costs one solve and one ``eigh`` call, which also
-    give the maximizers' ``max_q``."""
+    at most 1e-10 wide, so its lo is a tight record for the stop rule. Each
+    of the 21 visited classes costs one solve and one ``eigh`` call, which
+    also give the maximizers' ``max_q``."""
     solves, eighs = [], []
     inner = spectral._solve_radius
     inner_eigh = np.linalg.eigh
@@ -349,7 +356,7 @@ def test_narrow_brackets_replace_the_default_tolerance_solves(monkeypatch):
     spectral._solve_cached.cache_clear()
     assert V.suite_q_turan(n_max=7).ok
     assert len(solves) == len(eighs) == 21
-    assert all(hi - lo <= S._BRACKET_WIDTH for lo, hi in solves)
+    assert all(hi - lo <= 1e-10 for lo, hi in solves)
 
 
 @pytest.fixture
@@ -362,10 +369,10 @@ def fresh_brackets():
 
 
 def test_wide_brackets_defer_to_q_value(monkeypatch, fresh_brackets):
-    """A bracket wider than ``_BRACKET_WIDTH`` never decides a class: with
-    the lower end of every bracket a scan takes lowered by a seeded amount
-    up to 1e-6 (still rigorous, the order untouched), the scans still match
-    the unranked loop."""
+    """A wide bracket only weakens the stop rule and never decides a class:
+    with the lower end of every bracket a scan takes lowered by a seeded
+    amount up to 1e-6 (still rigorous, the order untouched), the scans still
+    match the unranked loop."""
     rng = np.random.default_rng(5)
     inner = spectral._solve_radius
 
