@@ -12,7 +12,7 @@ import argparse
 import inspect
 import json
 import sys
-from typing import Optional
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from . import __version__
 from . import bounds as B
@@ -41,8 +41,26 @@ def load_graph(text: str) -> Graph:
         raise InputError(f"not a family spec or graph6 line: {text!r} ({exc})") from None
 
 
-def _tol(args) -> Tolerance:
-    return DEFAULT_TOL if args.cmp_tol is None else Tolerance(cmp_tol=args.cmp_tol)
+def _tol(args) -> Optional[Tolerance]:
+    """The ``--cmp-tol`` tolerance, or None when the flag was not given."""
+    return None if args.cmp_tol is None else Tolerance(cmp_tol=args.cmp_tol)
+
+
+def _keywords(
+    what: str, fn: Callable, given: Iterable[Tuple[str, str, object]]
+) -> Dict[str, object]:
+    """The keyword arguments of ``fn`` for the options the user gave.
+
+    ``given`` holds (flag, keyword, value) triples, value None for an
+    option left out: it is not passed, so ``fn`` runs at its own default. A
+    given flag whose keyword ``fn``'s signature lacks is refused, so no
+    option is ever ignored."""
+    params = inspect.signature(fn).parameters
+    taken = [(flag, name, value) for flag, name, value in given if value is not None]
+    unused = [flag for flag, name, _ in taken if name not in params]
+    if unused:
+        raise InputError(f"{what} does not take {', '.join(unused)}")
+    return {name: value for _, name, value in taken}
 
 
 def _write_json(path: Optional[str], payload: str) -> None:
@@ -52,7 +70,7 @@ def _write_json(path: Optional[str], payload: str) -> None:
 
 
 def cmd_q(args) -> int:
-    tol = _tol(args)
+    tol = _tol(args) or DEFAULT_TOL
     g = load_graph(args.input)
     qres = q_radius(g)
     ares = adjacency_radius(g)
@@ -81,28 +99,14 @@ def cmd_q(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = _tol(args)
-    params = inspect.signature(V.SUITES[args.suite]).parameters
-    unused = [
-        flag
-        for flag, name, given in (
-            ("--n-max", "n_max", args.n_max is not None),
-            ("--r", "r", args.r is not None),
-            ("--csv", "collect_reports", bool(args.csv)),
-            ("--cmp-tol", "tol", args.cmp_tol is not None),
-        )
-        if given and name not in params
+    given = [
+        ("--n-max", "n_max", args.n_max),
+        ("--r", "r", args.r),
+        ("--csv", "collect_reports", True if args.csv else None),
+        ("--cmp-tol", "tol", _tol(args)),
     ]
-    if unused:
-        raise InputError(f"suite {args.suite!r} does not take {', '.join(unused)}")
-    # without --n-max a suite runs at the default order of its signature
-    sweep = {} if args.n_max is None else {"n_max": args.n_max}
     res = V.run_suite(
-        args.suite,
-        r=args.r,
-        tol=tol,
-        collect_reports=bool(args.csv),
-        **sweep,
+        args.suite, **_keywords(f"suite {args.suite!r}", V.SUITES[args.suite], given)
     )
     print(res.summary())
     for v in res.violations:
@@ -124,17 +128,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    tol = _tol(args)
+    scan = extremal_edges if args.mode == "edges" else extremal_q
+    given = [("--corpus", "corpus", args.corpus), ("--cmp-tol", "tol", _tol(args))]
+    keywords = _keywords(f"search --mode {args.mode}", scan, given)
     f = load_graph(args.forbid)
     if args.n > ENUMERATION_CAP and not args.corpus:
         raise InputError(
             f"n={args.n} exceeds the built-in enumeration cap {ENUMERATION_CAP}; "
             f"supply --corpus with a graph6 file"
         )
-    if args.mode == "edges":
-        rep = extremal_edges(args.n, f, corpus=args.corpus, tol=tol)
-    else:
-        rep = extremal_q(args.n, f, corpus=args.corpus, tol=tol)
+    rep = scan(args.n, f, **keywords)
     print(f"n={rep.n} forbid={args.forbid} mode={rep.mode}")
     print(f"scanned    {rep.scanned} classes in {rep.elapsed:.2f}s")
     print(f"ex_edges   {rep.ex_edges}")
@@ -145,7 +148,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_descent(args) -> int:
-    tol = _tol(args)
+    tol = _tol(args) or DEFAULT_TOL
     params = B.CriterionParams.default(r=args.r, epsilon=args.eps)
     g = load_graph(args.input)
     trace = descent_run(

@@ -98,7 +98,6 @@ def lemma_dv_check(
     u: int,
     params: CriterionParams,
     reference_q_n1: float,
-    preconditions_hold: bool = True,
     tol: Tolerance = DEFAULT_TOL,
 ) -> Tuple[Optional[bool], Optional[bool]]:
     """Outcomes of the deletion lemma at the min-entry vertex u:
@@ -106,9 +105,10 @@ def lemma_dv_check(
     comparison q(H-u) > q(G_{n-1}).
 
     The caller evaluates the lemma preconditions (q(H) above reference and
-    x^2 < (1-eps)/n) and passes the verdict; (None, None) when they fail.
+    x^2 < (1-eps)/n) and calls this only when they hold; (None, None) for a
+    graph of fewer than 2 vertices.
     """
-    if not preconditions_hold or g.n < 2:
+    if g.n < 2:
         return None, None
     q_h = q_value(g)
     q_del = q_value(delete_vertex(g, u))
@@ -159,12 +159,11 @@ def descent_run(
         reference = None
         if stop is None:
             mind = lemma_mind_check(g, ref_n, params, tol)
-            ref_n1 = turan_q(n - 1, params.r) if n - 1 >= params.r else 0.0
             # below the min-degree exit delta <= (pi - eps) n, so mind is True
             # exactly when q >= ref_n - cmp_tol and x^2 < (1 - eps)/n
-            growth, reference = lemma_dv_check(
-                g, u, params, ref_n1, preconditions_hold=mind is True, tol=tol
-            )
+            if mind is True:
+                ref_n1 = turan_q(n - 1, params.r) if n - 1 >= params.r else 0.0
+                growth, reference = lemma_dv_check(g, u, params, ref_n1, tol=tol)
 
         trace.steps.append(
             DescentStep(

@@ -283,7 +283,7 @@ def _extremal(
     f: Graph,
     mode: str,
     corpus: Optional[str],
-    tol: Tolerance,
+    tie_tol: float,
     min_degree_above: Optional[float] = None,
 ) -> SearchReport:
     """The maximizer scan behind ``extremal_edges`` (``mode == "edges"``)
@@ -296,18 +296,18 @@ def _extremal(
     value: the edge count itself, or the rank bound hi(G) >= q(G)
     (``spectral.q_rank_bounds``, no eigensolve). The scan stops at the first
     key below best - tie_tol - 1e-9 * max(1, best), where best is the
-    largest floor seen so far and tie_tol is cmp_tol for q and 0 for edge
-    counts (for which the test is exactly m >= best). Every graph past that
-    point has a value below the final maximum by more than tie_tol.
+    largest floor seen so far and tie_tol, which the wrapper passes, is
+    cmp_tol for q and 0 for edge counts (for which the test is exactly
+    m >= best). Every graph past that point has a value below the final
+    maximum by more than tie_tol.
 
     The maximizers are the visited F-free classes whose value is within
     tie_tol of the largest value, in source order; ``max_q`` is the largest
-    ``q_value`` among them. ``tol`` gives only cmp_tol.
+    ``q_value`` among them.
     """
     t0 = time.perf_counter()
     graphs = _graph_source(n, corpus)
     keys, order = _class_ranking(n, mode) if corpus is None else _rank(graphs, mode)
-    tie_tol = tol.cmp_tol if mode == "q" else 0.0
     best = float("-inf")
     found: List[Tuple[int, float]] = []
     for i in order:
@@ -345,7 +345,6 @@ def extremal_edges(
     n: int,
     f: Graph,
     corpus: Optional[str] = None,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> SearchReport:
     """ex(n, F) with every extremal isomorphism class, in source order, and
     the largest q of those classes as ``max_q``.
@@ -354,7 +353,7 @@ def extremal_edges(
     only down to the first F-free edge count; the record and ties use exact
     integer comparison.
     """
-    return _extremal(n, f, "edges", corpus, tol)
+    return _extremal(n, f, "edges", corpus, 0.0)
 
 
 def extremal_q(
@@ -380,7 +379,7 @@ def extremal_q(
     because the benchmark harness (``perfbench/worker.py``) still calls
     ``extremal_q(n, f, jobs=1)``; drop it once the harness stops passing it.
     """
-    return _extremal(n, f, "q", corpus, tol, min_degree_above)
+    return _extremal(n, f, "q", corpus, tol.cmp_tol, min_degree_above)
 
 
 def turan_density_estimate(f: Graph, n_max: int) -> DensityEstimate:

@@ -6,10 +6,12 @@ import re
 
 import pytest
 
+from qturan import cli
 from qturan import verify as V
 from qturan.bounds import CSV_COLUMNS
 from qturan.cli import main
-from qturan.search import count_classes
+from qturan.search import SearchReport, count_classes, extremal_q
+from qturan.spectral import DEFAULT_TOL, Tolerance
 
 
 def test_q_command_family(capsys):
@@ -82,6 +84,31 @@ def test_search_command(capsys, tmp_path):
     assert "scanned    1044" in out
 
 
+def test_search_never_ignores_cmp_tol(capsys, monkeypatch):
+    # an edge scan compares edge counts exactly and takes no tolerance, so
+    # the flag is refused rather than dropped
+    argv = ["search", "6", "--forbid", "cycle:5", "--mode"]
+    assert main(argv + ["edges", "--cmp-tol", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert "--cmp-tol" in captured.err and "edges" in captured.err
+    assert captured.out == ""
+    # a q scan gets the flag as its tolerance, and without it runs at its default
+    calls = []
+    report = SearchReport(6, "D~{", "q", None, None, [], 0, 0.0)
+    monkeypatch.setattr(cli, "extremal_q", _recorder(extremal_q, calls, report))
+    assert main(argv + ["q", "--cmp-tol", "0.5"]) == 0
+    passed, ran = calls.pop()
+    assert passed["tol"] == ran["tol"] == Tolerance(cmp_tol=0.5)
+    assert main(argv + ["q"]) == 0
+    passed, ran = calls.pop()
+    assert "tol" not in passed and ran["tol"] == DEFAULT_TOL
+    capsys.readouterr()
+    for mode in ("edges", "q"):
+        assert main(argv + [mode, "--cmp-tol", "inf"]) == 2, mode
+        assert "tolerances must be finite and strictly positive" in capsys.readouterr().err
+    assert not calls
+
+
 def test_search_with_corpus(capsys, tmp_path):
     corpus = tmp_path / "two.g6"
     corpus.write_bytes(b"A_\nBw\n")  # off-order lines are ignored by the scan
@@ -128,19 +155,26 @@ def test_verify_command(capsys):
     assert main(["verify", "graph6", "--n-max", "5"]) == 0
 
 
-def _recording_stub(name, calls):
-    """A stand-in for suite ``name`` with its signature: it records the
-    keywords it was given and the arguments the suite would have run with."""
-    sig = inspect.signature(V.SUITES[name])
+def _recorder(fn, calls, result):
+    """A stand-in for ``fn`` with its signature: it records the keywords it
+    was given and the arguments ``fn`` would have run with, and returns
+    ``result``."""
+    sig = inspect.signature(fn)
 
-    def stub(**kwargs):
-        bound = sig.bind(**kwargs)
+    def stub(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
         bound.apply_defaults()
         calls.append((kwargs, bound.arguments))
-        return V.VerifyResult(name, 1)  # one check, since a run of none is refused
+        return result
 
     stub.__signature__ = sig
     return stub
+
+
+def _recording_stub(name, calls):
+    """A stand-in for suite ``name`` that reports one check, since a run of
+    none is refused."""
+    return _recorder(V.SUITES[name], calls, V.VerifyResult(name, 1))
 
 
 def test_verify_default_order_is_the_suite_signature_default(capsys, monkeypatch):

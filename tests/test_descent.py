@@ -115,8 +115,7 @@ def test_lemma_mind_preconditions():
 def test_lemma_dv_caller_gates():
     params = _params()
     g = F.star(8)
-    assert lemma_dv_check(g, 1, params, 5.0, preconditions_hold=False) == (None, None)
-    growth, ref = lemma_dv_check(g, 1, params, q_value(F.star(7)), preconditions_hold=True)
+    growth, ref = lemma_dv_check(g, 1, params, q_value(F.star(7)))
     assert growth is not None and ref is not None
     # deleting a leaf of a star keeps q = n-1+1: growth inequality holds
     assert growth is True
@@ -155,7 +154,8 @@ def test_deletion_lemma_runs_exactly_when_mind_holds(r):
             ref_n = turan_q(n, r) if n >= r else 0.0
             ref_n1 = turan_q(n - 1, r) if n - 1 >= r else 0.0
             pre = _explicit_preconditions(g, ref_n, params)
-            assert dv == lemma_dv_check(g, step.min_entry_vertex, params, ref_n1, preconditions_hold=pre)
+            want = lemma_dv_check(g, step.min_entry_vertex, params, ref_n1) if pre else (None, None)
+            assert dv == want
     # the starts reach the lemma, and at r = 3 also its failing and skipped cases
     assert (True, True) in outcomes and (None, False) in outcomes
     if r == 3:
