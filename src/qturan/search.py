@@ -30,6 +30,10 @@ from .spectral import DEFAULT_TOL, Tolerance, q_rank_bounds, q_value
 from .subgraph import is_free
 
 ENUMERATION_CAP = 9
+CATALOGUE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+CATALOGUE_MAX = 8
+# isomorphism classes of order n = 0..CATALOGUE_MAX (OEIS A000088)
+CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
 CORPUS_DIR_ENV = "QTURAN_CORPUS_DIR"
 
 
@@ -104,10 +108,33 @@ def _in_orbit(gens: Sequence[Tuple[int, ...]], a: int, b: int) -> bool:
 
 @lru_cache(maxsize=16)
 def _classes(n: int) -> Tuple[Graph, ...]:
-    """All isomorphism classes of order n, canonically labeled, generated by
-    canonical augmentation: a child of a parent survives iff deleting the
-    vertex at its last canonical position reproduces the parent, with
-    per-parent deduplication absorbing automorphic extensions.
+    """All isomorphism classes of order n >= 1, canonically labeled.
+
+    Orders up to ``CATALOGUE_MAX`` are read from the shipped catalogue,
+    ``data/graphs{n}.g6``, which lists them in the order ``_augment``
+    produces; higher orders are augmented from the order below. A missing
+    catalogue file, or one whose class count is not ``CLASS_COUNTS[n]``, is
+    an error: nothing falls back to augmentation.
+    """
+    if n > CATALOGUE_MAX:
+        return _augment(n)
+    path = os.path.join(CATALOGUE_DIR, f"graphs{n}.g6")
+    graphs = tuple(ingest_corpus(path))
+    if len(graphs) != CLASS_COUNTS[n]:
+        raise ValueError(
+            f"catalogue {path} holds {len(graphs)} graphs, "
+            f"not the {CLASS_COUNTS[n]} classes of order {n}"
+        )
+    return graphs
+
+
+def _augment(n: int) -> Tuple[Graph, ...]:
+    """The isomorphism classes of order n >= 2, canonically labeled, from
+    the classes of order n - 1 by canonical augmentation: a child of a
+    parent survives iff deleting the vertex at its last canonical position
+    reproduces the parent, with per-parent deduplication absorbing
+    automorphic extensions. This is the only producer of classes: it wrote
+    the shipped catalogue, and regenerates each file from the one below.
 
     Two filters reject children that cannot survive before any labeling;
     neither changes which classes are produced or their order.
@@ -134,10 +161,6 @@ def _classes(n: int) -> Tuple[Graph, ...]:
       vertex to the last canonical one, G - last ~ G - new = P, so the child
       is accepted without the degree test and the second labeling.
     """
-    if n == 0:
-        return ()
-    if n == 1:
-        return (Graph(1, (0,)),)
     out: List[Graph] = []
     k = n - 1
     full = 1 << k
@@ -205,9 +228,10 @@ def _classes(n: int) -> Tuple[Graph, ...]:
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """One canonical representative per isomorphism class of order n, in a
-    deterministic order. Capped at n = 9; ingest an external corpus beyond."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
+    deterministic order. Orders 1..9 only: the null graph has no q, and an
+    external corpus serves beyond n = 9."""
+    if n < 1:
+        raise ValueError("order must be positive")
     if n > ENUMERATION_CAP:
         raise ValueError(
             f"built-in enumeration capped at n={ENUMERATION_CAP}; "

@@ -3,6 +3,7 @@ and the verify sweeps that fill the ledger."""
 
 import io
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 from qturan import bounds as B
 from qturan import families as F
 from qturan import verify as V
+from qturan.chromatic import is_r_partite
 from qturan.descent import lemma_min_check
 from qturan.graphs import from_edges, parse_graph6, to_graph6
 from qturan.search import enumerate_graphs
 from qturan.spectral import DEFAULT_TOL, Tolerance, q_value
+from qturan.subgraph import has_clique
 
 
 def test_chain_check():
@@ -171,6 +174,21 @@ def test_min_degree_stability_entry():
     assert e.holds and "r_partite=True" in e.note
     e = B.check_min_degree_stability(F.cycle(5), 2)
     assert e.holds and "vacuous" in e.note  # delta = 2 is not strictly above 2n/5
+
+
+def test_andrasfai_erdos_sos_bound_with_its_equality_cases():
+    # a K_{r+1}-free graph that is not r-partite has
+    # delta <= (3r - 4) n / (3r - 1) (Andrasfai-Erdos-Sos, 1974); decided
+    # exactly, with its only equality cases at n <= 8 pinned
+    at_or_over = []
+    for n in range(1, 9):
+        for g in enumerate_graphs(n):
+            delta = min(g.degrees())
+            for r in (2, 3, 4):
+                bound = Fraction((3 * r - 4) * n, 3 * r - 1)
+                if delta >= bound and not has_clique(g, r + 1) and not is_r_partite(g, r):
+                    at_or_over.append((r, to_graph6(g).decode(), delta == bound))
+    assert at_or_over == [(2, "Dhc", True), (3, "Gzl]\\k", True)]
 
 
 def test_facts():

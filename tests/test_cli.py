@@ -42,6 +42,15 @@ def test_bad_input_exits_2(capsys):
     assert main(["search", "12", "--forbid", "clique:3"]) == 2  # over cap, no corpus
 
 
+@pytest.mark.parametrize("mode", ["edges", "q"])
+def test_search_at_order_0_exits_2(capsys, mode):
+    # the null graph is K_3-free but has no q, so no scan reports on order 0
+    assert main(["search", "0", "--forbid", "clique:3", "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert "order must be positive" in captured.err
+    assert captured.out == ""
+
+
 def test_family_spec_over_the_order_cap_exits_2(capsys):
     # the parser refuses the spec; complete:100000000 is never built
     assert main(["q", "complete:100000000"]) == 2

@@ -28,6 +28,7 @@ from qturan.graphs import (
 )
 from qturan.search import (
     SearchReport,
+    _augment,
     _classes,
     count_classes,
     enumerate_graphs,
@@ -92,8 +93,30 @@ def _unfiltered_classes(n):
 
 
 def test_filtered_augmentation_matches_unfiltered_reference():
-    for n in range(1, 8):
-        assert _classes(n) == _unfiltered_classes(n), n
+    assert _classes(1) == _unfiltered_classes(1)
+    for n in range(2, 8):
+        assert _augment(n) == _unfiltered_classes(n), n
+
+
+def _catalogue_lines(n):
+    return (Path(S.CATALOGUE_DIR) / f"graphs{n}.g6").read_bytes().splitlines()
+
+
+def test_augmentation_regenerates_every_catalogue_file():
+    # each shipped order is exactly what augmenting the shipped order below
+    # produces, line for line
+    assert _catalogue_lines(1) == [b"@"]
+    for n in range(2, S.CATALOGUE_MAX + 1):
+        assert [to_graph6(g) for g in _augment(n)] == _catalogue_lines(n), n
+
+
+def test_a_short_or_missing_catalogue_file_is_an_error(monkeypatch, tmp_path):
+    (tmp_path / "graphs5.g6").write_bytes(b"\n".join(_catalogue_lines(5)[:-1]) + b"\n")
+    monkeypatch.setattr(S, "CATALOGUE_DIR", str(tmp_path))
+    with pytest.raises(ValueError, match="holds 33 graphs, not the 34 classes of order 5"):
+        _classes.__wrapped__(5)
+    with pytest.raises(FileNotFoundError):
+        _classes.__wrapped__(4)
 
 
 # SHA-256 of repr([g.rows for g in _classes(8)]) as produced before the
@@ -118,7 +141,7 @@ def test_order_7_labeling_count_is_pinned(monkeypatch):
         return inner(n, rows)
 
     monkeypatch.setattr(_kernels, "canonical_labeling", counted)
-    assert len(_classes.__wrapped__(7)) == 1044
+    assert len(_augment(7)) == 1044
     assert len(orders) == 1608
 
 
@@ -132,8 +155,11 @@ def test_count_classes_checks_the_order_before_enumerating(monkeypatch):
         raise AssertionError(f"enumerated order {n}")
 
     monkeypatch.setattr(S, "_classes", refused)
-    with pytest.raises(ValueError, match="order must be nonnegative"):
-        count_classes(-1)
+    for n in (-1, 0):  # the null graph has no q, and no scan reports on it
+        with pytest.raises(ValueError, match="order must be positive"):
+            count_classes(n)
+        with pytest.raises(ValueError, match="order must be positive"):
+            enumerate_graphs(n)
     with pytest.raises(ValueError, match="capped at n=9; use ingest_corpus"):
         count_classes(10)
 
