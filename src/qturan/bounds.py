@@ -182,10 +182,10 @@ def is_semiregular_bipartite(g: Graph) -> bool:
 
     A graph with both an edge and an isolated vertex never qualifies (the
     isolated vertex would force a side constant of 0), so degree-0 vertices
-    reduce the test to the edgeless case.
+    reduce the test to the edgeless case, and so does the null graph.
     """
     degs = g.degrees()
-    if 0 in degs:
+    if g.n == 0 or 0 in degs:
         return g.m == 0
     side = [-1] * g.n
     comps = g.components()

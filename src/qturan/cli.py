@@ -132,12 +132,17 @@ def cmd_search(args) -> int:
     given = [("--corpus", "corpus", args.corpus), ("--cmp-tol", "tol", _tol(args))]
     keywords = _keywords(f"search --mode {args.mode}", scan, given)
     f = load_graph(args.forbid)
+    if args.n < 1:
+        raise InputError("order must be positive")
     if args.n > ENUMERATION_CAP and not args.corpus:
         raise InputError(
             f"n={args.n} exceeds the built-in enumeration cap {ENUMERATION_CAP}; "
             f"supply --corpus with a graph6 file"
         )
     rep = scan(args.n, f, **keywords)
+    if args.corpus and rep.scanned == 0:
+        # a scan of nothing would print "every graph contains F"
+        raise InputError(f"corpus {args.corpus} holds no graph of order {args.n}")
     print(f"n={rep.n} forbid={args.forbid} mode={rep.mode}")
     print(f"scanned    {rep.scanned} classes in {rep.elapsed:.2f}s")
     print(f"ex_edges   {rep.ex_edges}")

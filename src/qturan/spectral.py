@@ -7,7 +7,9 @@ gate judges. The same solve certifies a bracket lo <= radius <= hi from its
 eigenvector, whose lo sets the record that stops a q-scan. Its O(k^3) time
 and O(k^2) memory per order-k component suit the desk-scale inputs (classes
 of order <= 9, family specs of order <= 1,024); a dense G(5000, 1/2) takes
-about 13 s and 1 GiB. The Turán graphs T_{n,r} need no eigensolve:
+about 13 s and 1 GiB. One builder, ``_matrices``, turns bit rows into
+every matrix: one component's for a solve, a block of same-order graphs'
+for ``q_rank_bounds``. The Turán graphs T_{n,r} need no eigensolve:
 ``turan_q`` gives their q exactly, in integer arithmetic.
 """
 
@@ -83,34 +85,30 @@ def _dense_largest(mat: np.ndarray) -> Tuple[float, np.ndarray, Tuple[float, flo
     return lam, v, _cw_bounds(mat, top)
 
 
-def _unpack_rows(rows: Sequence[int], n: int) -> np.ndarray:
-    """Bit rows of an order-n graph as a ``len(rows) x 8*ceil(n/8)`` uint8
-    0/1 array: each row's little-endian bytes are joined and spread by one
-    ``np.unpackbits``; column j is bit j."""
+def _matrices(rows: Sequence[int], n: int, cols: Sequence[int], mode: str) -> np.ndarray:
+    """Adjacency (``mode == "a"``) or signless Laplacian (``"q"``) matrices
+    of one or many order-n graphs, as a C-ordered float64 stack.
+
+    ``rows`` holds ``len(cols)`` bit rows per graph, graph after graph;
+    their little-endian bytes are spread by one ``np.unpackbits`` and the
+    sorted columns ``cols`` kept, so a component is a stack of one. The
+    stack must be C-ordered: with a column-sliced layout BLAS sums
+    ``mat @ x`` in another order, which moves the residual that
+    ``_solve_radius`` reports by an ulp.
+    """
+    k = len(cols)
     nbytes = (n + 7) // 8
     # rows of order <= 8 are their own bytes
     raw = bytes(rows) if nbytes == 1 else b"".join([r.to_bytes(nbytes, "little") for r in rows])
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits.reshape(len(rows), 8 * nbytes)
-
-
-def _component_matrix(g: Graph, comp: Sequence[int], mode: str) -> np.ndarray:
-    """Adjacency (``mode == "a"``) or signless Laplacian (``"q"``) of the
-    induced subgraph on the sorted vertex list ``comp``.
-
-    The bit rows are unpacked in one step (``_unpack_rows``) and the
-    component's columns are kept. The result must be a
-    C-ordered float64 array: with a column-sliced layout BLAS sums
-    ``mat @ x`` in another order, which moves the residual that
-    ``_solve_radius`` reports by an ulp.
-    """
-    k = len(comp)
-    bits = _unpack_rows([g.rows[v] for v in comp], g.n)
-    bits = bits[:, :k] if k == g.n else bits[:, comp]
-    a = bits.astype(np.float64, order="C")
+    bits = bits.reshape(-1, k, 8 * nbytes)
+    # a plain slice when cols is the whole graph: a fancy index costs more
+    bits = bits[:, :, :k] if k == n else bits[:, :, cols]
+    mats = bits.astype(np.float64, order="C")
     if mode == "q":
-        np.fill_diagonal(a, a.sum(axis=1))
-    return a
+        diag = np.arange(k)
+        mats[:, diag, diag] = mats.sum(axis=2)
+    return mats
 
 
 def _residual(mat: np.ndarray, lam: float, x: np.ndarray) -> float:
@@ -137,7 +135,7 @@ def _solve_radius(g: Graph, mode: str) -> SpectralResult:
         if k == 1:
             cand = (0.0, comp, np.array([1.0]), 0.0)
         else:
-            mat = _component_matrix(g, comp, mode)
+            mat = _matrices([g.rows[v] for v in comp], g.n, comp, mode)[0]
             lam, x, (c_hi, c_lo) = _dense_largest(mat)
             res = _residual(mat, lam, x)
             if res > _RESIDUAL_GATE:
@@ -241,31 +239,6 @@ _BOUND_ROUNDING_ULPS = 8
 _RANK_SWEEPS = 4
 
 
-def _by_blocks(graphs: Sequence[Graph], block_fn) -> np.ndarray:
-    """``block_fn`` of each block of ``BOUND_BLOCK`` same-order graphs, fewer
-    above order 9 so a stack stays within 10.6 MB, as one array."""
-    out = np.empty(len(graphs))
-    n = graphs[0].n if graphs else 0
-    for g in graphs:
-        if g.n != n:
-            raise ValueError(f"q bounds need one order, got {n} and {g.n}")
-    step = max(1, BOUND_BLOCK * 81 // max(81, n * n))
-    for start in range(0, len(graphs), step):
-        block = graphs[start: start + step]
-        out[start: start + len(block)] = block_fn(block)
-    return out
-
-
-def _q_stack(graphs: Sequence[Graph]) -> np.ndarray:
-    """The Q matrices of a block of same-order graphs, stacked."""
-    n = graphs[0].n
-    bits = _unpack_rows([r for g in graphs for r in g.rows], n)
-    mats = bits.reshape(len(graphs), n, -1)[:, :, :n].astype(np.float64)
-    diag = np.arange(n)
-    mats[:, diag, diag] = mats.sum(axis=2)
-    return mats
-
-
 def q_rank_bounds(graphs: Sequence[Graph]) -> np.ndarray:
     """Rigorous upper bounds hi(G) >= q(G) for a list of graphs of one order,
     with no eigensolve: the key the q-scans order classes by.
@@ -276,8 +249,19 @@ def q_rank_bounds(graphs: Sequence[Graph]) -> np.ndarray:
     max_u (Qx)_u / x_u on that positive x bounds q from above, and is
     raised by the ulps of ``SpectralResult.bracket``. It is looser than the
     hi of that bracket, which only makes a scan visit a few more classes.
+    Blocks of ``BOUND_BLOCK`` graphs, fewer above order 9, keep each stack
+    within 10.6 MB.
     """
-    return _by_blocks(graphs, _block_rank_bounds)
+    out = np.empty(len(graphs))
+    n = graphs[0].n if graphs else 0
+    for g in graphs:
+        if g.n != n:
+            raise ValueError(f"q bounds need one order, got {n} and {g.n}")
+    step = max(1, BOUND_BLOCK * 81 // max(81, n * n))
+    for start in range(0, len(graphs), step):
+        block = graphs[start: start + step]
+        out[start: start + len(block)] = _block_rank_bounds(block)
+    return out
 
 
 def _block_rank_bounds(graphs: Sequence[Graph]) -> np.ndarray:
@@ -285,7 +269,7 @@ def _block_rank_bounds(graphs: Sequence[Graph]) -> np.ndarray:
     n = graphs[0].n
     if n <= 1:
         return np.zeros(len(graphs))
-    mats = _q_stack(graphs)
+    mats = _matrices([r for g in graphs for r in g.rows], n, range(n), "q")
     x = np.ones((len(graphs), n))
     for _ in range(_RANK_SWEEPS):
         x += np.einsum("...ij,...j->...i", mats, x)

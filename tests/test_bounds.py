@@ -78,6 +78,8 @@ def test_semiregular_bipartite_predicate():
     mixed = from_edges(6, [(0, 1), (0, 2), (3, 4)])  # K_{1,2} + K_2
     assert not B.is_semiregular_bipartite(mixed)
     assert not B.is_semiregular_bipartite(from_edges(3, [(0, 1)]))  # isolated + edge
+    assert B.is_semiregular_bipartite(F.empty(3))
+    assert B.is_semiregular_bipartite(F.empty(0))  # no components, like the edgeless case
 
 
 def test_degree_power_check():

@@ -51,6 +51,26 @@ def test_search_at_order_0_exits_2(capsys, mode):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("mode", ["edges", "q"])
+@pytest.mark.parametrize("n, message", [
+    ("-1", "order must be positive"),
+    ("0", "order must be positive"),
+    ("5", "corpus FILE holds no graph of order 5"),
+])
+def test_search_refuses_a_corpus_scan_of_nothing(capsys, tmp_path, mode, n, message):
+    # no scan reports "every graph contains F" over no graph at all, and
+    # no report is written
+    corpus = tmp_path / "small.g6"
+    corpus.write_bytes(b"Bw\nC~\n")  # orders 3 and 4
+    path = tmp_path / "rep.json"
+    argv = ["search", n, "--forbid", "clique:3", "--mode", mode, "--json", str(path)]
+    assert main(argv + ["--corpus", str(corpus)]) == 2
+    message = message.replace("FILE", str(corpus))
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == "" and not path.exists()
+
+
 def test_family_spec_over_the_order_cap_exits_2(capsys):
     # the parser refuses the spec; complete:100000000 is never built
     assert main(["q", "complete:100000000"]) == 2

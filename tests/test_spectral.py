@@ -64,13 +64,33 @@ def test_component_matrix_matches_per_bit_reference():
     for g in graphs:
         for comp in g.components():
             for mode in ("q", "a"):
-                mat = S._component_matrix(g, comp, mode)
+                mat = S._matrices([g.rows[v] for v in comp], g.n, comp, mode)[0]
                 assert mat.dtype == np.float64
                 assert mat.flags["C_CONTIGUOUS"]
                 ref = reference_component_matrix(g, comp, mode)
                 assert mat.tobytes() == ref.tobytes(), (g, comp, mode)
             comps_checked += len(comp) < g.n
     assert comps_checked > 40  # proper components, not just whole graphs
+
+
+def test_stacked_matrices_match_per_bit_reference():
+    """A block of same-order graphs built in one stack: each slice is the
+    per-bit build of that graph, byte for byte, and C-contiguous, at orders
+    1..9 and across the byte boundaries of the bit rows."""
+    rng = random.Random(29)
+    blocks = [list(enumerate_graphs(n)) for n in range(1, 7)]
+    blocks += [[sample_gnp(n, rng.random(), rng) for _ in range(40)] for n in (7, 8, 9)]
+    blocks += [[sample_gnp(n, rng.random(), rng) for _ in range(6)] + [F.empty(n)]
+               for n in (63, 64, 65, 130)]
+    for gs in blocks:
+        n = gs[0].n
+        for mode in ("q", "a"):
+            mats = S._matrices([r for g in gs for r in g.rows], n, range(n), mode)
+            assert mats.dtype == np.float64 and mats.shape == (len(gs), n, n)
+            for g, mat in zip(gs, mats):
+                assert mat.flags["C_CONTIGUOUS"]
+                ref = reference_component_matrix(g, range(g.n), mode)
+                assert mat.tobytes() == ref.tobytes(), (g, mode)
 
 
 @pytest.mark.parametrize("n, r, q_hex", [
@@ -361,7 +381,7 @@ def test_q_upper_bounds_per_component_pass(g6, q):
     is tight."""
     g = parse_graph6(g6)
     assert len(g.components()) == 2
-    mat = S._component_matrix(g, list(range(g.n)), "q")
+    mat = S._matrices(g.rows, g.n, range(g.n), "q")[0]
     hi, lo = S._cw_bounds(mat, np.linalg.eigh(mat)[1][:, -1])
     assert hi > q + 0.5 and lo == pytest.approx(q)
     lo, hi = S.q_radius(g).bracket
