@@ -2,12 +2,9 @@
 extremal graph theory at desk scale."""
 
 from .graphs import (
-    DegreeProfile,
     Graph,
     Graph6Error,
     canonical_form,
-    canonical_graph,
-    degree_profile,
     delete_vertex,
     from_edges,
     is_isomorphic,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from .chromatic import is_r_partite
 from .families import turan, turan_edges  # noqa: F401 (perfbench/tracing.py wraps bounds.turan)
@@ -159,11 +159,15 @@ def check_merris(g: Graph, tol: Tolerance = DEFAULT_TOL) -> BoundEntry:
     return _entry("merris", q_value(g), best, tol)
 
 
+def _edge_degree_pairs(g: Graph) -> Set[Tuple[int, int]]:
+    """The set of sorted pairs (d(u), d(v)) over the edges uv."""
+    degs = g.degrees()
+    return {(degs[u], degs[v]) if degs[u] <= degs[v] else (degs[v], degs[u]) for u, v in g.edges()}
+
+
 def edge_degree_sums_constant(g: Graph) -> bool:
     """True iff d(u) + d(v) is the same for every edge uv."""
-    degs = g.degrees()
-    sums = {degs[u] + degs[v] for u, v in g.edges()}
-    return len(sums) <= 1
+    return len({a + b for a, b in _edge_degree_pairs(g)}) <= 1
 
 
 def check_q_lower_degree(g: Graph, tol: Tolerance = DEFAULT_TOL) -> Tuple[BoundEntry, bool]:
@@ -177,38 +181,25 @@ def check_q_lower_degree(g: Graph, tol: Tolerance = DEFAULT_TOL) -> Tuple[BoundE
     return entry, edge_degree_sums_constant(g)
 
 
+def _regular_or_semiregular_bipartite(g: Graph) -> bool:
+    """True iff G is regular or bipartite with constant degree on each side.
+
+    With an edge, that holds iff no vertex is isolated and every edge joins
+    the same pair of degrees a <= b: for a < b the two degree classes are the
+    sides, and a = b makes G regular. No colouring is needed."""
+    return g.m == 0 or (0 not in g.degrees() and len(_edge_degree_pairs(g)) == 1)
+
+
 def is_semiregular_bipartite(g: Graph) -> bool:
     """True iff G has a bipartition with constant degree on each side.
 
     A graph with both an edge and an isolated vertex never qualifies (the
-    isolated vertex would force a side constant of 0), so degree-0 vertices
-    reduce the test to the edgeless case, and so does the null graph.
-    """
-    degs = g.degrees()
-    if g.n == 0 or 0 in degs:
-        return g.m == 0
-    side = [-1] * g.n
-    comps = g.components()
-    for comp in comps:
-        side[comp[0]] = 0
-        queue = [comp[0]]
-        while queue:
-            v = queue.pop()
-            for w in g.neighbors(v):
-                if side[w] == -1:
-                    side[w] = 1 - side[v]
-                    queue.append(w)
-                elif side[w] == side[v]:
-                    return False  # odd cycle
-    pairs = []  # per-component side-degree constants
-    for comp in comps:
-        a = {degs[v] for v in comp if side[v] == 0}
-        b = {degs[v] for v in comp if side[v] == 1}
-        if len(a) > 1 or len(b) > 1:
-            return False
-        pairs.append((a.pop(), b.pop()))
-    x, y = pairs[0]
-    return all(p in ((x, y), (y, x)) for p in pairs)
+    isolated vertex would force a side constant of 0), while an edgeless
+    graph, the null graph included, does. A regular graph with an edge
+    qualifies iff it is bipartite."""
+    if not _regular_or_semiregular_bipartite(g):
+        return False
+    return g.m == 0 or len(set(g.degrees())) == 2 or is_r_partite(g, 2)
 
 
 def check_hofmeister(g: Graph, tol: Tolerance = DEFAULT_TOL) -> Tuple[BoundEntry, bool]:
@@ -219,9 +210,7 @@ def check_hofmeister(g: Graph, tol: Tolerance = DEFAULT_TOL) -> Tuple[BoundEntry
     lam = lambda_value(g)
     lhs = degree_power(g, 2) / g.n
     entry = _entry("hofmeister", lhs, lam * lam, tol)
-    degs = set(g.degrees())
-    flag = len(degs) <= 1 or is_semiregular_bipartite(g)
-    return entry, flag
+    return entry, _regular_or_semiregular_bipartite(g)
 
 
 def check_degree_power(g: Graph, r: int, tol: Tolerance = DEFAULT_TOL) -> List[BoundEntry]:

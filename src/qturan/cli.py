@@ -19,7 +19,7 @@ from . import bounds as B
 from . import verify as V
 from .descent import descent_run
 from .families import is_family_spec, parse_family_spec
-from .graphs import Graph, Graph6Error, degree_profile, parse_graph6, to_graph6
+from .graphs import Graph, Graph6Error, parse_graph6, to_graph6
 from .search import ENUMERATION_CAP, extremal_edges, extremal_q
 from .spectral import DEFAULT_TOL, Tolerance, adjacency_radius, q_radius
 
@@ -74,10 +74,10 @@ def cmd_q(args) -> int:
     g = load_graph(args.input)
     qres = q_radius(g)
     ares = adjacency_radius(g)
-    prof = degree_profile(g)
+    degs = g.degrees()
     print(f"graph6     {to_graph6(g).decode()}")
-    print(f"n, m       {g.n}, {prof.edge_count}")
-    print(f"delta, Delta  {prof.min_degree}, {prof.max_degree}")
+    print(f"n, m       {g.n}, {g.m}")
+    print(f"delta, Delta  {min(degs)}, {max(degs)}")
     print(f"q(G)       {qres.radius:.12f}   (residual {qres.residual:.2e})")
     print(f"lambda(G)  {ares.radius:.12f}")
     chain = B.check_bound_chain(g, tol)
@@ -87,9 +87,9 @@ def cmd_q(args) -> int:
         payload = {
             "graph6": to_graph6(g).decode(),
             "n": g.n,
-            "m": prof.edge_count,
-            "min_degree": prof.min_degree,
-            "max_degree": prof.max_degree,
+            "m": g.m,
+            "min_degree": min(degs),
+            "max_degree": max(degs),
             "q": qres.radius,
             "lambda": ares.radius,
             "chain": [e.as_record(to_graph6(g).decode()) for e in chain],

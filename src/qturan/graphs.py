@@ -6,7 +6,6 @@ vertex. All operations copy, never mutate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 from . import _kernels
@@ -100,16 +99,6 @@ class Graph:
         return comps
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Per-vertex degrees with their minimum, maximum and edge count."""
-
-    degrees: Tuple[int, ...]
-    min_degree: int
-    max_degree: int
-    edge_count: int
-
-
 def _mask_bits(mask: int) -> List[int]:
     out = []
     while mask:
@@ -136,13 +125,6 @@ def from_edges(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
         rows[i] |= 1 << j
         rows[j] |= 1 << i
     return Graph(n, tuple(rows))
-
-
-def degree_profile(g: Graph) -> DegreeProfile:
-    degs = g.degrees()
-    if not degs:
-        return DegreeProfile((), 0, 0, 0)
-    return DegreeProfile(degs, min(degs), max(degs), sum(degs) // 2)
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -175,11 +157,6 @@ def delete_vertex(g: Graph, v: int) -> Graph:
 def canonical_form(g: Graph) -> Tuple[int, ...]:
     """Canonical adjacency rows; equal forms characterize isomorphism."""
     return _kernels.canonical_labeling(g.n, g.rows)[1]
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """The canonically relabeled copy of ``g``."""
-    return Graph(g.n, canonical_form(g))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -17,6 +17,7 @@ from . import bounds as B
 from . import families as F
 from .graphs import Graph, parse_graph6, to_graph6
 from .search import (
+    ENUMERATION_CAP,
     enumerate_graphs,
     extremal_edges,
     extremal_q,
@@ -47,8 +48,8 @@ class VerifyResult:
         return f"[{self.suite}] checked {self.checked}: {status}"
 
 
-def _all_graphs(n_max: int, n_min: int = 1):
-    for n in range(n_min, n_max + 1):
+def _all_graphs(n_max: int):
+    for n in range(1, n_max + 1):
         yield from enumerate_graphs(n)
 
 
@@ -56,32 +57,29 @@ def _all_graphs(n_max: int, n_min: int = 1):
 
 
 # suite -> (check, name of the flag that the entry's equality must match,
-# graphs it sweeps, entries per graph). A check takes (graph, tol). One
-# without a flag returns its entries; one with a flag returns a single entry
-# and the flag.
-_ENTRY_CHECKS: Dict[str, Tuple[Callable, Optional[str], Callable[[Graph], bool], int]] = {
-    "chain": (B.check_bound_chain, None, lambda g: True, 3),
-    "merris": (
-        lambda g, tol: [B.check_merris(g, tol)], None, lambda g: g.n and min(g.degrees()) >= 1, 1
-    ),
-    "lower-degree": (B.check_q_lower_degree, "edge-degree-sum constant", lambda g: g.m >= 1, 1),
-    "hofmeister": (B.check_hofmeister, "regular/semiregular", lambda g: True, 1),
+# graphs it sweeps). A check takes (graph, tol). One without a flag returns
+# its entries; one with a flag returns a single entry and the flag.
+_ENTRY_CHECKS: Dict[str, Tuple[Callable, Optional[str], Callable[[Graph], bool]]] = {
+    "chain": (B.check_bound_chain, None, lambda g: True),
+    "merris": (lambda g, tol: [B.check_merris(g, tol)], None, lambda g: g.n and min(g.degrees()) >= 1),
+    "lower-degree": (B.check_q_lower_degree, "edge-degree-sum constant", lambda g: g.m >= 1),
+    "hofmeister": (B.check_hofmeister, "regular/semiregular", lambda g: True),
 }
 
 
 def _entry_sweep(
     name: str, n_max: int = 7, tol: Tolerance = DEFAULT_TOL, collect_reports: bool = False
 ) -> VerifyResult:
-    check, flag_name, keep, per_graph = _ENTRY_CHECKS[name]
-    graphs = [g for g in _all_graphs(n_max) if keep(g)]
-    res = VerifyResult(name, len(graphs) * per_graph)
-    for g in graphs:
+    check, flag_name, keep = _ENTRY_CHECKS[name]
+    res = VerifyResult(name, 0)
+    for g in filter(keep, _all_graphs(n_max)):
         g6 = to_graph6(g).decode()
         if flag_name is None:
             entries = check(g, tol)
         else:
             entry, flag = check(g, tol)
             entries = [entry]
+        res.checked += len(entries)
         for e in entries:
             if not e.holds:
                 res.violations.append(f"{g6}: {e.name} slack={e.slack:.3e}")
@@ -180,25 +178,24 @@ def suite_degree_power(n_max: int = 8, tol: Tolerance = DEFAULT_TOL) -> VerifyRe
     res = VerifyResult("degree-power", 0)
     k4 = F.complete(4)
     equality_at_6: List[str] = []
-    for n in range(1, n_max + 1):
-        for g in enumerate_graphs(n):
-            res.checked += 1
-            if not is_free(g, k4):
-                continue
-            g6 = to_graph6(g).decode()
-            e = B.check_degree_power(g, 3, tol)[0]
-            if not e.holds:
-                res.violations.append(f"{g6}: degree_power slack={e.slack:.3e}")
-            if e.equality and g.m >= 1:
-                if n == 6:
-                    equality_at_6.append(g6)
-                # equality clause: only regular complete 3-partite graphs
-                # qualify; parts (n/3,)*3 sum to n only when 3 divides n
-                if F.multipartite_parts(g) != (n // 3,) * 3:
-                    res.violations.append(
-                        f"{g6}: degree-power equality on a graph "
-                        f"that is not regular complete 3-partite"
-                    )
+    for g in _all_graphs(n_max):
+        res.checked += 1
+        if not is_free(g, k4):
+            continue
+        g6 = to_graph6(g).decode()
+        e = B.check_degree_power(g, 3, tol)[0]
+        if not e.holds:
+            res.violations.append(f"{g6}: degree_power slack={e.slack:.3e}")
+        if e.equality and g.m >= 1:
+            if g.n == 6:
+                equality_at_6.append(g6)
+            # equality clause: only regular complete 3-partite graphs
+            # qualify; parts (n/3,)*3 sum to n only when 3 divides n
+            if F.multipartite_parts(g) != (g.n // 3,) * 3:
+                res.violations.append(
+                    f"{g6}: degree-power equality on a graph "
+                    f"that is not regular complete 3-partite"
+                )
     if n_max >= 6 and not _maximizers_are(equality_at_6, [F.turan(6, 3)]):
         res.violations.append(
             f"degree-power equality set at n=6 (m>=1) is {sorted(set(equality_at_6))}, "
@@ -254,7 +251,7 @@ def suite_facts(samples: int = 10_000) -> VerifyResult:
 
 
 def suite_graph6(n_max: int = 7) -> VerifyResult:
-    graphs = list(_all_graphs(n_max, n_min=1))
+    graphs = list(_all_graphs(n_max))
     res = VerifyResult("graph6", len(graphs) + 3)
     for g in graphs:
         if parse_graph6(to_graph6(g)) != g:
@@ -306,10 +303,16 @@ SUITES: Dict[str, Callable[..., VerifyResult]] = {
 
 def run_suite(name: str, **kwargs) -> VerifyResult:
     """Run a suite with the given keywords; one its signature lacks raises
-    TypeError. A run that checked nothing raises ValueError, so it never
-    reads as a pass."""
+    TypeError. An n_max above the enumeration cap raises ValueError before
+    anything runs, and so does a run that checked nothing, so it never reads
+    as a pass."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; valid: {', '.join(sorted(SUITES))}")
+    if kwargs.get("n_max", 0) > ENUMERATION_CAP:
+        raise ValueError(
+            f"suite {name!r} sweeps the built-in enumeration, capped at n={ENUMERATION_CAP}; "
+            f"got n_max={kwargs['n_max']}"
+        )
     res = SUITES[name](**kwargs)
     if res.checked == 0:
         where = f" at n_max={kwargs['n_max']}" if "n_max" in kwargs else ""

@@ -82,6 +82,32 @@ def test_semiregular_bipartite_predicate():
     assert B.is_semiregular_bipartite(F.empty(0))  # no components, like the edgeless case
 
 
+def _brute_semiregular_bipartite(g):
+    """Some side set S has every edge crossing it and constant degree on S
+    and on its complement."""
+    degs = g.degrees()
+    for s in range(1 << g.n):
+        sides = [[v for v in range(g.n) if ((s >> v) & 1) == side] for side in (0, 1)]
+        if all(((s >> u) ^ (s >> v)) & 1 for u, v in g.edges()) and all(
+            len({degs[v] for v in side}) <= 1 for side in sides
+        ):
+            return True
+    return False
+
+
+def test_degree_predicates_match_brute_force():
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    assert not _brute_semiregular_bipartite(F.cycle(5)) and _brute_semiregular_bipartite(F.star(4))
+    assert B.is_semiregular_bipartite(F.empty(0)) == _brute_semiregular_bipartite(F.empty(0))
+    for g in graphs:
+        semi = _brute_semiregular_bipartite(g)
+        assert B.is_semiregular_bipartite(g) == semi, to_graph6(g)
+        assert B.check_hofmeister(g)[1] == (len(set(g.degrees())) == 1 or semi), to_graph6(g)
+        degs = g.degrees()
+        sums = [degs[u] + degs[v] for u, v in g.edges()]
+        assert B.edge_degree_sums_constant(g) == all(x == sums[0] for x in sums), to_graph6(g)
+
+
 def test_degree_power_check():
     es = B.check_degree_power(F.turan(6, 3), 3)
     assert es[0].equality and es[0].rhs == pytest.approx(96.0)

@@ -35,6 +35,15 @@ def test_q_command_json(capsys, tmp_path):
     assert payload["q"] == pytest.approx(7.372281323269014, abs=1e-9)
 
 
+def test_q_command_degrees(capsys, tmp_path):
+    path = tmp_path / "q.json"
+    assert main(["q", "turan:7,3", "--json", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "\nn, m       7, 16\n" in out and "\ndelta, Delta  4, 5\n" in out
+    payload = json.loads(path.read_text())
+    assert (payload["min_degree"], payload["max_degree"], payload["m"]) == (4, 5, 16)
+
+
 def test_bad_input_exits_2(capsys):
     assert main(["q", "@@@bad"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -252,6 +261,7 @@ def test_verify_refuses_flags_it_would_ignore(capsys, tmp_path):
         (["verify", "turan", "--n-max", "2"], ["'turan'", "n_max=2"]),
         (["verify", "turan", "--r", "2", "--n-max", "2"], ["'turan'", "n_max=2"]),
         (["verify", "density", "--n-max", "2"], ["'density'", "n_max >= 3", "n_max=2"]),
+        (["verify", "stability", "--n-max", "10"], ["'stability'", "n=9", "n_max=10"]),
         (["verify", "chain", "--n-max", "0"], ["'chain'", "checked nothing", "n_max=0"]),
         (["verify", "hofmeister", "--n-max", "0"], ["'hofmeister'", "n_max=0"]),
         (["verify", "stability", "--n-max", "0"], ["'stability'", "n_max=0"]),

@@ -1,4 +1,4 @@
-"""Graph core: constructors, join, deletion, degree profiles, isomorphism."""
+"""Graph core: constructors, join, deletion, isomorphism."""
 
 import random
 
@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from qturan import families as F
 from qturan.graphs import (
-    degree_profile,
     delete_vertex,
     from_edges,
     is_isomorphic,
@@ -20,8 +19,7 @@ def test_from_edges_examples():
     k3 = from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert k3.m == 3
     empty4 = from_edges(4, [])
-    prof = degree_profile(empty4)
-    assert prof.min_degree == prof.max_degree == 0
+    assert empty4.degrees() == (0, 0, 0, 0)
     k2 = from_edges(2, [(0, 1), (1, 0)])  # duplicate orientation collapses
     assert k2.m == 1
 
@@ -84,14 +82,6 @@ def test_delete_vertex_degree_drop(n, rg):
     for new_idx, u in enumerate(kept):
         drop = 1 if g.has_edge(u, v) else 0
         assert after[new_idx] == before[u] - drop
-
-
-def test_degree_profile_examples():
-    prof = degree_profile(F.turan(7, 3))
-    assert sorted(prof.degrees) == [4, 4, 4, 5, 5, 5, 5]
-    assert prof.min_degree == 4 and prof.max_degree == 5 and prof.edge_count == 16
-    assert degree_profile(F.complete(5)).edge_count == 10
-    assert degree_profile(F.empty(3)).max_degree == 0
 
 
 def test_is_isomorphic_examples():

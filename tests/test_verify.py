@@ -4,6 +4,8 @@ The scans are stubbed so that each suite sees a wrong value or a wrong
 maximizer set; the violation strings are what ``qturan verify`` prints.
 """
 
+import inspect
+
 import pytest
 
 import qturan.bounds as B
@@ -11,7 +13,8 @@ import qturan.chromatic as C
 from qturan import families as F
 from qturan import verify as V
 from qturan.graphs import to_graph6
-from qturan.search import SearchReport
+from qturan import search
+from qturan.search import ENUMERATION_CAP, SearchReport
 from qturan.spectral import DEFAULT_TOL, turan_q
 
 
@@ -184,3 +187,15 @@ def test_suite_degree_power_violation_texts(monkeypatch):
         "expected exactly the regular complete 3-partite graph",
     ]
     assert V.suite_degree_power(n_max=5).violations == []
+
+
+def test_run_suite_refuses_orders_above_the_enumeration_cap(monkeypatch):
+    # refused before any sweep starts: augmenting order 9 alone takes half a minute
+    def augment(n):
+        raise AssertionError(f"augmented order {n}")
+
+    monkeypatch.setattr(search, "_augment", augment)
+    for name, suite in sorted(V.SUITES.items()):
+        if "n_max" in inspect.signature(suite).parameters:
+            with pytest.raises(ValueError, match=f"n={ENUMERATION_CAP}; got n_max={ENUMERATION_CAP + 1}"):
+                V.run_suite(name, n_max=ENUMERATION_CAP + 1)
