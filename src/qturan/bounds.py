@@ -176,7 +176,7 @@ def check_q_lower_degree(g: Graph, tol: Tolerance = DEFAULT_TOL) -> Tuple[BoundE
     m = g.m
     if m < 1:
         raise ValueError("lower degree bound needs at least one edge")
-    lhs = degree_power(g, 2) / m
+    lhs = degree_power(g) / m
     entry = _entry("q_lower_degree", lhs, q_value(g), tol)
     return entry, edge_degree_sums_constant(g)
 
@@ -208,7 +208,7 @@ def check_hofmeister(g: Graph, tol: Tolerance = DEFAULT_TOL) -> Tuple[BoundEntry
     if g.n < 1:
         raise ValueError("Hofmeister bound needs n >= 1")
     lam = lambda_value(g)
-    lhs = degree_power(g, 2) / g.n
+    lhs = degree_power(g) / g.n
     entry = _entry("hofmeister", lhs, lam * lam, tol)
     return entry, _regular_or_semiregular_bipartite(g)
 
@@ -221,7 +221,7 @@ def check_degree_power(g: Graph, r: int, tol: Tolerance = DEFAULT_TOL) -> List[B
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    s2 = degree_power(g, 2)
+    s2 = degree_power(g)
     main = _entry("degree_power", s2, 2 * (1 - 1 / r) * g.m * g.n, tol)
     cubic = _entry("degree_power_cubic", s2, (1 - 1 / r) ** 2 * g.n ** 3, tol)
     return [main, cubic]

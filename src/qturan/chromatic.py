@@ -4,24 +4,17 @@ whose deletion lowers the chromatic number).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .graphs import Graph
 from .subgraph import clique_number
 
 
-@dataclass(frozen=True)
-class CriticalityWitness:
-    """Edge set whose deletion lowers the chromatic number."""
-
-    edges: Tuple[Tuple[int, int], ...]
-    chi_before: int
-    chi_after: int
-
-
 def is_k_colorable(g: Graph, k: int) -> bool:
-    """Backtracking k-coloring feasibility with saturation-first vertex order."""
+    """Backtracking k-coloring feasibility with saturation-first vertex order.
+
+    Each connected component is decided by its own search, so a component
+    that fails never retries the colorings of the ones before it."""
     n = g.n
     if k >= n:
         return True
@@ -30,14 +23,14 @@ def is_k_colorable(g: Graph, k: int) -> bool:
     colors = [-1] * n
     neigh_colors = [0] * n  # bitmask of colors used by colored neighbors
 
-    # the colored vertices number ``colored`` and use colors 0..in_use-1
-    def rec(colored: int, in_use: int) -> bool:
-        if colored == n:
+    # ``colored`` vertices of ``comp`` are colored, with colors 0..in_use-1
+    def rec(comp: List[int], colored: int, in_use: int) -> bool:
+        if colored == len(comp):
             return True
         # most saturated first, ties by degree then index
         v = -1
         key = None
-        for u in range(n):
+        for u in comp:
             if colors[u] >= 0:
                 continue
             ku = (neigh_colors[u].bit_count(), g.degree(u), -u)
@@ -55,14 +48,14 @@ def is_k_colorable(g: Graph, k: int) -> bool:
                 if colors[w] < 0 and not (neigh_colors[w] >> c) & 1:
                     neigh_colors[w] |= 1 << c
                     touched.append(w)
-            if rec(colored + 1, max(in_use, c + 1)):
+            if rec(comp, colored + 1, max(in_use, c + 1)):
                 return True
             colors[v] = -1
             for w in touched:
                 neigh_colors[w] &= ~(1 << c)
         return False
 
-    return rec(0, 0)
+    return all(rec(comp, 0, 0) for comp in g.components())
 
 
 def chromatic_number(g: Graph) -> int:
@@ -85,10 +78,9 @@ def is_r_partite(g: Graph, r: int) -> bool:
     return is_k_colorable(g, r)
 
 
-def is_color_critical(g: Graph) -> Tuple[bool, Optional[CriticalityWitness]]:
-    """True, with a witness edge, iff some single edge deletion lowers chi.
-    Edges are tried in ``Graph.edges`` order; the first that works is the
-    witness."""
+def is_color_critical(g: Graph) -> Optional[Tuple[int, int]]:
+    """The first edge, in ``Graph.edges`` order, whose deletion lowers chi,
+    or None if no single edge deletion does."""
     if g.m == 0:
         raise ValueError("color-criticality needs at least one edge")
     chi = chromatic_number(g)
@@ -97,5 +89,5 @@ def is_color_critical(g: Graph) -> Tuple[bool, Optional[CriticalityWitness]]:
         rows[i] &= ~(1 << j)
         rows[j] &= ~(1 << i)
         if is_k_colorable(Graph(g.n, tuple(rows)), chi - 1):
-            return True, CriticalityWitness(((i, j),), chi, chi - 1)
-    return False, None
+            return i, j
+    return None

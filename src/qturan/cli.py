@@ -34,7 +34,7 @@ def load_graph(text: str) -> Graph:
     No graph6 line holds a ':', so any text with one is read as a spec, and
     an unknown kind gets the parser's list of valid kinds."""
     if is_family_spec(text) or ":" in text:
-        return parse_family_spec(text).build()
+        return parse_family_spec(text)
     try:
         return parse_graph6(text.encode("ascii"))
     except (Graph6Error, UnicodeEncodeError) as exc:

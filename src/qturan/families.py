@@ -6,7 +6,6 @@ constructor table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Tuple
 
@@ -187,32 +186,16 @@ _FAMILY_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parsed textual family form, e.g. "turan:7,3" or "petersen"."""
-
-    kind: str
-    params: Tuple[int, ...]
-
-    def build(self) -> Graph:
-        arity, ctor = _FAMILY_KINDS[self.kind]
-        return ctor(*self.params)
-
-    def __str__(self) -> str:
-        if not self.params:
-            return self.kind
-        return f"{self.kind}:{','.join(str(p) for p in self.params)}"
-
-
-def parse_family_spec(text: str) -> FamilySpec:
-    """Parse "kind:p1,p2,..."; unknown kinds list the valid ones, and a
-    parameter above the kernels' order cap is refused."""
+def parse_family_spec(text: str) -> Graph:
+    """Build the graph named by "kind:p1,p2,..." (e.g. "turan:7,3" or
+    "petersen"); unknown kinds list the valid ones, and a parameter above
+    the kernels' order cap is refused."""
     kind, _, rest = text.partition(":")
     kind = kind.strip()
     if kind not in _FAMILY_KINDS:
         valid = ", ".join(sorted(_FAMILY_KINDS))
         raise ValueError(f"unknown family kind {kind!r}; valid kinds: {valid}")
-    arity, _ = _FAMILY_KINDS[kind]
+    arity, ctor = _FAMILY_KINDS[kind]
     if rest.strip():
         try:
             params = tuple(int(p) for p in rest.split(","))
@@ -228,7 +211,7 @@ def parse_family_spec(text: str) -> FamilySpec:
             f"family parameters must be at most {CANONICAL_MAX_ORDER}, "
             f"the largest order the kernels accept: {text!r}"
         )
-    return FamilySpec(kind, params)
+    return ctor(*params)
 
 
 def is_family_spec(text: str) -> bool:

@@ -8,7 +8,6 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -63,28 +62,17 @@ class SearchReport:
 class DensityEstimate:
     """Exact points of ex(n,F)/C(n,2) with the chromatic limit hint."""
 
-    forbidden: str
     points: List[Tuple[int, int, int]]  # (n, ex_edges, n choose 2)
     limit_hint: float
 
-    def ratios(self) -> List[Fraction]:
-        return [Fraction(ex, pairs) for (_, ex, pairs) in self.points]
-
     def non_increasing(self) -> bool:
-        r = self.ratios()
-        return all(r[i + 1] <= r[i] for i in range(len(r) - 1))
-
-    def to_json(self) -> str:
-        payload = {
-            "forbidden": self.forbidden,
-            "limit_hint": self.limit_hint,
-            "points": [
-                {"n": n, "ex": ex, "pairs": pairs, "ratio": ex / pairs}
-                for (n, ex, pairs) in self.points
-            ],
-            "non_increasing": self.non_increasing(),
-        }
-        return json.dumps(payload, indent=2)
+        """Whether ex/C(n, 2) never rises from one point to the next,
+        judged exactly on integer cross-products."""
+        p = self.points
+        return all(
+            ex1 * pairs0 <= ex0 * pairs1
+            for (_, ex0, pairs0), (_, ex1, pairs1) in zip(p, p[1:])
+        )
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -417,9 +405,7 @@ def turan_density_estimate(f: Graph, n_max: int) -> DensityEstimate:
         points.append((n, rep.ex_edges, n * (n - 1) // 2))
     chi = chromatic_number(f)
     hint = 1.0 - 1.0 / (chi - 1) if chi >= 2 else 0.0
-    return DensityEstimate(
-        forbidden=to_graph6(f).decode("ascii"), points=points, limit_hint=hint
-    )
+    return DensityEstimate(points=points, limit_hint=hint)
 
 
 def min_degree_family(

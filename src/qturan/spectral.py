@@ -1,5 +1,5 @@
 """Spectral computations: signless-Laplacian and adjacency radii, Perron
-vectors, Rayleigh quotients, eigenequation residuals, degree powers.
+vectors, Rayleigh quotients, eigenequation residuals, the sum of squared degrees.
 
 Every radius comes from one route: numpy's dense symmetric eigensolver
 (``eigh``, LAPACK) on each component of order >= 2, whose result a residual
@@ -314,8 +314,6 @@ def eigen_residual(g: Graph, result: SpectralResult) -> float:
     return worst
 
 
-def degree_power(g: Graph, p: float) -> float:
-    """Sum of degree^p over the vertices; equals 2m at p = 1."""
-    if p < 1:
-        raise ValueError(f"degree power requires p >= 1, got {p}")
-    return float(sum(d ** p for d in g.degrees()))
+def degree_power(g: Graph) -> float:
+    """Sum of the squared degrees over the vertices."""
+    return float(sum(d * d for d in g.degrees()))

@@ -1,17 +1,20 @@
 """Chromatic module: exact chi vs brute force, r-partiteness, criticality."""
 
+import signal
 from collections import Counter
 
 import pytest
 
 from conftest import all_labeled_graphs, brute_chromatic
 from qturan import families as F
+from qturan.bounds import is_semiregular_bipartite
 from qturan.chromatic import (
     chromatic_number,
     is_color_critical,
+    is_k_colorable,
     is_r_partite,
 )
-from qturan.graphs import Graph, join
+from qturan.graphs import Graph, from_edges, join
 from qturan.search import enumerate_graphs
 
 
@@ -50,39 +53,70 @@ def test_is_r_partite():
     assert not is_r_partite(F.turan(9, 3), 2)
 
 
+def _on_alarm(signum, frame):
+    raise TimeoutError("colouring search ran past its time limit")
+
+
+def test_components_are_colored_independently():
+    """Twenty disjoint C4s followed by one C5: when the C5 fails, the search
+    must not retry the C4s' 2^20 colourings. Each call gets 10 s; a search
+    that backtracks across components takes about a minute."""
+    c = 20
+    edges = [(4 * i + j, 4 * i + (j + 1) % 4) for i in range(c) for j in range(4)]
+    edges += [(4 * c + j, 4 * c + (j + 1) % 5) for j in range(5)]
+    g = from_edges(4 * c + 5, edges)
+    old = signal.signal(signal.SIGALRM, _on_alarm)
+    try:
+        for call, want in [
+            (lambda: is_k_colorable(g, 2), False),
+            (lambda: is_k_colorable(g, 3), True),
+            (lambda: is_r_partite(g, 2), False),
+            (lambda: is_semiregular_bipartite(g), False),
+            (lambda: chromatic_number(g), 3),
+        ]:
+            signal.alarm(10)
+            try:
+                got = call()
+            except TimeoutError:
+                got = "no answer within 10 s"
+            finally:
+                signal.alarm(0)
+            assert got == want
+    finally:
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_color_critical_families():
     for m in range(2, 8):
-        assert is_color_critical(F.complete(m))[0]
+        assert is_color_critical(F.complete(m)) is not None
     for k in (5, 7, 9):
-        assert is_color_critical(F.cycle(k))[0]
+        assert is_color_critical(F.cycle(k)) is not None
     for order in (6, 8, 10):  # even wheels
-        assert is_color_critical(F.wheel(1, order - 1))[0]
+        assert is_color_critical(F.wheel(1, order - 1)) is not None
     # every book with a clique side (r >= 2) of order <= 10
     for r in range(2, 9):
         for k in range(1, 11 - r):
-            assert is_color_critical(F.generalized_book(r, k))[0], (r, k)
+            assert is_color_critical(F.generalized_book(r, k)) is not None, (r, k)
     # every generalized wheel with r >= 2 of order <= 10 (deleting a clique
     # edge always drops chi; r = 1 with an even cycle is NOT critical)
     for r in range(2, 8):
         for cyc in range(3, 11 - r):
-            assert is_color_critical(F.wheel(r, cyc))[0], (r, cyc)
-    assert not is_color_critical(F.wheel(1, 4))[0]
+            assert is_color_critical(F.wheel(r, cyc)) is not None, (r, cyc)
+    assert is_color_critical(F.wheel(1, 4)) is None
     # every K_{s,t} plus an edge of order <= 10
     for s in range(2, 6):
         for t in range(s, 11 - s):
-            assert is_color_critical(F.kst_plus(s, t))[0], (s, t)
+            assert is_color_critical(F.kst_plus(s, t)) is not None, (s, t)
     # complete bipartite graphs with at least two edges stay 2-chromatic
     # under any single deletion (K_{1,1} is the clique K_2, critical)
     for s in range(1, 5):
         for t in range(s, 6):
             if s * t >= 2:
-                assert not is_color_critical(F.complete_bipartite(s, t))[0], (s, t)
+                assert is_color_critical(F.complete_bipartite(s, t)) is None, (s, t)
 
 
 def test_color_critical_witness():
-    ok, w = is_color_critical(F.kst_plus(2, 3))
-    assert ok and w.chi_before == 3 and w.chi_after == 2
-    assert w.edges == ((0, 1),)  # the embedded edge
+    assert is_color_critical(F.kst_plus(2, 3)) == (0, 1)  # the embedded edge
     with pytest.raises(ValueError):
         is_color_critical(F.empty(3))
 
@@ -96,8 +130,8 @@ def _without_edge(g, i, j):
 
 def test_color_critical_matches_bruteforce_and_pins_the_small_f():
     """On every class of order <= 6 with an edge, ``is_color_critical``
-    agrees with brute-force chi of each single-edge deletion, and its
-    witness is the first such edge in ``Graph.edges`` order. Among the
+    agrees with brute-force chi of each single-edge deletion: it returns
+    the first such edge in ``Graph.edges`` order, or None. Among the
     connected classes (the candidate F of the Q-Simonovits map) 36 are
     color-critical with chi >= 4, 30 of them with chi 4, 5 with chi 5 and
     1 with chi 6, and 46 with chi 3."""
@@ -108,14 +142,10 @@ def test_color_critical_matches_bruteforce_and_pins_the_small_f():
                 continue
             chi = brute_chromatic(g)
             drops = [e for e in g.edges() if brute_chromatic(_without_edge(g, *e)) < chi]
-            ok, w = is_color_critical(g)
-            assert ok == bool(drops), g
-            if ok:
-                assert (w.edges, w.chi_before, w.chi_after) == ((drops[0],), chi, chi - 1), g
-                if len(g.components()) == 1:
-                    critical[chi] += 1
-            else:
-                assert w is None, g
+            edge = is_color_critical(g)
+            assert edge == (drops[0] if drops else None), g
+            if edge is not None and len(g.components()) == 1:
+                critical[chi] += 1
     assert (critical[3], critical[4], critical[5], critical[6]) == (46, 30, 5, 1)
     assert sum(k for chi, k in critical.items() if chi >= 4) == 36
 

@@ -130,7 +130,7 @@ def _explicit_preconditions(g, ref_n, params, tol=DEFAULT_TOL):
 
 
 def _descent_starts():
-    starts = [parse_family_spec(s).build() for s in ("star:10", "path:30", "split:9,3", "turan:12,3")]
+    starts = [parse_family_spec(s) for s in ("star:10", "path:30", "split:9,3", "turan:12,3")]
     rng = random.Random(7)
     starts += [sample_gnp(n, p, rng) for n, p in ((12, 0.3), (14, 0.5), (16, 0.7), (20, 0.6))]
     return starts
