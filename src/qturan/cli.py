@@ -20,7 +20,7 @@ from . import verify as V
 from .descent import descent_run
 from .families import is_family_spec, parse_family_spec
 from .graphs import Graph, Graph6Error, parse_graph6, to_graph6
-from .search import ENUMERATION_CAP, extremal_edges, extremal_q
+from .search import COLUMNS, ENUMERATION_CAP, extremal_edges, extremal_q
 from .spectral import DEFAULT_TOL, Tolerance, adjacency_radius, q_radius
 
 
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[common], help="extremal edge- or q-search at order n")
     p.add_argument("n", type=int)
     p.add_argument("--forbid", required=True, help="forbidden subgraph (family spec or graph6)")
-    p.add_argument("--mode", choices=["edges", "q"], default="edges")
+    p.add_argument("--mode", choices=sorted(COLUMNS), default="edges")
     p.add_argument("--corpus", help="external graph6 corpus file (see QTURAN_CORPUS_DIR)")
     p.set_defaults(fn=cmd_search)
 

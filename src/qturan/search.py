@@ -1,5 +1,6 @@
-"""Isomorph-free enumeration, graph6 corpus ingestion, extremal searches,
-Turan density estimation, min-degree-family scans and seeded random graphs."""
+"""Isomorph-free enumeration, graph6 corpus ingestion, extremal searches
+(optionally over a min-degree family), Turan density estimation and seeded
+random graphs."""
 
 from __future__ import annotations
 
@@ -9,14 +10,12 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _kernels, spectral
-from .bounds import CriterionParams
 from .chromatic import chromatic_number
-from .families import turan
 from .graphs import (
     Graph,
     Graph6Error,
@@ -42,7 +41,8 @@ class SearchReport:
 
     ``mode`` says which quantity was maximized; the other field reports the
     corresponding value over the winning graphs. ``extremal_graphs`` holds
-    canonical graph6 strings.
+    graph6 strings: canonical for the built-in classes, and each graph as
+    given for a ``corpus`` scan.
     """
 
     n: int
@@ -273,14 +273,27 @@ def _graph_source(n: int, corpus: Optional[str]) -> Sequence[Graph]:
 # -- extremal scans --------------------------------------------------------------
 
 
+def _q_floor_value(g: Graph) -> Tuple[float, float]:
+    res = spectral.q_radius(g)  # via the module, so a traced q_radius sees it
+    return res.bracket[0], res.radius
+
+
+# One row per scanned quantity: keys(graphs) gives each graph an upper bound
+# on its value, with no eigensolve; judge(g) gives a visited F-free class its
+# (floor, value), floor <= value.
+COLUMNS = {
+    "edges": (
+        lambda graphs: np.array([g.m for g in graphs], dtype=np.float64),
+        lambda g: (g.m, g.m),
+    ),
+    "q": (q_rank_bounds, _q_floor_value),
+}
+
+
 def _rank(graphs: Sequence[Graph], mode: str) -> Tuple[np.ndarray, np.ndarray]:
     """The visiting keys of a scan and the indices in descending-key order,
-    ties in source order: edge counts (``mode == "edges"``) or rank bounds
-    hi(G) >= q(G) (``"q"``)."""
-    if mode == "edges":
-        keys = np.array([g.m for g in graphs], dtype=np.float64)
-    else:
-        keys = q_rank_bounds(graphs)
+    ties in source order."""
+    keys = COLUMNS[mode][0](graphs)
     return keys, np.argsort(-keys, kind="stable")
 
 
@@ -296,22 +309,23 @@ def _extremal(
     mode: str,
     corpus: Optional[str],
     tie_tol: float,
-    min_degree_above: Optional[float] = None,
+    min_degree: int = 0,
 ) -> SearchReport:
-    """The maximizer scan behind ``extremal_edges`` (``mode == "edges"``)
-    and ``extremal_q`` (``"q"``).
+    """The maximizer scan of the ``COLUMNS`` row ``mode``, behind
+    ``extremal_edges`` and ``extremal_q``.
 
-    Each F-free class the scan visits gives a floor and a value: its edge
-    count for both, or the lo of its ``q_radius`` bracket (lo <= q however
-    wide the bracket) and that solve's radius, the number ``q_value``
-    returns. Graphs are visited by descending key, an upper bound on the
-    value: the edge count itself, or the rank bound hi(G) >= q(G)
-    (``spectral.q_rank_bounds``, no eigensolve). The scan stops at the first
+    Each F-free class the scan visits gets its floor and value from the
+    row's judge: its edge count for both, or the lo of its ``q_radius``
+    bracket (lo <= q however wide the bracket) and that solve's radius, the
+    number ``q_value`` returns. Graphs are visited by descending key, the
+    row's upper bound on the value: the edge count itself, or the rank bound
+    hi(G) >= q(G) (``spectral.q_rank_bounds``). The scan stops at the first
     key below best - tie_tol - 1e-9 * max(1, best), where best is the
     largest floor seen so far and tie_tol, which the wrapper passes, is
     cmp_tol for q and 0 for edge counts (for which the test is exactly
     m >= best). Every graph past that point has a value below the final
-    maximum by more than tie_tol.
+    maximum by more than tie_tol. Classes with delta(G) < min_degree are
+    skipped.
 
     The maximizers are the visited F-free classes whose value is within
     tie_tol of the largest value, in source order; ``max_q`` is the largest
@@ -320,23 +334,18 @@ def _extremal(
     t0 = time.perf_counter()
     graphs = _graph_source(n, corpus)
     keys, order = _class_ranking(n, mode) if corpus is None else _rank(graphs, mode)
+    judge = COLUMNS[mode][1]
     best = float("-inf")
     found: List[Tuple[int, float]] = []
     for i in order:
         if keys[i] < best - tie_tol - 1e-9 * max(1.0, best):
             break
         g = graphs[i]
-        if min_degree_above is not None:
-            degs = g.degrees()
-            if not degs or min(degs) <= min_degree_above:
-                continue
+        if min_degree and min(g.degrees(), default=0) < min_degree:
+            continue
         if not is_free(g, f):
             continue
-        if mode == "edges":
-            floor = value = g.m
-        else:
-            res = spectral.q_radius(g)  # via the module, so a traced q_radius sees it
-            floor, value = res.bracket[0], res.radius
+        floor, value = judge(g)
         best = max(best, floor)
         found.append((i, value))
     top = max((value for _, value in found), default=None)
@@ -373,7 +382,7 @@ def extremal_q(
     f: Graph,
     corpus: Optional[str] = None,
     tol: Tolerance = DEFAULT_TOL,
-    min_degree_above: Optional[float] = None,
+    min_degree: int = 0,
     jobs: int = 1,
 ) -> SearchReport:
     """Max q(G) over F-free classes: the maximizers are the F-free classes
@@ -385,13 +394,15 @@ def extremal_q(
     the scans at one order share it) gives its q, which judges ties, and the
     lo of its bracket lo(G) <= q(G) <= hi(G), which only moves the record
     that stops the scan.
-    ``min_degree_above`` restricts the scan to delta(G) > that value.
+    ``min_degree`` = d keeps only the classes with delta(G) >= d; for
+    integer degrees, d = floor((pi - eps) n) + 1 gives the criterion's
+    family delta(G) > (pi - eps) n.
 
     ``jobs`` is ignored: every scan runs in-process. The keyword stays only
     because the benchmark harness (``perfbench/worker.py``) still calls
     ``extremal_q(n, f, jobs=1)``; drop it once the harness stops passing it.
     """
-    return _extremal(n, f, "q", corpus, tol.cmp_tol, min_degree_above)
+    return _extremal(n, f, "q", corpus, tol.cmp_tol, min_degree)
 
 
 def turan_density_estimate(f: Graph, n_max: int) -> DensityEstimate:
@@ -406,37 +417,6 @@ def turan_density_estimate(f: Graph, n_max: int) -> DensityEstimate:
     chi = chromatic_number(f)
     hint = 1.0 - 1.0 / (chi - 1) if chi >= 2 else 0.0
     return DensityEstimate(points=points, limit_hint=hint)
-
-
-def min_degree_family(
-    n: int,
-    f: Graph,
-    params: CriterionParams,
-    corpus: Optional[str] = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> Dict[str, object]:
-    """q over the family of F-free graphs with min degree > (pi - eps) n.
-
-    Also verifies the Turan membership arithmetic: delta(T_{n,r}) =
-    floor((r-1) n / r) exceeds the threshold and T_{n,r} is F-free.
-    """
-    threshold = (params.pi - params.epsilon) * n
-    rep = extremal_q(n, f, corpus=corpus, tol=tol, min_degree_above=threshold)
-    r = params.r
-    turan_delta = ((r - 1) * n) // r
-    tg = turan(n, min(r, n))
-    turan_in_family = turan_delta > threshold and is_free(tg, f)
-    return {
-        "n": n,
-        "forbidden": rep.forbidden,
-        "threshold": threshold,
-        "family_empty": not rep.extremal_graphs,
-        "max_q": rep.max_q,
-        "maximizers": rep.extremal_graphs,
-        "scanned": rep.scanned,
-        "turan_min_degree": turan_delta,
-        "turan_in_family": turan_in_family,
-    }
 
 
 # -- seeded random graphs (verification sweeps) -----------------------------------

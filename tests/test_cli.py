@@ -1,5 +1,6 @@
 """CLI surface: commands, exit codes, JSON outputs."""
 
+import argparse
 import inspect
 import json
 import re
@@ -7,6 +8,7 @@ import re
 import pytest
 
 from qturan import cli
+from qturan import search as S
 from qturan import verify as V
 from qturan.bounds import CSV_COLUMNS
 from qturan.cli import main
@@ -155,6 +157,45 @@ def test_search_with_corpus(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "ex_edges   3" in out
     assert "scanned    1" in out
+
+
+def test_search_resolves_corpus_names_under_the_corpus_dir(capsys, tmp_path, monkeypatch):
+    lib, work = tmp_path / "lib", tmp_path / "work"
+    lib.mkdir()
+    work.mkdir()
+    (lib / "three.g6").write_bytes(b"Bw\n")  # K3
+    other = tmp_path / "other.g6"
+    other.write_bytes(b"B?\n")  # three isolated vertices
+    monkeypatch.chdir(work)
+    monkeypatch.setenv(S.CORPUS_DIR_ENV, str(lib))
+    path = tmp_path / "rep.json"
+
+    def scanned(corpus):
+        argv = ["search", "3", "--forbid", "clique:3", "--json", str(path), "--corpus", corpus]
+        assert main(argv) == 0
+        return json.loads(path.read_text())["extremal_graphs"]
+
+    # a relative name resolves under the directory: its one graph is K3
+    assert scanned("three.g6") == []
+    # an existing relative path wins over the directory
+    (work / "three.g6").write_bytes(b"Bg\n")  # the path P3
+    assert scanned("three.g6") == ["Bg"]
+    # an absolute path is read as given, and never looked up in the directory
+    assert scanned(str(other)) == ["B?"]
+    capsys.readouterr()
+    for missing in (str(tmp_path / "three.g6"), "missing.g6"):
+        assert main(["search", "3", "--forbid", "clique:3", "--corpus", missing]) == 2
+        assert "No such file" in capsys.readouterr().err
+
+
+def test_search_modes_are_the_column_rows(capsys):
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    (mode,) = [a for a in sub.choices["search"]._actions if a.dest == "mode"]
+    assert mode.choices == sorted(S.COLUMNS)
+    with pytest.raises(SystemExit) as ei:
+        main(["search", "6", "--forbid", "clique:3", "--mode", "lambda"])
+    assert ei.value.code == 2
+    assert "invalid choice: 'lambda'" in capsys.readouterr().err
 
 
 def test_search_refuses_a_malformed_corpus_line(capsys, tmp_path):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -39,7 +40,6 @@ from qturan.search import (
     extremal_edges,
     extremal_q,
     ingest_corpus,
-    min_degree_family,
     sample_gnp,
     turan_density_estimate,
 )
@@ -275,20 +275,37 @@ def test_importing_the_cli_loads_neither_fractions_nor_decimal():
     assert proc.stdout.strip() == "[]"
 
 
+def _family_floor(n, params):
+    """The integer floor d of the criterion's family delta(G) > (pi - eps) n."""
+    return math.floor((params.pi - params.epsilon) * n) + 1
+
+
 def test_min_degree_family():
-    out = min_degree_family(6, F.complete(3), CriterionParams.default(r=2))
-    assert out["turan_in_family"] and not out["family_empty"]
-    assert out["max_q"] == pytest.approx(6.0, abs=1e-9)
+    cases = [
+        (6, F.complete(3), CriterionParams.default(r=2), 3),
+        (7, F.complete(4), CriterionParams.default(r=3), 4),
+        # a tiny epsilon empties the family at small n
+        (4, F.complete(4), CriterionParams(epsilon=1e-3, sigma=1e-6, r=3), 3),
+    ]
+    reps = []
+    for n, f, params, d in cases:
+        assert _family_floor(n, params) == d
+        threshold = (params.pi - params.epsilon) * n
+        for g in enumerate_graphs(n):
+            assert (min(g.degrees()) > threshold) == (min(g.degrees()) >= d)
+        reps.append(extremal_q(n, f, min_degree=d))
+    rep = reps[0]
+    t62 = F.turan(6, 2)
+    assert min(t62.degrees()) >= 3 and is_free(t62, F.complete(3)) and rep.extremal_graphs
+    assert rep.max_q == pytest.approx(6.0, abs=1e-9)
     assert any(
-        is_isomorphic(parse_graph6(g), F.complete_bipartite(3, 3)) for g in out["maximizers"]
+        is_isomorphic(parse_graph6(g), F.complete_bipartite(3, 3)) for g in rep.extremal_graphs
     )
-    out = min_degree_family(7, F.complete(4), CriterionParams.default(r=3))
-    assert out["turan_in_family"]
-    assert out["max_q"] == pytest.approx(q_value(F.turan(7, 3)), abs=1e-9)
-    # a tiny epsilon empties the family at small n
-    strict = CriterionParams(epsilon=1e-3, sigma=1e-6, r=3)
-    out = min_degree_family(4, F.complete(4), strict)
-    assert out["family_empty"]
+    rep = reps[1]
+    t73 = F.turan(7, 3)
+    assert min(t73.degrees()) >= 4 and is_free(t73, F.complete(4))
+    assert rep.max_q == pytest.approx(q_value(t73), abs=1e-9)
+    assert not reps[2].extremal_graphs
 
 
 def test_sample_gnp_deterministic():
@@ -328,14 +345,14 @@ def _unranked_edges(n, f, corpus=None):
     )
 
 
-def _unranked_q(n, f, corpus=None, tol=DEFAULT_TOL, min_degree_above=None):
+def _unranked_q(n, f, corpus=None, tol=DEFAULT_TOL, min_degree=0):
     """extremal_q as a plain loop: containment and q_value on every graph of
     the source, the accumulate rule in source order, then one q_value per
     winner, which sets max_q and drops a winner more than cmp_tol below it."""
     graphs = _source(n, corpus)
     best, winners = float("-inf"), []
     for g in graphs:
-        if min_degree_above is not None and (not g.n or min(g.degrees()) <= min_degree_above):
+        if min_degree and (not g.n or min(g.degrees()) < min_degree):
             continue
         if not is_free(g, f):
             continue
@@ -390,11 +407,11 @@ def test_ranked_scans_match_unranked_loop():
             tag = (n, to_graph6(f))
             assert _without_elapsed(extremal_edges(n, f)) == _without_elapsed(_unranked_edges(n, f)), tag
             for tol in (DEFAULT_TOL,) + wide:
-                for above in (None, 0, 0.45 * n):
-                    got = extremal_q(n, f, tol=tol, min_degree_above=above)
+                for d in (0, 1, math.floor(0.45 * n) + 1):
+                    got = extremal_q(n, f, tol=tol, min_degree=d)
                     assert _without_elapsed(got) == _without_elapsed(
-                        _unranked_q(n, f, tol=tol, min_degree_above=above)
-                    ), (tag, tol.cmp_tol, above)
+                        _unranked_q(n, f, tol=tol, min_degree=d)
+                    ), (tag, tol.cmp_tol, d)
                     tied += tol in wide and len(got.extremal_graphs) > 1
     assert tied == 179
 
@@ -450,10 +467,10 @@ def test_wide_brackets_defer_to_q_value(monkeypatch, fresh_brackets):
     monkeypatch.setattr(spectral, "_solve_radius", widened)
     for n in range(4, 8):
         for f in _SCAN_TARGETS:
-            for above in (None, 0.45 * n):
-                got = extremal_q(n, f, min_degree_above=above)
-                want = _unranked_q(n, f, min_degree_above=above)
-                assert _without_elapsed(got) == _without_elapsed(want), (n, to_graph6(f), above)
+            for d in (0, math.floor(0.45 * n) + 1):
+                got = extremal_q(n, f, min_degree=d)
+                want = _unranked_q(n, f, min_degree=d)
+                assert _without_elapsed(got) == _without_elapsed(want), (n, to_graph6(f), d)
 
 
 def test_scans_bracket_only_the_classes_they_decide(monkeypatch, fresh_brackets):
@@ -507,10 +524,10 @@ def test_ranked_scans_match_unranked_loop_on_mixed_corpus(tmp_path):
             tag = (n, to_graph6(f))
             got = extremal_edges(n, f, corpus=corpus)
             assert _without_elapsed(got) == _without_elapsed(_unranked_edges(n, f, corpus)), tag
-            for above in (None, 0.45 * n):
-                got = extremal_q(n, f, corpus=corpus, min_degree_above=above)
-                want = _unranked_q(n, f, corpus, min_degree_above=above)
-                assert _without_elapsed(got) == _without_elapsed(want), (tag, above)
+            for d in (0, math.floor(0.45 * n) + 1):
+                got = extremal_q(n, f, corpus=corpus, min_degree=d)
+                want = _unranked_q(n, f, corpus, min_degree=d)
+                assert _without_elapsed(got) == _without_elapsed(want), (tag, d)
     assert extremal_q(8, F.complete(3), corpus=corpus).scanned == 0
 
 
