@@ -4,8 +4,6 @@ evaluated with explicit slack.
 Every entry is normalized to the form lhs <= rhs, so slack = rhs - lhs,
 holds = slack >= -cmp_tol and equality = |slack| <= cmp_tol hold uniformly
 (lower bounds store the bound as lhs and the dominating quantity as rhs).
-Asymptotic statements are emitted with ``report_only`` set: their slack is
-recorded but a violation at small order is not an implementation bug.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Set, Tuple
 
 from .chromatic import is_r_partite
 from .families import turan, turan_edges  # noqa: F401 (perfbench/tracing.py wraps bounds.turan)
@@ -30,8 +28,7 @@ from .spectral import (
 
 
 class BoundEntry(NamedTuple):
-    """One checked inequality. ``rhs``/``slack`` are None for report-only
-    quantities that have no bounding side (e.g. o(1) estimates).
+    """One checked inequality.
 
     A tuple record, immutable and hashable, because one is built per checked
     inequality: a frozen dataclass built from keywords took longer than the
@@ -39,11 +36,10 @@ class BoundEntry(NamedTuple):
 
     name: str
     lhs: float
-    rhs: Optional[float]
-    slack: Optional[float]
+    rhs: float
+    slack: float
     holds: bool
     equality: bool
-    report_only: bool = False
     note: str = ""
 
     def as_record(self, graph_id: str) -> Dict[str, object]:
@@ -56,8 +52,6 @@ class BoundEntry(NamedTuple):
             "holds": self.holds,
             "equality": self.equality,
         }
-        if self.report_only:
-            rec["reportOnly"] = True
         if self.note:
             rec["note"] = self.note
         return rec
@@ -82,48 +76,10 @@ def write_reports_csv(reports, stream) -> None:
             writer.writerow({k: v for k, v in e.as_record(rep.graph_id).items()})
 
 
-@dataclass(frozen=True)
-class CriterionParams:
-    """Parameters of the spectral criterion: 0 < epsilon < 1/2 and
-    sigma < epsilon/36; pi = 1 - 1/r is the Turan density of the target
-    family. r >= 2 is accepted (the criterion theorem itself needs r >= 3,
-    but the min-degree machinery is also exercised at r = 2)."""
-
-    epsilon: float
-    sigma: float
-    r: int
-
-    def __post_init__(self):
-        if not (0 < self.epsilon < 0.5):
-            raise ValueError(f"epsilon must be in (0, 1/2), got {self.epsilon}")
-        if not (self.sigma < self.epsilon / 36):
-            raise ValueError(
-                f"sigma must satisfy sigma < epsilon/36, got sigma={self.sigma}"
-            )
-        if self.r < 2:
-            raise ValueError(f"r must be >= 2, got {self.r}")
-
-    @property
-    def pi(self) -> float:
-        return 1.0 - 1.0 / self.r
-
-    @classmethod
-    def default(cls, r: int = 3, epsilon: float = 0.1) -> "CriterionParams":
-        return cls(epsilon=epsilon, sigma=epsilon / 40.0, r=r)
-
-
-def _entry(
-    name: str,
-    lhs: float,
-    rhs: float,
-    tol: Tolerance,
-    strict: bool = False,
-    report_only: bool = False,
-    note: str = "",
-) -> BoundEntry:
+def _entry(name: str, lhs: float, rhs: float, tol: Tolerance, strict: bool = False) -> BoundEntry:
     slack = rhs - lhs
     holds = slack > 0 if strict else slack >= -tol.cmp_tol
-    return BoundEntry(name, lhs, rhs, slack, holds, abs(slack) <= tol.cmp_tol, report_only, note)
+    return BoundEntry(name, lhs, rhs, slack, holds, abs(slack) <= tol.cmp_tol)
 
 
 def check_bound_chain(g: Graph, tol: Tolerance = DEFAULT_TOL) -> List[BoundEntry]:
@@ -249,45 +205,6 @@ def fact21_margin_exact(n: int, r: int) -> bool:
     return t > 0 and n * n * disc < t * t
 
 
-def check_dl1(
-    ex_seq: Mapping[int, int], params: CriterionParams, n: int, tol: Tolerance = DEFAULT_TOL
-) -> BoundEntry:
-    """|ex(n,F) - ex(n-1,F) - pi(F) n| <= sigma n."""
-    if n not in ex_seq or (n - 1) not in ex_seq:
-        raise ValueError(f"Turan-number sequence missing values at {n} or {n - 1}")
-    dev = abs(ex_seq[n] - ex_seq[n - 1] - params.pi * n)
-    return _entry("criterion_dl1", dev, params.sigma * n, tol)
-
-
-def check_dl2(
-    q_gn: float, ex_n: int, params: CriterionParams, n: int, tol: Tolerance = DEFAULT_TOL
-) -> BoundEntry:
-    """|q(G_n) - 4 ex(n,F) / n| <= sigma."""
-    if n < 1:
-        raise ValueError("needs n >= 1")
-    dev = abs(q_gn - 4 * ex_n / n)
-    return _entry("criterion_dl2", dev, params.sigma, tol)
-
-
-def check_qn_estimate(
-    q_gn: float, params: CriterionParams, n: int, tol: Tolerance = DEFAULT_TOL
-) -> BoundEntry:
-    """Report-only: |q(G_n)/n - 2 pi|, the o(1) defect of the asymptotic
-    radius estimate. There is no pass/fail side."""
-    if n < 1:
-        raise ValueError("needs n >= 1")
-    dev = abs(q_gn / n - 2 * params.pi)
-    return BoundEntry("qn_estimate", dev, None, None, True, dev <= tol.cmp_tol, True)
-
-
-def check_beg_gap(
-    q_gn: float, q_gn1: float, params: CriterionParams, tol: Tolerance = DEFAULT_TOL
-) -> BoundEntry:
-    """Report-only at small n: |q(G_n) - q(G_{n-1}) - 2 pi| <= 7 sigma."""
-    dev = abs(q_gn - q_gn1 - 2 * params.pi)
-    return _entry("criterion_beg_gap", dev, 7 * params.sigma, tol, report_only=True)
-
-
 def check_min_degree_stability(g: Graph, r: int, tol: Tolerance = DEFAULT_TOL) -> BoundEntry:
     """Degree stability: min degree above (3r-4)/(3r-1) n forces G to be
     r-partite (for the clique case the implication is unconditional).
@@ -312,7 +229,7 @@ def check_min_degree_stability(g: Graph, r: int, tol: Tolerance = DEFAULT_TOL) -
         note = f"premise=True, r_partite={partite}"
     slack = delta - threshold
     return BoundEntry(
-        "degree_stability", threshold, float(delta), slack, holds, abs(slack) <= tol.cmp_tol, False, note
+        "degree_stability", threshold, float(delta), slack, holds, abs(slack) <= tol.cmp_tol, note
     )
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 from . import __version__
 from . import bounds as B
 from . import verify as V
-from .descent import descent_run
+from .descent import CriterionParams, descent_run
 from .families import is_family_spec, parse_family_spec
 from .graphs import Graph, Graph6Error, parse_graph6, to_graph6
 from .search import COLUMNS, ENUMERATION_CAP, extremal_edges, extremal_q
@@ -154,7 +154,7 @@ def cmd_search(args) -> int:
 
 def cmd_descent(args) -> int:
     tol = _tol(args) or DEFAULT_TOL
-    params = B.CriterionParams.default(r=args.r, epsilon=args.eps)
+    params = CriterionParams(epsilon=args.eps, r=args.r)
     g = load_graph(args.input)
     trace = descent_run(
         g, params, floor=args.floor, keep_graphs=args.keep_graphs, tol=tol

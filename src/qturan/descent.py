@@ -13,12 +13,32 @@ import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .bounds import CriterionParams
 from .graphs import Graph, delete_vertex, to_graph6
 from .spectral import DEFAULT_TOL, Tolerance, q_radius, q_value, turan_q
 
 STOP_MIN_DEGREE = "min_degree_exceeded"
 STOP_FLOOR = "order_floor"
+
+
+@dataclass(frozen=True)
+class CriterionParams:
+    """Parameters of the spectral criterion: 0 < epsilon < 1/2, and
+    pi = 1 - 1/r is the Turan density of the target family. r >= 2 is
+    accepted (the criterion theorem itself needs r >= 3, but the min-degree
+    machinery is also exercised at r = 2)."""
+
+    epsilon: float = 0.1
+    r: int = 3
+
+    def __post_init__(self):
+        if not (0 < self.epsilon < 0.5):
+            raise ValueError(f"epsilon must be in (0, 1/2), got {self.epsilon}")
+        if self.r < 2:
+            raise ValueError(f"r must be >= 2, got {self.r}")
+
+    @property
+    def pi(self) -> float:
+        return 1.0 - 1.0 / self.r
 
 
 @dataclass(frozen=True)
@@ -132,7 +152,8 @@ def descent_run(
 
     The reference q(T_{n,r}) stands in for the max radius over the
     min-degree family when a color-critical F with chi = r + 1 is
-    forbidden; it is the exact ``turan_q``, not an eigensolve.
+    forbidden; it is the exact ``turan_q``, not an eigensolve. Below order
+    r it is q(K_n), since T_{n,r} = K_n for n <= r.
     """
     if h.n <= floor or floor < 1:
         raise ValueError(f"needs |H| > floor >= 1, got |H|={h.n}, floor={floor}")
@@ -146,7 +167,7 @@ def descent_run(
         u = ties[0]
         delta = min(g.degrees())
         slack32 = lemma_min_check(g)
-        ref_n = turan_q(n, params.r) if n >= params.r else 0.0
+        ref_n = turan_q(n, min(n, params.r))
 
         stop = None
         if delta > (params.pi - params.epsilon) * n:
@@ -162,7 +183,7 @@ def descent_run(
             # below the min-degree exit delta <= (pi - eps) n, so mind is True
             # exactly when q >= ref_n - cmp_tol and x^2 < (1 - eps)/n
             if mind is True:
-                ref_n1 = turan_q(n - 1, params.r) if n - 1 >= params.r else 0.0
+                ref_n1 = turan_q(n - 1, min(n - 1, params.r))
                 growth, reference = lemma_dv_check(g, u, params, ref_n1, tol=tol)
 
         trace.steps.append(

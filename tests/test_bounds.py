@@ -12,10 +12,10 @@ from qturan import bounds as B
 from qturan import families as F
 from qturan import verify as V
 from qturan.chromatic import is_r_partite
-from qturan.descent import lemma_min_check
+from qturan.descent import CriterionParams, lemma_min_check
 from qturan.graphs import from_edges, parse_graph6, to_graph6
 from qturan.search import enumerate_graphs
-from qturan.spectral import DEFAULT_TOL, Tolerance, q_value
+from qturan.spectral import DEFAULT_TOL, Tolerance
 from qturan.subgraph import has_clique
 
 
@@ -141,7 +141,7 @@ def test_fact21_margin():
 def test_fact21_margin_pinned_bits(n, r, lhs, rhs, slack):
     e = B.check_fact21_margin(n, r)
     assert (e.lhs.hex(), e.rhs.hex(), e.slack.hex()) == (lhs, rhs, slack)
-    assert e.holds and not e.equality and not e.report_only and e.note == ""
+    assert e.holds and not e.equality and e.note == ""
 
 
 def test_fact21_margin_decided_exactly_to_ten_thousand():
@@ -157,44 +157,13 @@ def test_fact21_margin_decided_exactly_to_ten_thousand():
 
 
 def test_criterion_params():
-    p = B.CriterionParams.default(r=3)
+    p = CriterionParams(r=3)
+    assert (p.epsilon, p.r) == (0.1, 3) and p == CriterionParams()
     assert p.pi == pytest.approx(2 / 3)
-    with pytest.raises(ValueError, match="sigma"):
-        B.CriterionParams(epsilon=0.1, sigma=0.01, r=3)
     with pytest.raises(ValueError, match="epsilon"):
-        B.CriterionParams(epsilon=0.7, sigma=0.001, r=3)
+        CriterionParams(epsilon=0.7, r=3)
     with pytest.raises(ValueError, match="r must"):
-        B.CriterionParams(epsilon=0.1, sigma=0.001, r=1)
-
-
-def test_dl1_dl2_checks():
-    params = B.CriterionParams.default(r=3)
-    ex = {n: F.turan_edges(n, 3) for n in range(3, 101)}
-    # the integer identity behind the deviation bound
-    for n in range(4, 101):
-        assert ex[n] - ex[n - 1] == n - -(n // -3)
-        assert B.check_dl1(ex, params, n).lhs < 1.0
-    with pytest.raises(ValueError):
-        B.check_dl1({5: 6}, params, 5)
-    assert B.check_dl2(8.0, 12, params, 6).lhs < 1e-12
-    e = B.check_dl2(q_value(F.turan(7, 3)), 16, params, 7)
-    assert e.lhs == pytest.approx(abs(9.274917217635373 - 64 / 7), abs=1e-9)
-    # degenerate sigma = 0 fails unless the deviation vanishes
-    p0 = B.CriterionParams(epsilon=0.1, sigma=0.0, r=3)
-    assert not B.check_dl1(ex, p0, 7).holds
-    assert B.check_dl1(ex, p0, 6).holds  # 3 | 6: deviation exactly 0
-
-
-def test_qn_and_beg_are_report_only():
-    params = B.CriterionParams.default(r=3)
-    e = B.check_qn_estimate(8.0, params, 6)
-    assert e.report_only and e.rhs is None and e.lhs < 1e-12
-    e = B.check_qn_estimate(q_value(F.turan(7, 3)), params, 7)
-    assert e.lhs > 0
-    e = B.check_beg_gap(q_value(F.turan(7, 3)), 8.0, params)
-    assert e.report_only
-    huge = B.CriterionParams(epsilon=0.4, sigma=0.01, r=3)
-    assert B.check_beg_gap(100.0, 0.0, huge).holds is False  # recorded, not asserted
+        CriterionParams(epsilon=0.1, r=1)
 
 
 def test_min_degree_stability_entry():
@@ -250,16 +219,17 @@ def test_fact2_property(x):
 
 
 def test_report_serialization_schema():
-    entries = B.check_bound_chain(F.complete(3)) + [
-        B.check_qn_estimate(4.0, B.CriterionParams.default(2), 3)
-    ]
+    # the stability entry carries a note, which the CSV columns leave out
+    entries = B.check_bound_chain(F.complete(3)) + [B.check_min_degree_stability(F.complete(3), 3)]
+    assert "note" in entries[-1].as_record("Bw")
     rep = B.BoundReport("Bw", entries)
     buf = io.StringIO()
     B.write_reports_csv([rep], buf)
     rows = buf.getvalue().splitlines()
     assert rows[0] == "graph6,bound_name,lhs,rhs,slack,holds,equality"
     assert len(rows) == 5
-    assert all(e.holds for e in entries if not e.report_only)
+    assert rows[-1].startswith("Bw,degree_stability,")
+    assert all(e.holds for e in entries)
 
 
 def test_bound_entry_is_an_immutable_hashable_record():
@@ -277,20 +247,17 @@ def test_bound_entry_is_an_immutable_hashable_record():
         "slack": 0.5,
         "holds": True,
         "equality": False,
-        "reportOnly": True,
         "note": "premise=False (vacuous)",
     }
-    built = B._entry("probe", 1.5, 2.0, DEFAULT_TOL, report_only=True, note="premise=False (vacuous)")
     by_keyword = B.BoundEntry(
         name="probe", lhs=1.5, rhs=2.0, slack=0.5, holds=True, equality=False,
-        report_only=True, note="premise=False (vacuous)",
+        note="premise=False (vacuous)",
     )
-    for entry in (built, by_keyword):
-        rec = entry.as_record("Bw")
-        assert rec == want and list(rec) == list(want)
-    bare = B.BoundEntry("x", 1.0, None, None, True, False)
-    assert (bare.report_only, bare.note) == (False, "")
-    assert list(bare.as_record("A_")) == ["graph6", "bound_name", "lhs", "rhs", "slack", "holds", "equality"]
+    rec = by_keyword.as_record("Bw")
+    assert rec == want and list(rec) == list(want)
+    built = B._entry("probe", 1.5, 2.0, DEFAULT_TOL)
+    assert built == by_keyword._replace(note="")
+    assert list(built.as_record("A_")) == ["graph6", "bound_name", "lhs", "rhs", "slack", "holds", "equality"]
 
 
 # -- the bound sweeps of qturan.verify ------------------------------------------

@@ -6,10 +6,10 @@ import random
 import pytest
 
 from qturan import families as F
-from qturan.bounds import CriterionParams
 from qturan.descent import (
     STOP_FLOOR,
     STOP_MIN_DEGREE,
+    CriterionParams,
     descent_run,
     lemma_dv_check,
     lemma_min_check,
@@ -22,7 +22,7 @@ from qturan.spectral import DEFAULT_TOL, q_radius, q_value, turan_q
 
 
 def _params(r=3):
-    return CriterionParams.default(r=r)
+    return CriterionParams(r=r)
 
 
 def test_turan_stops_immediately():
@@ -75,6 +75,15 @@ def test_trace_json_shape():
     tr = descent_run(F.star(5), _params(), floor=1)
     payload = json.loads(tr.to_json())
     assert all("graph6" not in s for s in payload["steps"])
+
+
+def test_reference_below_order_r_is_the_clique():
+    # T_{n,r} = K_n for n <= r, so an edgeless graph (q = 0) never meets the
+    # reference q(K_n) = 2n - 2 at n = 3 and n = 2: mind is not evaluated
+    tr = descent_run(F.empty(4), _params(4))
+    assert [s.order for s in tr.steps] == [4, 3, 2, 1]
+    assert [s.mind_holds for s in tr.steps] == [None, None, None, None]
+    assert all(s.dv_growth_holds is None for s in tr.steps)
 
 
 def test_descent_rejects_bad_floor():
@@ -151,8 +160,8 @@ def test_deletion_lemma_runs_exactly_when_mind_holds(r):
                 continue
             g = parse_graph6(step.graph6.encode())
             n = g.n
-            ref_n = turan_q(n, r) if n >= r else 0.0
-            ref_n1 = turan_q(n - 1, r) if n - 1 >= r else 0.0
+            ref_n = turan_q(n, min(n, r))
+            ref_n1 = turan_q(n - 1, min(n - 1, r))
             pre = _explicit_preconditions(g, ref_n, params)
             want = lemma_dv_check(g, step.min_entry_vertex, params, ref_n1) if pre else (None, None)
             assert dv == want

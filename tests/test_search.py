@@ -20,7 +20,7 @@ from qturan import families as F
 from qturan import search as S
 from qturan import spectral
 from qturan import verify as V
-from qturan.bounds import CriterionParams
+from qturan.descent import CriterionParams
 from qturan.graphs import (
     Graph,
     Graph6Error,
@@ -200,7 +200,7 @@ def test_mantel_and_turan_edge_searches():
     assert is_isomorphic(parse_graph6(rep.extremal_graphs[0]), F.turan(7, 3))
 
 
-def test_w6_edge_search_report_only():
+def test_w6_edge_search_winners_are_w6_free():
     rep = extremal_edges(6, F.wheel(1, 5))
     # report-only regime: value recorded, every winner is W6-free
     assert rep.ex_edges is not None and rep.scanned == 156
@@ -282,10 +282,10 @@ def _family_floor(n, params):
 
 def test_min_degree_family():
     cases = [
-        (6, F.complete(3), CriterionParams.default(r=2), 3),
-        (7, F.complete(4), CriterionParams.default(r=3), 4),
+        (6, F.complete(3), CriterionParams(r=2), 3),
+        (7, F.complete(4), CriterionParams(r=3), 4),
         # a tiny epsilon empties the family at small n
-        (4, F.complete(4), CriterionParams(epsilon=1e-3, sigma=1e-6, r=3), 3),
+        (4, F.complete(4), CriterionParams(epsilon=1e-3, r=3), 3),
     ]
     reps = []
     for n, f, params, d in cases:

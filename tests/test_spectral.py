@@ -196,6 +196,21 @@ def test_known_radii():
     assert abs(S.q_value(F.path(4)) - (2 + math.sqrt(2))) < 1e-9
 
 
+def test_split_graph_closed_forms():
+    # split(n, k) = K_k joined to n - k independent vertices; the q form
+    # needs n >= 2, since it gives 1 at n = 1 where q(K_1) = 0
+    for n in range(2, 41):
+        for k in range(1, n + 1):
+            g = F.split(n, k)
+            c = n + 2 * k - 2
+            q = (c + math.sqrt(c * c - 8 * k * (k - 1))) / 2
+            lam = ((k - 1) + math.sqrt((k - 1) ** 2 + 4 * k * (n - k))) / 2
+            assert abs(S.q_value(g) - q) <= 1e-9 * q, (n, k)
+            assert abs(S.lambda_value(g) - lam) <= 1e-9 * lam, (n, k)
+            assert g.m == k * (k - 1) // 2 + k * (n - k), (n, k)
+            assert S.degree_power(g) == k * (n - 1) ** 2 + (n - k) * k * k, (n, k)
+
+
 def test_result_contract():
     res = S.q_radius(F.generalized_book(3, 2))
     assert abs(sum(x * x for x in res.vector) - 1.0) < 1e-12
