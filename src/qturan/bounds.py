@@ -169,18 +169,15 @@ def check_hofmeister(g: Graph, tol: Tolerance = DEFAULT_TOL) -> Tuple[BoundEntry
     return entry, _regular_or_semiregular_bipartite(g)
 
 
-def check_degree_power(g: Graph, r: int, tol: Tolerance = DEFAULT_TOL) -> List[BoundEntry]:
-    """sum of d^2 <= 2 (1 - 1/r) m n, plus the cubic form vs (1-1/r)^2 n^3.
+def check_degree_power(g: Graph, r: int, tol: Tolerance = DEFAULT_TOL) -> BoundEntry:
+    """sum of d^2 <= 2 (1 - 1/r) m n.
 
     The F-freeness context is the caller's responsibility; at m = 0 both
     sides vanish and equality is flagged.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    s2 = degree_power(g)
-    main = _entry("degree_power", s2, 2 * (1 - 1 / r) * g.m * g.n, tol)
-    cubic = _entry("degree_power_cubic", s2, (1 - 1 / r) ** 2 * g.n ** 3, tol)
-    return [main, cubic]
+    return _entry("degree_power", degree_power(g), 2 * (1 - 1 / r) * g.m * g.n, tol)
 
 
 def check_fact21_margin(n: int, r: int, tol: Tolerance = DEFAULT_TOL) -> BoundEntry:

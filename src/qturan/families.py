@@ -51,29 +51,35 @@ def star(n: int) -> Graph:
     return complete_bipartite(1, n - 1)
 
 
-def turan(n: int, r: int) -> Graph:
-    """Complete r-partite graph on n vertices with balanced part sizes.
-
-    Part i (0-indexed) has size ceil((n - i) / r), so earlier parts are the
-    larger ones and the labeling is deterministic. Parts are consecutive
-    vertex ranges, and every vertex of part i gets the row
-    ``full & ~part_mask_i``: O(n) big-int operations in all.
-    """
+def turan_parts(n: int, r: int) -> Tuple[int, ...]:
+    """Ascending part sizes of T_{n,r}: with b, s = divmod(n, r), r - s
+    parts of size b and s parts of size b + 1."""
     if not (1 <= r <= n):
         raise ValueError(f"turan graph needs 1 <= r <= n, got r={r}, n={n}")
+    b, s = divmod(n, r)
+    return (b,) * (r - s) + (b + 1,) * s
+
+
+def turan(n: int, r: int) -> Graph:
+    """Complete r-partite graph on n vertices with part sizes
+    ``turan_parts(n, r)``, laid out largest first, so the labeling is
+    deterministic. Parts are consecutive vertex ranges, and every vertex of
+    a part gets the row ``full & ~part_mask``: O(n) big-int operations in
+    all.
+    """
+    parts = turan_parts(n, r)
     full = (1 << n) - 1
     rows = []
     start = 0
-    for i in range(r):
-        size = (n - i + r - 1) // r
+    for size in reversed(parts):
         rows += [full & ~(((1 << size) - 1) << start)] * size
         start += size
     return Graph(n, tuple(rows))
 
 
 def turan_edges(n: int, r: int) -> int:
-    """e(T_{n,r}) in closed form: with b, s = divmod(n, r), T_{n,r} has s
-    parts of size b + 1 and r - s parts of size b."""
+    """e(T_{n,r}) in closed form, (n^2 - sum of squared part sizes) / 2 over
+    ``turan_parts(n, r)``, without building the parts."""
     if not (1 <= r <= n):
         raise ValueError(f"turan graph needs 1 <= r <= n, got r={r}, n={n}")
     b, s = divmod(n, r)

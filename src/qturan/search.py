@@ -1,6 +1,5 @@
 """Isomorph-free enumeration, graph6 corpus ingestion, extremal searches
-(optionally over a min-degree family), Turan density estimation and seeded
-random graphs."""
+(optionally over a min-degree family) and seeded random graphs."""
 
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels, spectral
-from .chromatic import chromatic_number
 from .graphs import (
     Graph,
     Graph6Error,
@@ -56,23 +54,6 @@ class SearchReport:
 
     def to_json(self) -> str:
         return json.dumps(vars(self), indent=2)
-
-
-@dataclass
-class DensityEstimate:
-    """Exact points of ex(n,F)/C(n,2) with the chromatic limit hint."""
-
-    points: List[Tuple[int, int, int]]  # (n, ex_edges, n choose 2)
-    limit_hint: float
-
-    def non_increasing(self) -> bool:
-        """Whether ex/C(n, 2) never rises from one point to the next,
-        judged exactly on integer cross-products."""
-        p = self.points
-        return all(
-            ex1 * pairs0 <= ex0 * pairs1
-            for (_, ex0, pairs0), (_, ex1, pairs1) in zip(p, p[1:])
-        )
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -403,20 +384,6 @@ def extremal_q(
     ``extremal_q(n, f, jobs=1)``; drop it once the harness stops passing it.
     """
     return _extremal(n, f, "q", corpus, tol.cmp_tol, min_degree)
-
-
-def turan_density_estimate(f: Graph, n_max: int) -> DensityEstimate:
-    """Exact ex(n,F)/C(n,2) for n from |F| to n_max, with the limit hint
-    1 - 1/(chi(F) - 1)."""
-    if f.n < 2:
-        raise ValueError("forbidden graph needs at least 2 vertices")
-    points = []
-    for n in range(f.n, n_max + 1):
-        rep = extremal_edges(n, f)
-        points.append((n, rep.ex_edges, n * (n - 1) // 2))
-    chi = chromatic_number(f)
-    hint = 1.0 - 1.0 / (chi - 1) if chi >= 2 else 0.0
-    return DensityEstimate(points=points, limit_hint=hint)
 
 
 # -- seeded random graphs (verification sweeps) -----------------------------------

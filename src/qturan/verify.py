@@ -15,15 +15,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import bounds as B
 from . import families as F
+from .chromatic import chromatic_number
 from .graphs import Graph, parse_graph6, to_graph6
-from .search import (
-    ENUMERATION_CAP,
-    enumerate_graphs,
-    extremal_edges,
-    extremal_q,
-    sample_gnp,
-    turan_density_estimate,
-)
+from .search import ENUMERATION_CAP, enumerate_graphs, extremal_edges, extremal_q, sample_gnp
 from .spectral import DEFAULT_TOL, Tolerance, turan_q
 from .subgraph import has_clique, is_free
 from .descent import lemma_min_check
@@ -96,46 +90,48 @@ suite_lower_degree = partial(_entry_sweep, "lower-degree")
 suite_hofmeister = partial(_entry_sweep, "hofmeister")
 
 
-def _clique_scans(suite: str, n_max: int, r: Optional[int], scan: Callable):
-    """(n, rr, scan(n, K_{rr+1})) for 2 <= rr < n <= n_max, or for rr = r alone.
+def _scans(n_max: int, rows: Sequence[Tuple[int, Graph]], scan: Callable):
+    """(n, r, scan(n, F)) for each row (r, F) and each |F| <= n <= n_max,
+    n outermost. The caller builds each F once, so the containment test's
+    per-F cache finds it by identity rather than by ``Graph.__eq__``."""
+    for n in range(1, n_max + 1):
+        for r, f in rows:
+            if f.n <= n:
+                yield n, r, scan(n, f)
+
+
+def _clique_rows(suite: str, n_max: int, r: Optional[int]) -> List[Tuple[int, Graph]]:
+    """(rr, K_{rr+1}) for 2 <= rr < n_max, or for rr = r alone.
 
     An n_max below 3, or an r below 2 or at least n_max, which would scan
-    nothing, is refused. Each K_{rr+1} is built once, so the containment
-    test's per-F cache finds it by identity rather than by ``Graph.__eq__``."""
+    nothing, is refused."""
     if r is not None and r < 2:
         raise ValueError(f"suite {suite!r} needs r >= 2, got r={r}")
     if n_max < 3:
         raise ValueError(f"suite {suite!r} needs n_max >= 3, got n_max={n_max}")
     if r is not None and r >= n_max:
         raise ValueError(f"suite {suite!r} needs r < n_max, got r={r}, n_max={n_max}")
-    ranks = [r] if r is not None else range(2, n_max)
-    cliques = {rr: F.complete(rr + 1) for rr in ranks}
-    for n in range(3, n_max + 1):
-        for rr, f in cliques.items():
-            if rr < n:
-                yield n, rr, scan(n, f)
+    return [(rr, F.complete(rr + 1)) for rr in ([r] if r is not None else range(2, n_max))]
 
 
-def _maximizers_are(graph6s: Sequence[str], classes: Sequence[Graph]) -> bool:
-    """The maximizer graph6 list holds each of ``classes`` exactly once, up to
-    isomorphism. Every class must be complete multipartite, which its part
-    sizes fix up to isomorphism, so the two sides are compared as multisets
-    of ``families.multipartite_parts``."""
-    want = [F.multipartite_parts(g) for g in classes]
-    if None in want:
-        raise ValueError("expected maximizer classes must be complete multipartite")
+def _maximizers_are(graph6s: Sequence[str], parts: Sequence[Tuple[int, ...]]) -> bool:
+    """The maximizer graph6 list holds exactly one class for each ascending
+    part-size tuple in ``parts``. Complete multipartite graphs are isomorphic
+    iff their part sizes agree, so the maximizers'
+    ``families.multipartite_parts`` are compared with ``parts`` as multisets,
+    and a maximizer that is not complete multipartite never matches."""
     got = [F.multipartite_parts(parse_graph6(g6)) for g6 in graph6s]
-    return None not in got and sorted(got) == sorted(want)
+    return None not in got and sorted(got) == sorted(parts)
 
 
 def suite_turan(n_max: int = 8, r: Optional[int] = None) -> VerifyResult:
     res = VerifyResult("turan", 0)
-    for n, rr, rep in _clique_scans("turan", n_max, r, extremal_edges):
+    for n, rr, rep in _scans(n_max, _clique_rows("turan", n_max, r), extremal_edges):
         res.checked += 1
         want = F.turan_edges(n, rr)
         if rep.ex_edges != want:
             res.violations.append(f"ex({n},K_{rr + 1}) = {rep.ex_edges} != {want}")
-        elif not _maximizers_are(rep.extremal_graphs, [F.turan(n, rr)]):
+        elif not _maximizers_are(rep.extremal_graphs, [F.turan_parts(n, rr)]):
             res.violations.append(
                 f"ex({n},K_{rr + 1}): maximizer set {rep.extremal_graphs} "
                 f"is not exactly the Turan graph"
@@ -154,18 +150,19 @@ def suite_q_turan(
     passing it.
     """
     res = VerifyResult("q-turan", 0)
-    for n, rr, rep in _clique_scans("q-turan", n_max, r, partial(extremal_q, tol=tol)):
+    rows = _clique_rows("q-turan", n_max, r)
+    for n, rr, rep in _scans(n_max, rows, partial(extremal_q, tol=tol)):
         res.checked += 1
         want = turan_q(n, rr)
         if abs(rep.max_q - want) > tol.cmp_tol:
             res.violations.append(f"q-max({n},K_{rr + 1}) = {rep.max_q!r} != q(T) = {want!r}")
-        elif rr >= 3 and not _maximizers_are(rep.extremal_graphs, [F.turan(n, rr)]):
+        elif rr >= 3 and not _maximizers_are(rep.extremal_graphs, [F.turan_parts(n, rr)]):
             res.violations.append(
                 f"q-max({n},K_{rr + 1}): maximizers {rep.extremal_graphs} "
                 f"not exactly the Turan graph"
             )
         elif rr == 2 and not _maximizers_are(
-            rep.extremal_graphs, [F.complete_bipartite(a, n - a) for a in range(1, n // 2 + 1)]
+            rep.extremal_graphs, [(a, n - a) for a in range(1, n // 2 + 1)]
         ):
             res.violations.append(
                 f"q-max({n},K_3): maximizer set is not exactly the "
@@ -183,7 +180,7 @@ def suite_degree_power(n_max: int = 8, tol: Tolerance = DEFAULT_TOL) -> VerifyRe
         if not is_free(g, k4):
             continue
         g6 = to_graph6(g).decode()
-        e = B.check_degree_power(g, 3, tol)[0]
+        e = B.check_degree_power(g, 3, tol)
         if not e.holds:
             res.violations.append(f"{g6}: degree_power slack={e.slack:.3e}")
         if e.equality and g.m >= 1:
@@ -196,7 +193,7 @@ def suite_degree_power(n_max: int = 8, tol: Tolerance = DEFAULT_TOL) -> VerifyRe
                     f"{g6}: degree-power equality on a graph "
                     f"that is not regular complete 3-partite"
                 )
-    if n_max >= 6 and not _maximizers_are(equality_at_6, [F.turan(6, 3)]):
+    if n_max >= 6 and not _maximizers_are(equality_at_6, [(2, 2, 2)]):
         res.violations.append(
             f"degree-power equality set at n=6 (m>=1) is {sorted(set(equality_at_6))}, "
             f"expected exactly the regular complete 3-partite graph"
@@ -262,25 +259,37 @@ def suite_graph6(n_max: int = 7) -> VerifyResult:
     return res
 
 
+def _non_increasing(points: Sequence[Tuple[int, int, int]]) -> bool:
+    """Whether ex/C(n, 2) never rises from one (n, ex, C(n, 2)) point to the
+    next, judged exactly on integer cross-products."""
+    return all(
+        ex1 * pairs0 <= ex0 * pairs1
+        for (_, ex0, pairs0), (_, ex1, pairs1) in zip(points, points[1:])
+    )
+
+
 def suite_density(n_max: int = 8) -> VerifyResult:
+    """Exact ex(n, F)/C(n, 2) from |F| to n_max for K3, K4 and W6, which
+    must never rise, with the limit hint 1 - 1/r for r = chi(F) - 1."""
     if n_max < 3:
         raise ValueError(
             f"suite 'density' needs n_max >= 3, the order of its smallest F, got n_max={n_max}"
         )
+    named = [("K3", F.complete(3)), ("K4", F.complete(4)), ("W6", F.wheel(1, 5))]
+    rows = [(chromatic_number(f) - 1, f) for _, f in named]
+    # a scan names its F by graph6; an F above n_max gets no points
+    points: Dict[str, List[Tuple[int, int, int]]] = {to_graph6(f).decode(): [] for _, f in named}
+    for n, _, rep in _scans(n_max, rows, extremal_edges):
+        points[rep.forbidden].append((n, rep.ex_edges, n * (n - 1) // 2))
     res = VerifyResult("density", 0)
-    for f, name in [
-        (F.complete(3), "K3"),
-        (F.complete(4), "K4"),
-        (F.wheel(1, 5), "W6"),
-    ]:
-        if f.n > n_max:
+    for (name, _), (r, _), pts in zip(named, rows, points.values()):
+        if not pts:
             continue
-        de = turan_density_estimate(f, n_max)
-        res.checked += len(de.points)
-        if not de.non_increasing():
-            res.violations.append(f"density quotient increased for {name}: {de.points}")
+        res.checked += len(pts)
+        if not _non_increasing(pts):
+            res.violations.append(f"density quotient increased for {name}: {pts}")
         res.findings.append(
-            f"{name}: ratios {[f'{p[1]}/{p[2]}' for p in de.points]} -> hint {de.limit_hint:.4f}"
+            f"{name}: ratios {[f'{ex}/{pairs}' for _, ex, pairs in pts]} -> hint {1 - 1 / r:.4f}"
         )
     return res
 

@@ -16,7 +16,7 @@ from qturan.descent import CriterionParams, lemma_min_check
 from qturan.graphs import from_edges, parse_graph6, to_graph6
 from qturan.search import enumerate_graphs
 from qturan.spectral import DEFAULT_TOL, Tolerance
-from qturan.subgraph import has_clique
+from qturan.subgraph import has_clique, is_free
 
 
 def test_chain_check():
@@ -109,15 +109,33 @@ def test_degree_predicates_match_brute_force():
 
 
 def test_degree_power_check():
-    es = B.check_degree_power(F.turan(6, 3), 3)
-    assert es[0].equality and es[0].rhs == pytest.approx(96.0)
-    assert es[1].equality  # (2/3)^2 * 216 = 96
-    es = B.check_degree_power(F.turan(7, 3), 3)
-    assert es[0].holds and es[0].lhs == 148.0 and not es[0].equality
-    es = B.check_degree_power(F.complete(4), 3)
-    assert not es[0].holds  # negative control: K4 is not K4-free
-    es = B.check_degree_power(F.empty(5), 3)
-    assert es[0].equality and es[0].lhs == es[0].rhs == 0.0
+    e = B.check_degree_power(F.turan(6, 3), 3)
+    assert e.equality and e.rhs == pytest.approx(96.0)
+    e = B.check_degree_power(F.turan(7, 3), 3)
+    assert e.holds and e.lhs == 148.0 and not e.equality
+    e = B.check_degree_power(F.complete(4), 3)
+    assert not e.holds  # negative control: K4 is not K4-free
+    e = B.check_degree_power(F.empty(5), 3)
+    assert e.equality and e.lhs == e.rhs == 0.0
+
+
+def test_degree_power_corollary_needs_n_large():
+    """For a color-critical F with chi(F) = r + 1, sum d^2 <= 2(1 - 1/r)mn
+    with equality only at a regular T_{n,r} holds for n large enough, not
+    at n = 8; both sides are compared in integers, r sum d^2 vs 2(r - 1)mn."""
+    def sides(g, r):
+        return r * sum(d * d for d in g.degrees()), 2 * (r - 1) * g.m * g.n
+
+    # chi(W6) = 4: split(8, 3) = K3 v I5 is W6-free and meets the bound with
+    # equality, yet it is not a regular Turan graph
+    w6, s83 = F.wheel(1, 5), F.split(8, 3)
+    assert is_free(s83, w6)
+    assert sides(s83, 3) == (576, 576)
+    assert F.multipartite_parts(s83) == (1, 1, 1, 5)
+    # chi(B_{3,3}) = 4: T_{8,4} is B_{3,3}-free and breaks the bound
+    t84 = F.turan(8, 4)
+    assert is_free(t84, F.generalized_book(3, 3))
+    assert sides(t84, 3) == (864, 768)
 
 
 def test_fact21_margin():

@@ -47,6 +47,20 @@ def test_turan_edges_closed_form():
             F.turan_edges(n, n + 1)
 
 
+def test_turan_parts_is_the_one_owner_of_the_sizes():
+    # the graph, the part sizes and the O(1) edge count agree
+    for n in range(1, 61):
+        for r in range(1, n + 1):
+            parts = F.turan_parts(n, r)
+            assert parts == F.multipartite_parts(F.turan(n, r)), (n, r)
+            assert sum(parts) == n
+            assert F.turan_edges(n, r) == (n * n - sum(a * a for a in parts)) // 2, (n, r)
+    with pytest.raises(ValueError):
+        F.turan_parts(3, 4)
+    with pytest.raises(ValueError):
+        F.turan_parts(3, 0)
+
+
 def _turan_parts(n, r):
     """Part index of each vertex: part i is the next ceil((n - i) / r)
     consecutive vertices."""

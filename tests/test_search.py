@@ -8,7 +8,6 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +40,6 @@ from qturan.search import (
     extremal_q,
     ingest_corpus,
     sample_gnp,
-    turan_density_estimate,
 )
 from qturan.spectral import DEFAULT_TOL, Tolerance, q_value, turan_q
 from qturan.subgraph import is_free
@@ -226,43 +224,6 @@ def test_search_report_json():
     payload = json.loads(rep.to_json())
     for key in ("n", "forbidden", "mode", "ex_edges", "max_q", "extremal_graphs", "scanned", "elapsed"):
         assert key in payload
-
-
-def test_density_estimates():
-    de = turan_density_estimate(F.complete(3), 8)
-    assert [(n, ex) for n, ex, _ in de.points] == [(n, n * n // 4) for n in range(3, 9)]
-    assert de.non_increasing()
-    assert de.limit_hint == pytest.approx(0.5)
-    de = turan_density_estimate(F.complete(4), 7)
-    assert de.non_increasing() and de.limit_hint == pytest.approx(2 / 3)
-
-
-def _fraction_verdict(points):
-    r = [Fraction(ex, pairs) for _, ex, pairs in points]
-    return all(b <= a for a, b in zip(r, r[1:]))
-
-
-def test_density_verdict_matches_exact_fractions():
-    # every ordered pair of measured points, and each whole series, of the
-    # density suite's F up to n = 8; K3 holds the exact tie 2/3 = 4/6
-    for f in (F.complete(3), F.complete(4), F.wheel(1, 5)):
-        de = turan_density_estimate(f, 8)
-        assert de.non_increasing() == _fraction_verdict(de.points) is True
-        for p in de.points:
-            for q in de.points:
-                pair = S.DensityEstimate([p, q], de.limit_hint)
-                assert pair.non_increasing() == _fraction_verdict([p, q]), (p, q)
-    tie = [(3, 2, 3), (4, 4, 6)]
-    for pts in (tie, tie[::-1]):
-        assert S.DensityEstimate(pts, 0.5).non_increasing() is True
-    # quotients 2^-60 apart round to the same float 0.5, so a float
-    # comparison calls the rise from a to b a tie; the verdict sees it
-    n = 2 ** 31
-    p0, p1 = n * (n - 1) // 2, (n + 1) * n // 2
-    a, b = (n, p0 // 2, p0), (n + 1, p1 // 2 + 1, p1)
-    assert a[1] / a[2] == b[1] / b[2] == 0.5 and Fraction(b[1], b[2]) > Fraction(a[1], a[2])
-    assert S.DensityEstimate([a, b], 0.5).non_increasing() is _fraction_verdict([a, b]) is False
-    assert S.DensityEstimate([b, a], 0.5).non_increasing() is _fraction_verdict([b, a]) is True
 
 
 def test_importing_the_cli_loads_neither_fractions_nor_decimal():

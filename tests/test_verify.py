@@ -1,10 +1,11 @@
-"""Verdict texts of the clique-scan, degree-power and stability suites, pinned word for word.
+"""Verdict texts of the clique-scan, degree-power, stability and density suites, pinned word for word.
 
 The scans are stubbed so that each suite sees a wrong value or a wrong
 maximizer set; the violation strings are what ``qturan verify`` prints.
 """
 
 import inspect
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ from qturan import families as F
 from qturan import verify as V
 from qturan.graphs import to_graph6
 from qturan import search
-from qturan.search import ENUMERATION_CAP, SearchReport
+from qturan.search import ENUMERATION_CAP, SearchReport, extremal_edges
 from qturan.spectral import DEFAULT_TOL, turan_q
 
 
@@ -106,23 +107,20 @@ def test_maximizer_test_counts_each_class_once():
     """A repeated maximizer does not stand in for a missing class: K_{3,4}
     is missing below, so the r = 2 set test at n = 7 fails."""
     k16, k25, k34 = (F.complete_bipartite(a, 7 - a) for a in (1, 2, 3))
-    assert not V._maximizers_are([_g6(k16), _g6(k16), _g6(k25)], [k16, k25, k34])
-    assert not V._maximizers_are([_g6(k16), _g6(k25), _g6(k34)], [k16, k16, k25])
-    assert V._maximizers_are([_g6(k34), _g6(k16), _g6(k25)], [k16, k25, k34])
+    assert not V._maximizers_are([_g6(k16), _g6(k16), _g6(k25)], [(1, 6), (2, 5), (3, 4)])
+    assert not V._maximizers_are([_g6(k16), _g6(k25), _g6(k34)], [(1, 6), (1, 6), (2, 5)])
+    assert V._maximizers_are([_g6(k34), _g6(k16), _g6(k25)], [(1, 6), (2, 5), (3, 4)])
 
 
 def test_maximizer_test_compares_part_sizes():
-    """The sides are compared by part sizes, so a maximizer that is not
-    complete multipartite never matches, and an expected class that is not
-    one is refused."""
+    """The maximizers' part sizes are compared with the expected size
+    tuples, so a maximizer that is not complete multipartite never matches."""
     t63, t73 = F.turan(6, 3), F.turan(7, 3)
-    assert V._maximizers_are([_g6(t73)], [t73])
-    assert not V._maximizers_are([_g6(t63)], [t73])
-    assert not V._maximizers_are([_g6(F.cycle(5))], [F.turan(5, 2)])
-    assert not V._maximizers_are([], [t73])
+    assert V._maximizers_are([_g6(t73)], [F.turan_parts(7, 3)])
+    assert not V._maximizers_are([_g6(t63)], [F.turan_parts(7, 3)])
+    assert not V._maximizers_are([_g6(F.cycle(5))], [F.turan_parts(5, 2)])
+    assert not V._maximizers_are([], [F.turan_parts(7, 3)])
     assert V._maximizers_are([], [])
-    with pytest.raises(ValueError, match="complete multipartite"):
-        V._maximizers_are([_g6(F.cycle(5))], [F.cycle(5)])
 
 
 def test_clique_suites_take_one_r_and_refuse_r_below_2(monkeypatch):
@@ -169,7 +167,7 @@ def test_suite_degree_power_violation_texts(monkeypatch):
     alone; the stub flags equality by edge count."""
     def stub(min_edges):
         def check(g, r, tol=DEFAULT_TOL):
-            return [B.BoundEntry("degree_power", 0.0, 0.0, 0.0, True, g.n == 6 and g.m >= min_edges)]
+            return B.BoundEntry("degree_power", 0.0, 0.0, 0.0, True, g.n == 6 and g.m >= min_edges)
         return check
 
     monkeypatch.setattr(B, "check_degree_power", stub(11))
@@ -187,6 +185,58 @@ def test_suite_degree_power_violation_texts(monkeypatch):
         "expected exactly the regular complete 3-partite graph",
     ]
     assert V.suite_degree_power(n_max=5).violations == []
+
+
+def test_density_suite_report_at_n8():
+    res = V.suite_density(n_max=8)
+    assert res.checked == 14
+    assert res.violations == []
+    assert res.findings == [
+        "K3: ratios ['2/3', '4/6', '6/10', '9/15', '12/21', '16/28'] -> hint 0.5000",
+        "K4: ratios ['5/6', '8/10', '12/15', '16/21', '21/28'] -> hint 0.6667",
+        "W6: ratios ['12/15', '16/21', '21/28'] -> hint 0.6667",
+    ]
+
+
+def test_density_estimates():
+    # K3's points are (n, floor(n^2/4)) for n = 3..8
+    res = V.suite_density(n_max=8)
+    ratios = [f"{n * n // 4}/{n * (n - 1) // 2}" for n in range(3, 9)]
+    assert res.ok and res.findings[0] == f"K3: ratios {ratios} -> hint 0.5000"
+    res = V.suite_density(n_max=7)
+    assert res.ok and res.findings[1].startswith("K4: ") and res.findings[1].endswith("-> hint 0.6667")
+
+
+def _fraction_verdict(points):
+    r = [Fraction(ex, pairs) for _, ex, pairs in points]
+    return all(b <= a for a, b in zip(r, r[1:]))
+
+
+def test_density_verdict_matches_exact_fractions():
+    # every ordered pair of measured points, and each whole series, of the
+    # density suite's F up to n = 8; K3 holds the exact tie 2/3 = 4/6
+    rows = [(2, F.complete(3)), (3, F.complete(4)), (3, F.wheel(1, 5))]
+    series = {}
+    for n, _, rep in V._scans(8, rows, extremal_edges):
+        series.setdefault(rep.forbidden, []).append((n, rep.ex_edges, n * (n - 1) // 2))
+    assert [len(pts) for pts in series.values()] == [6, 5, 3]
+    for pts in series.values():
+        assert V._non_increasing(pts) == _fraction_verdict(pts) is True
+        for p in pts:
+            for q in pts:
+                assert V._non_increasing([p, q]) == _fraction_verdict([p, q]), (p, q)
+    tie = [(3, 2, 3), (4, 4, 6)]
+    assert series["Bw"][:2] == tie
+    for pts in (tie, tie[::-1]):
+        assert V._non_increasing(pts) is True
+    # quotients 2^-60 apart round to the same float 0.5, so a float
+    # comparison calls the rise from a to b a tie; the verdict sees it
+    n = 2 ** 31
+    p0, p1 = n * (n - 1) // 2, (n + 1) * n // 2
+    a, b = (n, p0 // 2, p0), (n + 1, p1 // 2 + 1, p1)
+    assert a[1] / a[2] == b[1] / b[2] == 0.5 and Fraction(b[1], b[2]) > Fraction(a[1], a[2])
+    assert V._non_increasing([a, b]) is _fraction_verdict([a, b]) is False
+    assert V._non_increasing([b, a]) is _fraction_verdict([b, a]) is True
 
 
 def test_run_suite_refuses_orders_above_the_enumeration_cap(monkeypatch):
