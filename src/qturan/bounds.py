@@ -146,18 +146,6 @@ def _regular_or_semiregular_bipartite(g: Graph) -> bool:
     return g.m == 0 or (0 not in g.degrees() and len(_edge_degree_pairs(g)) == 1)
 
 
-def is_semiregular_bipartite(g: Graph) -> bool:
-    """True iff G has a bipartition with constant degree on each side.
-
-    A graph with both an edge and an isolated vertex never qualifies (the
-    isolated vertex would force a side constant of 0), while an edgeless
-    graph, the null graph included, does. A regular graph with an edge
-    qualifies iff it is bipartite."""
-    if not _regular_or_semiregular_bipartite(g):
-        return False
-    return g.m == 0 or len(set(g.degrees())) == 2 or is_r_partite(g, 2)
-
-
 def check_hofmeister(g: Graph, tol: Tolerance = DEFAULT_TOL) -> Tuple[BoundEntry, bool]:
     """lambda(G)^2 >= (1/n) sum of d^2, equality iff G is regular or
     bipartite semi-regular; returns the entry plus that combinatorial flag."""

@@ -20,7 +20,7 @@ from . import verify as V
 from .descent import CriterionParams, descent_run
 from .families import is_family_spec, parse_family_spec
 from .graphs import Graph, Graph6Error, parse_graph6, to_graph6
-from .search import COLUMNS, ENUMERATION_CAP, extremal_edges, extremal_q
+from .search import COLUMNS, ENUMERATION_CAP
 from .spectral import DEFAULT_TOL, Tolerance, adjacency_radius, q_radius
 
 
@@ -128,7 +128,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    scan = extremal_edges if args.mode == "edges" else extremal_q
+    scan = COLUMNS[args.mode][2]
     given = [("--corpus", "corpus", args.corpus), ("--cmp-tol", "tol", _tol(args))]
     keywords = _keywords(f"search --mode {args.mode}", scan, given)
     f = load_graph(args.forbid)

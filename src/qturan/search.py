@@ -259,18 +259,6 @@ def _q_floor_value(g: Graph) -> Tuple[float, float]:
     return res.bracket[0], res.radius
 
 
-# One row per scanned quantity: keys(graphs) gives each graph an upper bound
-# on its value, with no eigensolve; judge(g) gives a visited F-free class its
-# (floor, value), floor <= value.
-COLUMNS = {
-    "edges": (
-        lambda graphs: np.array([g.m for g in graphs], dtype=np.float64),
-        lambda g: (g.m, g.m),
-    ),
-    "q": (q_rank_bounds, _q_floor_value),
-}
-
-
 def _rank(graphs: Sequence[Graph], mode: str) -> Tuple[np.ndarray, np.ndarray]:
     """The visiting keys of a scan and the indices in descending-key order,
     ties in source order."""
@@ -384,6 +372,20 @@ def extremal_q(
     ``extremal_q(n, f, jobs=1)``; drop it once the harness stops passing it.
     """
     return _extremal(n, f, "q", corpus, tol.cmp_tol, min_degree)
+
+
+# One row per scanned quantity, and one ``search --mode`` choice each:
+# keys(graphs) gives each graph an upper bound on its value, with no
+# eigensolve; judge(g) gives a visited F-free class its (floor, value),
+# floor <= value; scan is the public wrapper the mode runs.
+COLUMNS = {
+    "edges": (
+        lambda graphs: np.array([g.m for g in graphs], dtype=np.float64),
+        lambda g: (g.m, g.m),
+        extremal_edges,
+    ),
+    "q": (q_rank_bounds, _q_floor_value, extremal_q),
+}
 
 
 # -- seeded random graphs (verification sweeps) -----------------------------------

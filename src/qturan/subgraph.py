@@ -1,9 +1,10 @@
-"""Subgraph containment (not necessarily induced) and F-freeness tests."""
+"""F-freeness (subgraph containment, not necessarily induced) and the
+clique number."""
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional
 
 from . import _kernels
 from .graphs import Graph
@@ -20,32 +21,16 @@ def _as_clique(f: Graph) -> Optional[int]:
     return f.n
 
 
-def contains_subgraph(g: Graph, f: Graph) -> Tuple[bool, Optional[Tuple[int, ...]]]:
-    """Does G contain a subgraph isomorphic to F?
+def is_free(g: Graph, f: Graph) -> bool:
+    """True iff G has no subgraph isomorphic to F (not necessarily induced).
 
-    Returns (found, phi) with ``phi[f_vertex] = g_vertex`` when found. Edges
-    of F must map to edges of G; non-edges of F are unconstrained. Complete
-    F is routed to the clique kernel, which dominates the workload.
-    """
+    Complete F goes to the clique kernel, which dominates the workload;
+    any other F goes to the embedding kernel, where edges of F must map to
+    edges of G and non-edges of F are unconstrained."""
     k = _as_clique(f)
     if k is not None:
-        clique = _kernels.find_clique(g.n, g.rows, k)
-        if clique is None:
-            return False, None
-        return True, tuple(clique)
-    phi = _kernels.find_embedding(f.n, f.rows, g.n, g.rows)
-    if phi is None:
-        return False, None
-    return True, phi
-
-
-def is_free(g: Graph, f: Graph) -> bool:
-    """True iff G has no subgraph isomorphic to F."""
-    return not contains_subgraph(g, f)[0]
-
-
-def has_clique(g: Graph, k: int) -> bool:
-    return _kernels.find_clique(g.n, g.rows, k) is not None
+        return _kernels.find_clique(g.n, g.rows, k) is None
+    return _kernels.find_embedding(f.n, f.rows, g.n, g.rows) is None
 
 
 def clique_number(g: Graph) -> int:

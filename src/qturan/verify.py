@@ -19,7 +19,7 @@ from .chromatic import chromatic_number
 from .graphs import Graph, parse_graph6, to_graph6
 from .search import ENUMERATION_CAP, enumerate_graphs, extremal_edges, extremal_q, sample_gnp
 from .spectral import DEFAULT_TOL, Tolerance, turan_q
-from .subgraph import has_clique, is_free
+from .subgraph import is_free
 from .descent import lemma_min_check
 
 RANDOM_SEED = 20250810
@@ -205,10 +205,11 @@ def suite_degree_power(n_max: int = 8, tol: Tolerance = DEFAULT_TOL) -> VerifyRe
 def suite_stability(n_max: int = 8) -> VerifyResult:
     graphs = list(_all_graphs(n_max))
     res = VerifyResult("stability", len(graphs))
+    k3, k4 = F.complete(3), F.complete(4)
     for g in graphs:
-        if not has_clique(g, 3) and not B.check_min_degree_stability(g, 2).holds:
+        if is_free(g, k3) and not B.check_min_degree_stability(g, 2).holds:
             res.violations.append(f"{to_graph6(g).decode()}: triangle-free, delta>2n/5, not bipartite")
-        if not has_clique(g, 4) and not B.check_min_degree_stability(g, 3).holds:
+        if is_free(g, k4) and not B.check_min_degree_stability(g, 3).holds:
             res.violations.append(f"{to_graph6(g).decode()}: K4-free, delta>5n/8, not 3-partite")
     return res
 

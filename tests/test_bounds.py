@@ -16,7 +16,7 @@ from qturan.descent import CriterionParams, lemma_min_check
 from qturan.graphs import from_edges, parse_graph6, to_graph6
 from qturan.search import enumerate_graphs
 from qturan.spectral import DEFAULT_TOL, Tolerance
-from qturan.subgraph import has_clique, is_free
+from qturan.subgraph import is_free
 
 
 def test_chain_check():
@@ -68,20 +68,6 @@ def test_hofmeister_check():
     assert e.equality and flag
 
 
-def test_semiregular_bipartite_predicate():
-    assert B.is_semiregular_bipartite(F.complete_bipartite(2, 5))
-    assert B.is_semiregular_bipartite(F.cycle(6))
-    assert not B.is_semiregular_bipartite(F.cycle(5))
-    assert not B.is_semiregular_bipartite(F.path(4))
-    two_stars = from_edges(6, [(0, 1), (0, 2), (3, 4), (3, 5)])
-    assert B.is_semiregular_bipartite(two_stars)
-    mixed = from_edges(6, [(0, 1), (0, 2), (3, 4)])  # K_{1,2} + K_2
-    assert not B.is_semiregular_bipartite(mixed)
-    assert not B.is_semiregular_bipartite(from_edges(3, [(0, 1)]))  # isolated + edge
-    assert B.is_semiregular_bipartite(F.empty(3))
-    assert B.is_semiregular_bipartite(F.empty(0))  # no components, like the edgeless case
-
-
 def _brute_semiregular_bipartite(g):
     """Some side set S has every edge crossing it and constant degree on S
     and on its complement."""
@@ -98,10 +84,8 @@ def _brute_semiregular_bipartite(g):
 def test_degree_predicates_match_brute_force():
     graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
     assert not _brute_semiregular_bipartite(F.cycle(5)) and _brute_semiregular_bipartite(F.star(4))
-    assert B.is_semiregular_bipartite(F.empty(0)) == _brute_semiregular_bipartite(F.empty(0))
     for g in graphs:
         semi = _brute_semiregular_bipartite(g)
-        assert B.is_semiregular_bipartite(g) == semi, to_graph6(g)
         assert B.check_hofmeister(g)[1] == (len(set(g.degrees())) == 1 or semi), to_graph6(g)
         degs = g.degrees()
         sums = [degs[u] + degs[v] for u, v in g.edges()]
@@ -201,7 +185,7 @@ def test_andrasfai_erdos_sos_bound_with_its_equality_cases():
             delta = min(g.degrees())
             for r in (2, 3, 4):
                 bound = Fraction((3 * r - 4) * n, 3 * r - 1)
-                if delta >= bound and not has_clique(g, r + 1) and not is_r_partite(g, r):
+                if delta >= bound and is_free(g, F.complete(r + 1)) and not is_r_partite(g, r):
                     at_or_over.append((r, to_graph6(g).decode(), delta == bound))
     assert at_or_over == [(2, "Dhc", True), (3, "Gzl]\\k", True)]
 

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import all_labeled_graphs, brute_chromatic
 from qturan import families as F
-from qturan.bounds import is_semiregular_bipartite
 from qturan.chromatic import (
     chromatic_number,
     is_color_critical,
@@ -71,7 +70,6 @@ def test_components_are_colored_independently():
             (lambda: is_k_colorable(g, 2), False),
             (lambda: is_k_colorable(g, 3), True),
             (lambda: is_r_partite(g, 2), False),
-            (lambda: is_semiregular_bipartite(g), False),
             (lambda: chromatic_number(g), 3),
         ]:
             signal.alarm(10)

@@ -12,6 +12,7 @@ from qturan import search as S
 from qturan import verify as V
 from qturan.bounds import CSV_COLUMNS
 from qturan.cli import main
+from qturan.families import complete
 from qturan.search import SearchReport, count_classes, extremal_q
 from qturan.spectral import DEFAULT_TOL, Tolerance
 
@@ -135,7 +136,8 @@ def test_search_never_ignores_cmp_tol(capsys, monkeypatch):
     # a q scan gets the flag as its tolerance, and without it runs at its default
     calls = []
     report = SearchReport(6, "D~{", "q", None, None, [], 0, 0.0)
-    monkeypatch.setattr(cli, "extremal_q", _recorder(extremal_q, calls, report))
+    q_row = S.COLUMNS["q"][:2] + (_recorder(extremal_q, calls, report),)
+    monkeypatch.setitem(S.COLUMNS, "q", q_row)
     assert main(argv + ["q", "--cmp-tol", "0.5"]) == 0
     passed, ran = calls.pop()
     assert passed["tol"] == ran["tol"] == Tolerance(cmp_tol=0.5)
@@ -196,6 +198,18 @@ def test_search_modes_are_the_column_rows(capsys):
         main(["search", "6", "--forbid", "clique:3", "--mode", "lambda"])
     assert ei.value.code == 2
     assert "invalid choice: 'lambda'" in capsys.readouterr().err
+
+
+def test_search_mode_runs_its_row_scan(capsys, monkeypatch):
+    # a third row runs its own scan, not extremal_q under its name
+    calls = []
+    report = SearchReport(4, "Bw", "recorded", None, None, [], 0, 0.0)
+    row = S.COLUMNS["q"][:2] + (_recorder(S.extremal_edges, calls, report),)
+    monkeypatch.setitem(S.COLUMNS, "recorded", row)
+    assert main(["search", "4", "--forbid", "clique:3", "--mode", "recorded"]) == 0
+    ((passed, ran),) = calls
+    assert (ran["n"], ran["f"]) == (4, complete(3))
+    assert "mode=recorded" in capsys.readouterr().out
 
 
 def test_search_refuses_a_malformed_corpus_line(capsys, tmp_path):

@@ -9,7 +9,7 @@ from qturan import _kernels, families as F
 from qturan.chromatic import chromatic_number
 from qturan.graphs import Graph, canonical_form, from_edges, is_isomorphic, join
 from qturan.search import enumerate_graphs
-from qturan.subgraph import has_clique, is_free
+from qturan.subgraph import is_free
 
 
 def test_turan_examples():
@@ -84,7 +84,7 @@ def test_turan_rows_match_definition():
 def test_turan_clique_free():
     for n in range(2, 11):
         for r in range(1, n + 1):
-            assert not has_clique(F.turan(n, r), r + 1)
+            assert is_free(F.turan(n, r), F.complete(r + 1))
 
 
 def test_split_and_book():

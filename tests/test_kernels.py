@@ -10,7 +10,7 @@ from conftest import all_labeled_graphs, brute_canon_key, brute_contains, brute_
 from qturan.families import complete, empty, path
 from qturan.graphs import Graph, canonical_form, from_edges
 from qturan.search import enumerate_graphs, sample_gnp
-from qturan.subgraph import has_clique, is_free
+from qturan.subgraph import is_free
 
 
 def _rand_rows(rng, n, p):
@@ -260,12 +260,12 @@ def test_search_depth_cap():
     # to the cap they must answer, past it refuse with a ValueError naming
     # the size, never a RecursionError
     cap = _kernels.CANONICAL_MAX_ORDER
-    assert has_clique(complete(cap), cap)
+    assert not is_free(complete(cap), complete(cap))
     assert not is_free(path(cap + 10), path(cap))
     with pytest.raises(ValueError, match="k=1100"):
-        has_clique(complete(1100), 1100)
+        is_free(complete(1100), complete(1100))
     with pytest.raises(ValueError, match="order 1000"):
         is_free(path(1100), path(1000))
     # sizes above the host order are still answered without searching
-    assert not has_clique(complete(10), 1100)
+    assert _kernels.find_clique(10, complete(10).rows, 1100) is None
     assert is_free(path(10), path(1000))

@@ -4,10 +4,11 @@ anchors."""
 import random
 
 from conftest import brute_contains, brute_max_clique
+from qturan import _kernels
 from qturan import families as F
 from qturan.graphs import from_edges
 from qturan.search import enumerate_graphs, sample_gnp
-from qturan.subgraph import clique_number, contains_subgraph, has_clique, is_free
+from qturan.subgraph import clique_number, is_free
 
 
 def test_agrees_with_bruteforce_exhaustively():
@@ -15,12 +16,30 @@ def test_agrees_with_bruteforce_exhaustively():
     gs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
     for f in fs:
         for g in gs:
-            found, phi = contains_subgraph(g, f)
-            assert found == brute_contains(g, f), (g, f)
-            if found:
-                assert len(set(phi)) == f.n
-                for i, j in f.edges():
-                    assert g.has_edge(phi[i], phi[j])
+            assert is_free(g, f) != brute_contains(g, f), (g, f)
+
+
+def test_each_f_reaches_one_kernel(monkeypatch):
+    # complete F only ever reaches the clique kernel, any other F only the
+    # embedding kernel, once per is_free call
+    calls = {"find_clique": 0, "find_embedding": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(_kernels, name)):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    gs = list(enumerate_graphs(6))
+    cliques = [F.complete(k) for k in range(3, 7)]
+    for g in gs:
+        for f in cliques:
+            is_free(g, f)
+    assert calls == {"find_clique": len(cliques) * len(gs), "find_embedding": 0}
+    others = [F.wheel(1, 5), F.generalized_book(3, 2), F.cycle(5)]
+    for g in gs:
+        for f in others:
+            is_free(g, f)
+    assert calls == {"find_clique": len(cliques) * len(gs), "find_embedding": len(others) * len(gs)}
 
 
 def test_clique_number_vs_bruteforce_exhaustive_n7():
@@ -59,7 +78,7 @@ def test_monotone_under_subgraph_removal():
     for _ in range(60):
         g = sample_gnp(rng.randrange(3, 9), 0.7, rng)
         f = sample_gnp(rng.randrange(2, 5), 0.8, rng)
-        if contains_subgraph(g, f)[0]:
+        if not is_free(g, f):
             edges = f.edges()
             if edges:
                 e = edges[rng.randrange(len(edges))]
@@ -67,21 +86,17 @@ def test_monotone_under_subgraph_removal():
                 rows[e[0]] &= ~(1 << e[1])
                 rows[e[1]] &= ~(1 << e[0])
                 weaker = from_edges(f.n, [(i, j) for i in range(f.n) for j in range(i + 1, f.n) if (rows[i] >> j) & 1])
-                assert contains_subgraph(g, weaker)[0]
+                assert not is_free(g, weaker)
 
 
 def test_embedding_with_isolated_vertices():
     f = from_edges(3, [(0, 1)])  # edge plus isolated vertex
-    found, phi = contains_subgraph(F.complete(2), f)
-    assert not found  # not enough vertices
-    found, phi = contains_subgraph(F.path(3), f)
-    assert found and len(set(phi)) == 3
-    found, phi = contains_subgraph(F.empty(4), from_edges(2, []))
-    assert found
+    assert is_free(F.complete(2), f)  # not enough vertices
+    assert not is_free(F.path(3), f)
+    assert not is_free(F.empty(4), from_edges(2, []))
 
 
 def test_clique_witness():
-    found, phi = contains_subgraph(F.complete(6), F.complete(4))
-    assert found and phi == (0, 1, 2, 3)
-    assert has_clique(F.turan(9, 3), 3)
-    assert not has_clique(F.turan(9, 3), 4)
+    assert _kernels.find_clique(6, F.complete(6).rows, 4) == (0, 1, 2, 3)
+    assert not is_free(F.turan(9, 3), F.complete(3))
+    assert is_free(F.turan(9, 3), F.complete(4))
