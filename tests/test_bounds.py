@@ -143,7 +143,7 @@ def test_fact21_margin():
 def test_fact21_margin_pinned_bits(n, r, lhs, rhs, slack):
     e = B.check_fact21_margin(n, r)
     assert (e.lhs.hex(), e.rhs.hex(), e.slack.hex()) == (lhs, rhs, slack)
-    assert e.holds and not e.equality and e.note == ""
+    assert e.holds and not e.equality
 
 
 def test_fact21_margin_decided_exactly_to_ten_thousand():
@@ -168,11 +168,13 @@ def test_criterion_params():
         CriterionParams(epsilon=0.1, r=1)
 
 
-def test_min_degree_stability_entry():
-    e = B.check_min_degree_stability(F.turan(9, 3), 3)
-    assert e.holds and "r_partite=True" in e.note
-    e = B.check_min_degree_stability(F.cycle(5), 2)
-    assert e.holds and "vacuous" in e.note  # delta = 2 is not strictly above 2n/5
+def test_min_degree_stability_predicate():
+    # premise fires (delta = 6 > 5n/8) and T_{9,3} is 3-partite
+    assert B.check_min_degree_stability(F.turan(9, 3), 3) is True
+    # delta * 5 = 2n exactly: the strict premise is false, so the implication holds
+    assert B.check_min_degree_stability(F.cycle(5), 2) is True
+    # premise fires (delta = 2 > 2n/5) and K_3 is not bipartite
+    assert B.check_min_degree_stability(F.complete(3), 2) is False
 
 
 def test_andrasfai_erdos_sos_bound_with_its_equality_cases():
@@ -221,16 +223,14 @@ def test_fact2_property(x):
 
 
 def test_report_serialization_schema():
-    # the stability entry carries a note, which the CSV columns leave out
-    entries = B.check_bound_chain(F.complete(3)) + [B.check_min_degree_stability(F.complete(3), 3)]
-    assert "note" in entries[-1].as_record("Bw")
+    entries = B.check_bound_chain(F.complete(3)) + [B.check_merris(F.complete(3))]
     rep = B.BoundReport("Bw", entries)
     buf = io.StringIO()
     B.write_reports_csv([rep], buf)
     rows = buf.getvalue().splitlines()
     assert rows[0] == "graph6,bound_name,lhs,rhs,slack,holds,equality"
     assert len(rows) == 5
-    assert rows[-1].startswith("Bw,degree_stability,")
+    assert rows[-1].startswith("Bw,merris,")
     assert all(e.holds for e in entries)
 
 
@@ -249,17 +249,13 @@ def test_bound_entry_is_an_immutable_hashable_record():
         "slack": 0.5,
         "holds": True,
         "equality": False,
-        "note": "premise=False (vacuous)",
     }
-    by_keyword = B.BoundEntry(
-        name="probe", lhs=1.5, rhs=2.0, slack=0.5, holds=True, equality=False,
-        note="premise=False (vacuous)",
-    )
+    by_keyword = B.BoundEntry(name="probe", lhs=1.5, rhs=2.0, slack=0.5, holds=True, equality=False)
     rec = by_keyword.as_record("Bw")
     assert rec == want and list(rec) == list(want)
     built = B._entry("probe", 1.5, 2.0, DEFAULT_TOL)
-    assert built == by_keyword._replace(note="")
-    assert list(built.as_record("A_")) == ["graph6", "bound_name", "lhs", "rhs", "slack", "holds", "equality"]
+    assert built == by_keyword
+    assert B.BoundEntry._fields == ("name", "lhs", "rhs", "slack", "holds", "equality")
 
 
 # -- the bound sweeps of qturan.verify ------------------------------------------
@@ -313,7 +309,12 @@ def test_lemma_min_suite_uses_the_given_tolerance(monkeypatch):
 def test_degree_power_suite_uses_the_given_tolerance():
     # K2: sum d^2 = 2 lies 2/3 below 2(1 - 1/3)mn = 8/3, an equality at cmp_tol 1
     res = V.suite_degree_power(n_max=6, tol=Tolerance(cmp_tol=1.0))
-    assert res.violations[0].startswith("A_: degree-power equality")
+    assert res.violations == [
+        "degree-power equality set at n=2 (m>=1) is ['A_'], "
+        "expected the complete multipartite graphs with parts []",
+        "degree-power equality set at n=4 (m>=1) is ['C}'], "
+        "expected the complete multipartite graphs with parts []",
+    ]
     assert not V.suite_degree_power(n_max=6).violations
 
 

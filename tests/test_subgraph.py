@@ -51,12 +51,6 @@ def test_clique_number_vs_bruteforce_exhaustive_n7():
                 assert is_free(g, F.complete(r + 1)) == (w <= r)
 
 
-def test_turan_is_clique_free():
-    for n in range(2, 11):
-        for r in range(2, n + 1):
-            assert is_free(F.turan(n, r), F.complete(r + 1))
-
-
 def test_split_graph_is_odd_cycle_free():
     # S_{n,k} contains no C_{2k+1}
     for k in range(1, 6):

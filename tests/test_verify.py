@@ -162,29 +162,31 @@ def test_suite_stability_violation_texts(monkeypatch):
 
 
 def test_suite_degree_power_violation_texts(monkeypatch):
-    """The equality clause names each equality graph that is not a regular
-    complete 3-partite graph, and the n = 6 equality set must be T_{6,3}
-    alone; the stub flags equality by edge count."""
-    def stub(min_edges):
+    """At each order the equality set must be K_{n/3,n/3,n/3} alone: the
+    stubs flag equality on the two other 11-edge K_4-free classes at n = 6
+    (K_{2,2,2} minus an edge and K_{1,2,3}), then drop K_3's equality, so
+    both a wrong graph in the set and a missing one are named."""
+    real = B.check_degree_power
+
+    def stub(equal):
         def check(g, r, tol=DEFAULT_TOL):
-            return B.BoundEntry("degree_power", 0.0, 0.0, 0.0, True, g.n == 6 and g.m >= min_edges)
+            e = real(g, r, tol)
+            return e._replace(equality=equal(g, e.equality))
         return check
 
-    monkeypatch.setattr(B, "check_degree_power", stub(11))
+    monkeypatch.setattr(B, "check_degree_power", stub(lambda g, eq: eq or (g.n == 6 and g.m == 11)))
     res = V.suite_degree_power(n_max=7)
     assert res.checked == 1252
     assert res.violations == [
-        "Evz_: degree-power equality on a graph that is not regular complete 3-partite",
-        "EznO: degree-power equality on a graph that is not regular complete 3-partite",
         "degree-power equality set at n=6 (m>=1) is ['Evz_', 'EznO', 'EznW'], "
-        "expected exactly the regular complete 3-partite graph",
+        "expected the complete multipartite graphs with parts [(2, 2, 2)]",
     ]
-    monkeypatch.setattr(B, "check_degree_power", stub(13))
-    assert V.suite_degree_power(n_max=6).violations == [
-        "degree-power equality set at n=6 (m>=1) is [], "
-        "expected exactly the regular complete 3-partite graph",
+    monkeypatch.setattr(B, "check_degree_power", stub(lambda g, eq: eq and g.n != 3))
+    assert V.suite_degree_power(n_max=5).violations == [
+        "degree-power equality set at n=3 (m>=1) is [], "
+        "expected the complete multipartite graphs with parts [(1, 1, 1)]",
     ]
-    assert V.suite_degree_power(n_max=5).violations == []
+    assert V.suite_degree_power(n_max=2).violations == []
 
 
 def test_density_suite_report_at_n8():
