@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import bounds as B
 from . import families as F
-from .chromatic import chromatic_number
+from .chromatic import chromatic_number, is_color_critical
 from .graphs import Graph, parse_graph6, to_graph6
 from .search import ENUMERATION_CAP, enumerate_graphs, extremal_edges, extremal_q, sample_gnp
 from .spectral import DEFAULT_TOL, Tolerance, turan_q
@@ -264,29 +264,49 @@ def _non_increasing(points: Sequence[Tuple[int, int, int]]) -> bool:
     )
 
 
-def suite_density(n_max: int = 8) -> VerifyResult:
-    """Exact ex(n, F)/C(n, 2) from |F| to n_max for K3, K4 and W6, which
-    must never rise, with the limit hint 1 - 1/r for r = chi(F) - 1."""
-    if n_max < 3:
-        raise ValueError(
-            f"suite 'density' needs n_max >= 3, the order of its smallest F, got n_max={n_max}"
-        )
-    named = [("K3", F.complete(3)), ("K4", F.complete(4)), ("W6", F.wheel(1, 5))]
-    rows = [(chromatic_number(f) - 1, f) for _, f in named]
+def _critical_rows() -> List[Tuple[int, Graph]]:
+    """(chi(F) - 1, F) for every connected color-critical F of order 3..6,
+    in catalogue order."""
+    return [
+        (chromatic_number(f) - 1, f)
+        for n in range(3, 7)
+        for f in enumerate_graphs(n)
+        if len(f.components()) == 1 and is_color_critical(f) is not None
+    ]
+
+
+def suite_simonovits(n_max: int = 8) -> VerifyResult:
+    """The Q-Simonovits map over ``_critical_rows``: per row (r, F) and
+    column, n0 is the least n from which T_{n,r} is the unique maximizer at
+    every order |F|..n_max, or None if it loses at n_max. Edges are scanned
+    on every row, q on the r >= 3 rows only (every K_{a,n-a} ties at q = n).
+    The n0 and their histograms over the chi(F) >= 4 rows are report-only;
+    the hard check is that exact ex(n, F)/C(n, 2) never rises."""
+    rows = _critical_rows()
+    q_rows = [(r, f) for r, f in rows if r >= 3]
     # a scan names its F by graph6; an F above n_max gets no points
-    points: Dict[str, List[Tuple[int, int, int]]] = {to_graph6(f).decode(): [] for _, f in named}
-    for n, _, rep in _scans(n_max, rows, extremal_edges):
-        points[rep.forbidden].append((n, rep.ex_edges, n * (n - 1) // 2))
-    res = VerifyResult("density", 0)
-    for (name, _), (r, _), pts in zip(named, rows, points.values()):
+    n0: Dict[str, Dict[str, Optional[int]]] = {to_graph6(f).decode(): {} for _, f in rows}
+    points: Dict[str, List[Tuple[int, int, int]]] = {g6: [] for g6 in n0}
+    for col, col_rows, scan in [("edges", rows, extremal_edges), ("q", q_rows, extremal_q)]:
+        for n, r, rep in _scans(n_max, col_rows, scan):
+            wins = _maximizers_are(rep.extremal_graphs, [F.turan_parts(n, r)])
+            n0[rep.forbidden][col] = (n0[rep.forbidden].get(col) or n) if wins else None
+            if col == "edges":
+                points[rep.forbidden].append((n, rep.ex_edges, n * (n - 1) // 2))
+    res = VerifyResult("simonovits", 0)
+    for (r, _), (g6, pts) in zip(rows, points.items()):
         if not pts:
             continue
         res.checked += len(pts)
         if not _non_increasing(pts):
-            res.violations.append(f"density quotient increased for {name}: {pts}")
-        res.findings.append(
-            f"{name}: ratios {[f'{ex}/{pairs}' for _, ex, pairs in pts]} -> hint {1 - 1 / r:.4f}"
-        )
+            res.violations.append(f"density quotient increased for {g6}: {pts}")
+        cols = ", ".join(f"{col}={at}" for col, at in n0[g6].items())
+        ratios = [f"{ex}/{pairs}" for _, ex, pairs in pts]
+        res.findings.append(f"{g6} r={r} n0 {cols}: ratios {ratios} -> hint {1 - 1 / r:.4f}")
+    for col in ("edges", "q"):
+        got = [n0[g6][col] for (r, _), g6 in zip(rows, n0) if r >= 3 and points[g6]]
+        hist = {at: got.count(at) for at in sorted(set(got), key=lambda at: (at is None, at or 0))}
+        res.findings.append(f"n0 histogram {col} over chi(F) >= 4: {hist}")
     return res
 
 
@@ -302,7 +322,7 @@ SUITES: Dict[str, Callable[..., VerifyResult]] = {
     "lemma-min": suite_lemma_min,
     "facts": suite_facts,
     "graph6": suite_graph6,
-    "density": suite_density,
+    "simonovits": suite_simonovits,
 }
 
 

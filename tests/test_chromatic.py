@@ -7,6 +7,7 @@ import pytest
 
 from conftest import all_labeled_graphs, brute_chromatic
 from qturan import families as F
+from qturan import verify as V
 from qturan.chromatic import (
     chromatic_number,
     is_color_critical,
@@ -132,8 +133,10 @@ def test_color_critical_matches_bruteforce_and_pins_the_small_f():
     the first such edge in ``Graph.edges`` order, or None. Among the
     connected classes (the candidate F of the Q-Simonovits map) 36 are
     color-critical with chi >= 4, 30 of them with chi 4, 5 with chi 5 and
-    1 with chi 6, and 46 with chi 3."""
+    1 with chi 6, and 46 with chi 3; they, with r = chi - 1 and in
+    catalogue order, are exactly the map's rows."""
     critical = Counter()
+    rows = []
     for n in range(2, 7):
         for g in enumerate_graphs(n):
             if not g.m:
@@ -142,9 +145,12 @@ def test_color_critical_matches_bruteforce_and_pins_the_small_f():
             drops = [e for e in g.edges() if brute_chromatic(_without_edge(g, *e)) < chi]
             edge = is_color_critical(g)
             assert edge == (drops[0] if drops else None), g
-            if edge is not None and len(g.components()) == 1:
+            if drops and len(g.components()) == 1:
                 critical[chi] += 1
+                if chi >= 3:
+                    rows.append((chi - 1, g))
     assert (critical[3], critical[4], critical[5], critical[6]) == (46, 30, 5, 1)
+    assert V._critical_rows() == rows
     assert sum(k for chi, k in critical.items() if chi >= 4) == 36
 
 

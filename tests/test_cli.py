@@ -315,7 +315,7 @@ def test_verify_refuses_flags_it_would_ignore(capsys, tmp_path):
         (["verify", "turan", "--n-max", "1"], ["'turan'", "n_max=1"]),
         (["verify", "turan", "--n-max", "2"], ["'turan'", "n_max=2"]),
         (["verify", "turan", "--r", "2", "--n-max", "2"], ["'turan'", "n_max=2"]),
-        (["verify", "density", "--n-max", "2"], ["'density'", "n_max >= 3", "n_max=2"]),
+        (["verify", "simonovits", "--n-max", "2"], ["'simonovits'", "checked nothing", "n_max=2"]),
         (["verify", "stability", "--n-max", "10"], ["'stability'", "n=9", "n_max=10"]),
         (["verify", "chain", "--n-max", "0"], ["'chain'", "checked nothing", "n_max=0"]),
         (["verify", "hofmeister", "--n-max", "0"], ["'hofmeister'", "n_max=0"]),
@@ -329,7 +329,8 @@ def test_verify_refuses_flags_it_would_ignore(capsys, tmp_path):
         (["verify", "stability", "--n-max", "4", "--cmp-tol", "7"], ["'stability'", "--cmp-tol"]),
         (["verify", "facts", "--cmp-tol", "1e-9"], ["'facts'", "--cmp-tol"]),
         (["verify", "graph6", "--cmp-tol", "0.5"], ["'graph6'", "--cmp-tol"]),
-        (["verify", "density", "--cmp-tol", "0.5"], ["'density'", "--cmp-tol"]),
+        (["verify", "simonovits", "--cmp-tol", "0.5"], ["'simonovits'", "--cmp-tol"]),
+        (["verify", "simonovits", "--r", "3"], ["'simonovits'", "--r"]),
     ]:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

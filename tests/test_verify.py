@@ -1,11 +1,13 @@
-"""Verdict texts of the clique-scan, degree-power, stability and density suites, pinned word for word.
+"""Verdict texts of the clique-scan, degree-power, stability and simonovits suites, pinned word for word.
 
 The scans are stubbed so that each suite sees a wrong value or a wrong
 maximizer set; the violation strings are what ``qturan verify`` prints.
 """
 
 import inspect
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ import qturan.bounds as B
 import qturan.chromatic as C
 from qturan import families as F
 from qturan import verify as V
+from qturan.cli import main
 from qturan.graphs import to_graph6
 from qturan import search
 from qturan.search import ENUMERATION_CAP, SearchReport, extremal_edges
@@ -189,24 +192,34 @@ def test_suite_degree_power_violation_texts(monkeypatch):
     assert V.suite_degree_power(n_max=2).violations == []
 
 
-def test_density_suite_report_at_n8():
-    res = V.suite_density(n_max=8)
-    assert res.checked == 14
-    assert res.violations == []
-    assert res.findings == [
-        "K3: ratios ['2/3', '4/6', '6/10', '9/15', '12/21', '16/28'] -> hint 0.5000",
-        "K4: ratios ['5/6', '8/10', '12/15', '16/21', '21/28'] -> hint 0.6667",
-        "W6: ratios ['12/15', '16/21', '21/28'] -> hint 0.6667",
+SIMONOVITS_N8 = Path(__file__).parent / "data" / "simonovits_n8.json"
+
+
+def test_simonovits_map_at_n8_matches_golden(tmp_path, monkeypatch):
+    """The map's ``--json`` payload at n_max = 8, byte for byte; its n0
+    histograms over the 36 chi(F) >= 4 rows; and the K3, K4 and W6 rows'
+    exact ratio lists with their limit hints."""
+    out = tmp_path / "simonovits.json"
+    assert main(["verify", "simonovits", "--n-max", "8", "--json", str(out)]) == 0
+    assert out.read_text() == SIMONOVITS_N8.read_text()
+    findings = [f["text"] for f in json.loads(out.read_text())["findings"]]
+    assert findings[-2:] == [
+        "n0 histogram edges over chi(F) >= 4: {4: 1, 5: 3, 6: 11, 7: 12, 8: 3, None: 6}",
+        "n0 histogram q over chi(F) >= 4: {4: 1, 5: 3, 6: 4, 7: 8, None: 20}",
     ]
-
-
-def test_density_estimates():
-    # K3's points are (n, floor(n^2/4)) for n = 3..8
-    res = V.suite_density(n_max=8)
-    ratios = [f"{n * n // 4}/{n * (n - 1) // 2}" for n in range(3, 9)]
-    assert res.ok and res.findings[0] == f"K3: ratios {ratios} -> hint 0.5000"
-    res = V.suite_density(n_max=7)
-    assert res.ok and res.findings[1].startswith("K4: ") and res.findings[1].endswith("-> hint 0.6667")
+    rows = {line.split(" ")[0]: line for line in findings}
+    assert rows["Bw"].endswith(": ratios ['2/3', '4/6', '6/10', '9/15', '12/21', '16/28'] -> hint 0.5000")
+    assert rows["C~"].endswith(": ratios ['5/6', '8/10', '12/15', '16/21', '21/28'] -> hint 0.6667")
+    assert rows["E|fG"].endswith(": ratios ['12/15', '16/21', '21/28'] -> hint 0.6667")
+    # a loss at n_max undoes every earlier win: with T_{n,r} winning below
+    # n = 6 only, no row has an n0
+    monkeypatch.setattr(V, "_maximizers_are", lambda graph6s, parts: sum(parts[0]) < 6)
+    res = V.suite_simonovits(n_max=6)
+    assert res.ok and res.findings[-2:] == [
+        "n0 histogram edges over chi(F) >= 4: {None: 36}",
+        "n0 histogram q over chi(F) >= 4: {None: 36}",
+    ]
+    assert all(" n0 edges=None" in f for f in res.findings[:-2])
 
 
 def _fraction_verdict(points):
