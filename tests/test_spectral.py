@@ -268,9 +268,13 @@ def test_rayleigh_never_exceeds_radius(rg):
     n = rg.randrange(2, 8)
     g = sample_gnp(n, 0.5, rg)
     x = [rg.random() for _ in range(n)]
-    nrm = math.sqrt(sum(v * v for v in x))
-    if nrm == 0:
+    # rescale to max 1 first: squares of entries near 1e-160 are subnormal,
+    # and a norm taken from them is too coarse to give a unit vector
+    top = max(x)
+    if top == 0:
         return
+    x = [v / top for v in x]
+    nrm = math.sqrt(sum(v * v for v in x))
     x = tuple(v / nrm for v in x)
     assert S.rayleigh_q(g, x) <= S.q_value(g) + 1e-9
 

@@ -196,9 +196,8 @@ SIMONOVITS_N8 = Path(__file__).parent / "data" / "simonovits_n8.json"
 
 
 def test_simonovits_map_at_n8_matches_golden(tmp_path, monkeypatch):
-    """The map's ``--json`` payload at n_max = 8, byte for byte; its n0
-    histograms over the 36 chi(F) >= 4 rows; and the K3, K4 and W6 rows'
-    exact ratio lists with their limit hints."""
+    """The map's ``--json`` payload at n_max = 8, byte for byte, and its n0
+    histograms over the 36 chi(F) >= 4 rows."""
     out = tmp_path / "simonovits.json"
     assert main(["verify", "simonovits", "--n-max", "8", "--json", str(out)]) == 0
     assert out.read_text() == SIMONOVITS_N8.read_text()
@@ -207,10 +206,6 @@ def test_simonovits_map_at_n8_matches_golden(tmp_path, monkeypatch):
         "n0 histogram edges over chi(F) >= 4: {4: 1, 5: 3, 6: 11, 7: 12, 8: 3, None: 6}",
         "n0 histogram q over chi(F) >= 4: {4: 1, 5: 3, 6: 4, 7: 8, None: 20}",
     ]
-    rows = {line.split(" ")[0]: line for line in findings}
-    assert rows["Bw"].endswith(": ratios ['2/3', '4/6', '6/10', '9/15', '12/21', '16/28'] -> hint 0.5000")
-    assert rows["C~"].endswith(": ratios ['5/6', '8/10', '12/15', '16/21', '21/28'] -> hint 0.6667")
-    assert rows["E|fG"].endswith(": ratios ['12/15', '16/21', '21/28'] -> hint 0.6667")
     # a loss at n_max undoes every earlier win: with T_{n,r} winning below
     # n = 6 only, no row has an n0
     monkeypatch.setattr(V, "_maximizers_are", lambda graph6s, parts: sum(parts[0]) < 6)
@@ -220,6 +215,35 @@ def test_simonovits_map_at_n8_matches_golden(tmp_path, monkeypatch):
         "n0 histogram q over chi(F) >= 4: {None: 36}",
     ]
     assert all(" n0 edges=None" in f for f in res.findings[:-2])
+
+
+def _rows(res):
+    return {line.split(" ")[0]: line for line in res.findings}
+
+
+@pytest.fixture(scope="module")
+def map_n8():
+    return V.suite_simonovits(n_max=8)
+
+
+def test_density_suite_report_at_n8(map_n8):
+    # the K3, K4 and W6 rows of the map: exact ratio lists and limit hints
+    res = map_n8
+    assert res.checked == 268
+    assert res.violations == []
+    rows = _rows(res)
+    assert rows["Bw"].endswith(": ratios ['2/3', '4/6', '6/10', '9/15', '12/21', '16/28'] -> hint 0.5000")
+    assert rows["C~"].endswith(": ratios ['5/6', '8/10', '12/15', '16/21', '21/28'] -> hint 0.6667")
+    assert rows["E|fG"].endswith(": ratios ['12/15', '16/21', '21/28'] -> hint 0.6667")
+
+
+def test_density_estimates(map_n8):
+    # K3's points are (n, floor(n^2/4)) for n = 3..8
+    res = map_n8
+    ratios = [f"{n * n // 4}/{n * (n - 1) // 2}" for n in range(3, 9)]
+    assert res.ok and _rows(res)["Bw"].endswith(f": ratios {ratios} -> hint 0.5000")
+    res = V.suite_simonovits(n_max=7)
+    assert res.ok and _rows(res)["C~"].endswith("-> hint 0.6667")
 
 
 def _fraction_verdict(points):
