@@ -49,8 +49,6 @@ def canonical_labeling(
         )
     if n == 0:
         return (), (), ()
-    if n == 1:
-        return (0,), (0,), ()
     degs = [rows[v].bit_count() for v in range(n)]
     full = (1 << n) - 1
 
@@ -188,8 +186,6 @@ def find_clique(n: int, rows: Sequence[int], k: int) -> Optional[Tuple[int, ...]
         raise ValueError(
             f"clique search supports clique sizes up to {CANONICAL_MAX_ORDER}, got k={k}"
         )
-    if k == 1:
-        return (0,)
     if k == 3:
         for u in range(n):
             above = rows[u] >> (u + 1) << (u + 1)

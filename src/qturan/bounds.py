@@ -9,10 +9,8 @@ Degree stability and the two scalar facts are predicates, not entries.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Set, Tuple
+from typing import List, NamedTuple, Set, Tuple
 
 from .chromatic import is_r_partite
 from .families import turan, turan_edges  # noqa: F401 (perfbench/tracing.py wraps bounds.turan)
@@ -42,35 +40,12 @@ class BoundEntry(NamedTuple):
     holds: bool
     equality: bool
 
-    def as_record(self, graph_id: str) -> Dict[str, object]:
-        return {
-            "graph6": graph_id,
-            "bound_name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "holds": self.holds,
-            "equality": self.equality,
-        }
 
-
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     """Per-graph ledger of checked inequalities, keyed by graph6."""
 
     graph_id: str
-    entries: List[BoundEntry] = field(default_factory=list)
-
-
-CSV_COLUMNS = ["graph6", "bound_name", "lhs", "rhs", "slack", "holds", "equality"]
-
-
-def write_reports_csv(reports, stream) -> None:
-    writer = csv.DictWriter(stream, fieldnames=CSV_COLUMNS)
-    writer.writeheader()
-    for rep in reports:
-        for e in rep.entries:
-            writer.writerow(e.as_record(rep.graph_id))
+    entries: List[BoundEntry]
 
 
 def _entry(name: str, lhs: float, rhs: float, tol: Tolerance, strict: bool = False) -> BoundEntry:

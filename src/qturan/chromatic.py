@@ -73,8 +73,6 @@ def is_r_partite(g: Graph, r: int) -> bool:
     """True iff chi(G) <= r."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if g.n == 0:
-        return True
     return is_k_colorable(g, r)
 
 

@@ -1,5 +1,5 @@
 """Command-line surface: compute radii, run verification sweeps, extremal
-searches and descent traces.
+searches and descent traces, and write every JSON and CSV report.
 
 Exit codes: 0 = all hard assertions pass; 1 = hard violation (an inequality
 proven for every order failed); 2 = usage or input error. Report-only
@@ -9,6 +9,7 @@ findings are written to the reports, never to the exit code.
 from __future__ import annotations
 
 import argparse
+import csv
 import inspect
 import json
 import sys
@@ -63,10 +64,26 @@ def _keywords(
     return {name: value for _, name, value in taken}
 
 
-def _write_json(path: Optional[str], payload: str) -> None:
+# one row per checked inequality; BoundEntry's fields follow graph6 in order
+CSV_COLUMNS = ["graph6", "bound_name", "lhs", "rhs", "slack", "holds", "equality"]
+
+
+def _record(graph6: str, entry: B.BoundEntry) -> Dict[str, object]:
+    """One bound entry as a CSV row or JSON object, keyed by ``CSV_COLUMNS``."""
+    return dict(zip(CSV_COLUMNS, (graph6, *entry)))
+
+
+def _write_json(path: Optional[str], payload: Dict[str, object]) -> None:
     if path:
         with open(path, "w") as fh:
-            fh.write(payload + "\n")
+            fh.write(json.dumps(payload, indent=2) + "\n")
+
+
+def _write_csv(path: str, reports: Iterable[B.BoundReport]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer.writeheader()
+        writer.writerows(_record(rep.graph_id, e) for rep in reports for e in rep.entries)
 
 
 def cmd_q(args) -> int:
@@ -92,9 +109,9 @@ def cmd_q(args) -> int:
             "max_degree": max(degs),
             "q": qres.radius,
             "lambda": ares.radius,
-            "chain": [e.as_record(to_graph6(g).decode()) for e in chain],
+            "chain": [_record(to_graph6(g).decode(), e) for e in chain],
         }
-        _write_json(args.json, json.dumps(payload, indent=2))
+        _write_json(args.json, payload)
     return 0
 
 
@@ -120,10 +137,9 @@ def cmd_verify(args) -> int:
             "violations": res.violations,
             "findings": [{"reportOnly": True, "text": f} for f in res.findings],
         }
-        _write_json(args.json, json.dumps(payload, indent=2))
+        _write_json(args.json, payload)
     if args.csv and res.reports:
-        with open(args.csv, "w", newline="") as fh:
-            B.write_reports_csv(res.reports, fh)
+        _write_csv(args.csv, res.reports)
     return 0 if res.ok else 1
 
 
@@ -148,7 +164,7 @@ def cmd_search(args) -> int:
     print(f"ex_edges   {rep.ex_edges}")
     print(f"max_q      {rep.max_q}")
     print(f"extremal   {' '.join(rep.extremal_graphs) or '(none: every graph contains F)'}")
-    _write_json(args.json, rep.to_json())
+    _write_json(args.json, vars(rep))
     return 0
 
 
@@ -170,7 +186,9 @@ def cmd_descent(args) -> int:
             f"  n={s.order:3d} q={s.q:12.8f} x={s.min_entry:.6f} u={s.min_entry_vertex}"
             f" delta={s.min_degree} lemma32_slack={s.lemma32_slack:+.3e} {' '.join(lem)}"
         )
-    _write_json(args.json, trace.to_json())
+    # a step's graph6 is written only when --keep-graphs kept it
+    steps = [{k: v for k, v in vars(s).items() if k != "graph6" or v is not None} for s in trace.steps]
+    _write_json(args.json, {"stop_reason": trace.stop_reason, "steps": steps})
     return 0
 
 

@@ -9,7 +9,6 @@ is drawn from a trace.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -67,16 +66,6 @@ class DescentStep:
 class DescentTrace:
     steps: List[DescentStep] = field(default_factory=list)
     stop_reason: str = ""
-
-    def to_json(self) -> str:
-        payload = {
-            "stop_reason": self.stop_reason,
-            "steps": [
-                {k: v for k, v in vars(s).items() if not (k == "graph6" and v is None)}
-                for s in self.steps
-            ],
-        }
-        return json.dumps(payload, indent=2)
 
 
 def lemma_min_check(g: Graph) -> float:

@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
@@ -51,9 +50,6 @@ class SearchReport:
     extremal_graphs: List[str]
     scanned: int
     elapsed: float
-
-    def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2)
 
 
 # -- enumeration ---------------------------------------------------------------

@@ -2,7 +2,7 @@
 vectors, Rayleigh quotients, eigenequation residuals, the sum of squared degrees.
 
 Every radius comes from one route: numpy's dense symmetric eigensolver
-(``eigh``, LAPACK) on each component of order >= 2, whose result a residual
+(``eigh``, LAPACK) on each component, whose result a residual
 gate judges. The same solve certifies a bracket lo <= radius <= hi from its
 eigenvector, whose lo sets the record that stops a q-scan. Its O(k^3) time
 and O(k^2) memory per order-k component suit the desk-scale inputs (classes
@@ -131,19 +131,15 @@ def _solve_radius(g: Graph, mode: str) -> SpectralResult:
     best = None  # (radius, comp, vec, residual)
     hi = lo = 0.0
     for comp in g.components():
-        k = len(comp)
-        if k == 1:
-            cand = (0.0, comp, np.array([1.0]), 0.0)
-        else:
-            mat = _matrices([g.rows[v] for v in comp], g.n, comp, mode)[0]
-            lam, x, (c_hi, c_lo) = _dense_largest(mat)
-            res = _residual(mat, lam, x)
-            if res > _RESIDUAL_GATE:
-                raise SpectralError(
-                    f"eigensolve failed: residual {res:.3e} on component of order {k}"
-                )
-            cand = (lam, comp, x, res)
-            hi, lo = max(hi, c_hi), max(lo, c_lo)
+        mat = _matrices([g.rows[v] for v in comp], g.n, comp, mode)[0]
+        lam, x, (c_hi, c_lo) = _dense_largest(mat)
+        res = _residual(mat, lam, x)
+        if res > _RESIDUAL_GATE:
+            raise SpectralError(
+                f"eigensolve failed: residual {res:.3e} on component of order {len(comp)}"
+            )
+        cand = (lam, comp, x, res)
+        hi, lo = max(hi, c_hi), max(lo, c_lo)
         if best is None or cand[0] > best[0]:
             best = cand
     lam, comp, x, res = best

@@ -1,6 +1,7 @@
 """Shared independent oracles: these deliberately avoid the package's own
 kernels (permutation brute force, subset enumeration, Burnside counting,
-union-find orbit counting) so cross-checks stay two-route."""
+union-find orbit counting) so cross-checks stay two-route. Also the one
+shared run of the Q-Simonovits map at n_max = 8."""
 
 from __future__ import annotations
 
@@ -8,7 +9,17 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import pytest
+
+from qturan import verify as V
 from qturan.graphs import Graph, from_edges
+
+
+@pytest.fixture(scope="session")
+def map_n8():
+    """``suite_simonovits(n_max=8)``, run once per session. A session
+    fixture is set up before any test's monkeypatch, so nothing is patched."""
+    return V.suite_simonovits(n_max=8)
 
 
 def all_labeled_graphs(n):

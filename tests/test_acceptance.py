@@ -148,11 +148,11 @@ def test_criterion_14_graph6():
         assert parse_graph6(b"Bw") == F.complete(3)
 
 
-def test_criterion_15_asymptotic_trends():
+def test_criterion_15_asymptotic_trends(map_n8):
     with criterion(15, "asymptotic statements: density quotients non-increasing (exact); trend reports emitted"):
         # the one exactly-assertable piece: ex(n,F)/C(n,2) never increases,
-        # checked by the Q-Simonovits map on each of its 82 rows
-        res = V.suite_simonovits(n_max=8)
+        # checked by the Q-Simonovits map (n_max = 8) on each of its 82 rows
+        res = map_n8
         assert res.ok, res.violations
         # report-only: the map's rows for the paper's corollary targets
         rows = {line.split(" ")[0]: line for line in res.findings}

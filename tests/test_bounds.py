@@ -1,7 +1,6 @@
 """Bounds ledger: per-check anchors, serialization schema, criterion params,
 and the verify sweeps that fill the ledger."""
 
-import io
 import math
 from fractions import Fraction
 
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qturan import bounds as B
+from qturan import cli
 from qturan import families as F
 from qturan import verify as V
 from qturan.chromatic import is_r_partite
@@ -222,12 +222,10 @@ def test_fact2_property(x):
     assert B.check_fact2(x)
 
 
-def test_report_serialization_schema():
+def test_report_serialization_schema(tmp_path):
     entries = B.check_bound_chain(F.complete(3)) + [B.check_merris(F.complete(3))]
     rep = B.BoundReport("Bw", entries)
-    buf = io.StringIO()
-    B.write_reports_csv([rep], buf)
-    rows = buf.getvalue().splitlines()
+    rows = _csv([rep], tmp_path).splitlines()
     assert rows[0] == "graph6,bound_name,lhs,rhs,slack,holds,equality"
     assert len(rows) == 5
     assert rows[-1].startswith("Bw,merris,")
@@ -251,7 +249,7 @@ def test_bound_entry_is_an_immutable_hashable_record():
         "equality": False,
     }
     by_keyword = B.BoundEntry(name="probe", lhs=1.5, rhs=2.0, slack=0.5, holds=True, equality=False)
-    rec = by_keyword.as_record("Bw")
+    rec = cli._record("Bw", by_keyword)
     assert rec == want and list(rec) == list(want)
     built = B._entry("probe", 1.5, 2.0, DEFAULT_TOL)
     assert built == by_keyword
@@ -261,10 +259,11 @@ def test_bound_entry_is_an_immutable_hashable_record():
 # -- the bound sweeps of qturan.verify ------------------------------------------
 
 
-def _csv(reports):
-    buf = io.StringIO()
-    B.write_reports_csv(reports, buf)
-    return buf.getvalue()
+def _csv(reports, tmp_path):
+    """The bytes ``verify --csv`` writes for ``reports``."""
+    path = tmp_path / "reports.csv"
+    cli._write_csv(str(path), reports)
+    return path.read_bytes().decode()
 
 
 def test_suite_reports_follow_enumeration_order():
@@ -274,7 +273,7 @@ def test_suite_reports_follow_enumeration_order():
     assert [r.graph_id for r in res.reports] == want
 
 
-def test_entry_suites_use_the_given_tolerance():
+def test_entry_suites_use_the_given_tolerance(tmp_path):
     # at cmp_tol 0.5 every slack within 0.5 is an equality, so the ledger
     # must match the checks called directly with that tolerance
     loose = Tolerance(cmp_tol=0.5)
@@ -287,7 +286,7 @@ def test_entry_suites_use_the_given_tolerance():
     for suite, check in direct.items():
         res = V.run_suite(suite, n_max=5, tol=loose, collect_reports=True)
         want = [B.BoundReport(r.graph_id, check(parse_graph6(r.graph_id.encode()))) for r in res.reports]
-        assert _csv(res.reports) == _csv(want), suite
+        assert _csv(res.reports, tmp_path) == _csv(want, tmp_path), suite
     chain = V.suite_chain(n_max=5, tol=loose, collect_reports=True)
     assert sum(e.equality for r in chain.reports for e in r.entries) == 104
     chain = V.suite_chain(n_max=5, collect_reports=True)

@@ -10,8 +10,7 @@ import pytest
 from qturan import cli
 from qturan import search as S
 from qturan import verify as V
-from qturan.bounds import CSV_COLUMNS
-from qturan.cli import main
+from qturan.cli import CSV_COLUMNS, main
 from qturan.families import complete
 from qturan.search import SearchReport, count_classes, extremal_q
 from qturan.spectral import DEFAULT_TOL, Tolerance

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from qturan import families as F
+from qturan.cli import main
 from qturan.descent import (
     STOP_FLOOR,
     STOP_MIN_DEGREE,
@@ -66,14 +67,16 @@ def test_trace_rederivable_from_kept_graphs():
         assert step.residual <= 1e-10
 
 
-def test_trace_json_shape():
-    tr = descent_run(F.star(5), _params(), floor=1, keep_graphs=True)
-    payload = json.loads(tr.to_json())
+def test_trace_json_shape(tmp_path):
+    # star:5 is F.star(5), traced at the CLI's defaults: _params() and floor 1
+    out = tmp_path / "descent.json"
+    assert main(["descent", "star:5", "--keep-graphs", "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
     assert payload["stop_reason"] == STOP_FLOOR
     assert [s["order"] for s in payload["steps"]] == [5, 4, 3, 2, 1]
     assert all("graph6" in s for s in payload["steps"])
-    tr = descent_run(F.star(5), _params(), floor=1)
-    payload = json.loads(tr.to_json())
+    assert main(["descent", "star:5", "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
     assert all("graph6" not in s for s in payload["steps"])
 
 

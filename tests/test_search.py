@@ -19,6 +19,7 @@ from qturan import families as F
 from qturan import search as S
 from qturan import spectral
 from qturan import verify as V
+from qturan.cli import main
 from qturan.descent import CriterionParams
 from qturan.graphs import (
     Graph,
@@ -219,9 +220,11 @@ def test_extremal_q_r2_and_r3():
     assert is_isomorphic(parse_graph6(rep.extremal_graphs[0]), F.turan(6, 3))
 
 
-def test_search_report_json():
-    rep = extremal_edges(5, F.complete(3))
-    payload = json.loads(rep.to_json())
+def test_search_report_json(tmp_path):
+    out = tmp_path / "search.json"
+    assert main(["search", "5", "--forbid", "clique:3", "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload == vars(extremal_edges(5, F.complete(3))) | {"elapsed": payload["elapsed"]}
     for key in ("n", "forbidden", "mode", "ex_edges", "max_q", "extremal_graphs", "scanned", "elapsed"):
         assert key in payload
 
@@ -231,6 +234,12 @@ def test_importing_the_cli_loads_neither_fractions_nor_decimal():
     src = str(Path(S.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, qturan.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    # the CLI alone writes reports: the library, numpy included, loads no serializer
+    library = "qturan, qturan.bounds, qturan.families, qturan.search, qturan.verify, qturan.descent"
+    code = f"import sys, {library}; print(sorted({{'json', 'csv'}} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

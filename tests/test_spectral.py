@@ -153,7 +153,7 @@ def test_turan_q_within_residual_bound_of_power_iteration():
 
 
 @pytest.mark.parametrize("n", [300, 400])
-def test_dense_fallback_on_long_paths(n):
+def test_long_path_radii_match_closed_forms(n):
     # P_n's spectral gap shrinks like 1/n^2; the path spectra are closed forms
     for solve, exact in [
         (S.q_radius, 2 + 2 * math.cos(math.pi / n)),

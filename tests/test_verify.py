@@ -221,11 +221,6 @@ def _rows(res):
     return {line.split(" ")[0]: line for line in res.findings}
 
 
-@pytest.fixture(scope="module")
-def map_n8():
-    return V.suite_simonovits(n_max=8)
-
-
 def test_density_suite_report_at_n8(map_n8):
     # the K3, K4 and W6 rows of the map: exact ratio lists and limit hints
     res = map_n8
