@@ -8,7 +8,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,26 +71,44 @@ def _in_orbit(gens: Sequence[Tuple[int, ...]], a: int, b: int) -> bool:
     return False
 
 
+class _Order(NamedTuple):
+    """One order's classes and, per ``COLUMNS`` row, their rank keys and
+    visit order (``_rank``)."""
+
+    classes: Tuple[Graph, ...]
+    ranks: Dict[str, Tuple[np.ndarray, np.ndarray]]
+
+
 @lru_cache(maxsize=16)
-def _classes(n: int) -> Tuple[Graph, ...]:
-    """All isomorphism classes of order n >= 1, canonically labeled.
+def _order(n: int) -> _Order:
+    """The record of order n >= 1, built once per process.
 
     Orders up to ``CATALOGUE_MAX`` are read from the shipped catalogue,
     ``data/graphs{n}.g6``, which lists them in the order ``_augment``
     produces; higher orders are augmented from the order below. A missing
     catalogue file, or one whose class count is not ``CLASS_COUNTS[n]``, is
-    an error: nothing falls back to augmentation.
+    an error: nothing falls back to augmentation. The classes are ranked
+    here by every ``COLUMNS`` row, so no scan of the order ranks; a caller
+    that only enumerates pays for the ranking too.
     """
     if n > CATALOGUE_MAX:
-        return _augment(n)
-    path = os.path.join(CATALOGUE_DIR, f"graphs{n}.g6")
-    graphs = tuple(ingest_corpus(path))
-    if len(graphs) != CLASS_COUNTS[n]:
-        raise ValueError(
-            f"catalogue {path} holds {len(graphs)} graphs, "
-            f"not the {CLASS_COUNTS[n]} classes of order {n}"
-        )
-    return graphs
+        graphs = _augment(n)
+    else:
+        path = os.path.join(CATALOGUE_DIR, f"graphs{n}.g6")
+        graphs = tuple(ingest_corpus(path))
+        if len(graphs) != CLASS_COUNTS[n]:
+            raise ValueError(
+                f"catalogue {path} holds {len(graphs)} graphs, "
+                f"not the {CLASS_COUNTS[n]} classes of order {n}"
+            )
+    return _Order(graphs, {mode: _rank(graphs, mode) for mode in COLUMNS})
+
+
+def _classes(n: int) -> Tuple[Graph, ...]:
+    """All isomorphism classes of order n >= 1, canonically labeled, from
+    ``_order(n)``. The benchmark harness (``perfbench/tracing.py``) times
+    this call and reads its length."""
+    return _order(n).classes
 
 
 def _augment(n: int) -> Tuple[Graph, ...]:
@@ -191,7 +209,7 @@ def _augment(n: int) -> Tuple[Graph, ...]:
     return tuple(out)
 
 
-def enumerate_graphs(n: int) -> Iterator[Graph]:
+def enumerate_graphs(n: int) -> Tuple[Graph, ...]:
     """One canonical representative per isomorphism class of order n, in a
     deterministic order. Orders 1..9 only: the null graph has no q, and an
     external corpus serves beyond n = 9."""
@@ -202,11 +220,11 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
             f"built-in enumeration capped at n={ENUMERATION_CAP}; "
             f"use ingest_corpus() with an external graph6 file for n={n}"
         )
-    return iter(_classes(n))
+    return _classes(n)
 
 
 def count_classes(n: int) -> int:
-    return sum(1 for _ in enumerate_graphs(n))
+    return len(enumerate_graphs(n))
 
 
 def ingest_corpus(path: str) -> Iterator[Graph]:
@@ -239,14 +257,6 @@ def resolve_corpus_path(path: str) -> str:
     return path
 
 
-def _graph_source(n: int, corpus: Optional[str]) -> Sequence[Graph]:
-    if corpus is not None:
-        # corpus files may bundle several orders; an (n, F) report only
-        # concerns order-n entries, but a malformed line of any order aborts
-        return [g for g in ingest_corpus(corpus) if g.n == n]
-    return tuple(enumerate_graphs(n))
-
-
 # -- extremal scans --------------------------------------------------------------
 
 
@@ -260,12 +270,6 @@ def _rank(graphs: Sequence[Graph], mode: str) -> Tuple[np.ndarray, np.ndarray]:
     ties in source order."""
     keys = COLUMNS[mode][0](graphs)
     return keys, np.argsort(-keys, kind="stable")
-
-
-@lru_cache(maxsize=32)
-def _class_ranking(n: int, mode: str) -> Tuple[np.ndarray, np.ndarray]:
-    """``_rank`` of the order-n classes, computed on the first scan."""
-    return _rank(_classes(n), mode)
 
 
 def _extremal(
@@ -284,7 +288,9 @@ def _extremal(
     bracket (lo <= q however wide the bracket) and that solve's radius, the
     number ``q_value`` returns. Graphs are visited by descending key, the
     row's upper bound on the value: the edge count itself, or the rank bound
-    hi(G) >= q(G) (``spectral.q_rank_bounds``). The scan stops at the first
+    hi(G) >= q(G) (``spectral.q_rank_bounds``). The built-in classes carry
+    their keys and visit order in ``_order(n)``, ranked when the order was
+    built; a corpus scan ranks its graphs itself. The scan stops at the first
     key below best - tie_tol - 1e-9 * max(1, best), where best is the
     largest floor seen so far and tie_tol, which the wrapper passes, is
     cmp_tol for q and 0 for edge counts (for which the test is exactly
@@ -297,8 +303,14 @@ def _extremal(
     ``q_value`` among them.
     """
     t0 = time.perf_counter()
-    graphs = _graph_source(n, corpus)
-    keys, order = _class_ranking(n, mode) if corpus is None else _rank(graphs, mode)
+    if corpus is None:
+        graphs = enumerate_graphs(n)
+        keys, order = _order(n).ranks[mode]
+    else:
+        # corpus files may bundle several orders; an (n, F) report only
+        # concerns order-n entries, but a malformed line of any order aborts
+        graphs = [g for g in ingest_corpus(corpus) if g.n == n]
+        keys, order = _rank(graphs, mode)
     judge = COLUMNS[mode][1]
     best = float("-inf")
     found: List[Tuple[int, float]] = []

@@ -9,8 +9,9 @@ and O(k^2) memory per order-k component suit the desk-scale inputs (classes
 of order <= 9, family specs of order <= 1,024); a dense G(5000, 1/2) takes
 about 13 s and 1 GiB. One builder, ``_matrices``, turns bit rows into
 every matrix: one component's for a solve, a block of same-order graphs'
-for ``q_rank_bounds``. The Turán graphs T_{n,r} need no eigensolve:
-``turan_q`` gives their q exactly, in integer arithmetic.
+for ``q_rank_bounds``, which ``search`` runs once per class order, when it
+builds the order, and keeps with its classes. The Turán graphs T_{n,r} need
+no eigensolve: ``turan_q`` gives their q exactly, in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -246,7 +247,9 @@ def q_rank_bounds(graphs: Sequence[Graph]) -> np.ndarray:
     raised by the ulps of ``SpectralResult.bracket``. It is looser than the
     hi of that bracket, which only makes a scan visit a few more classes.
     Blocks of ``BOUND_BLOCK`` graphs, fewer above order 9, keep each stack
-    within 10.6 MB.
+    within 10.6 MB. The built-in classes get their keys once per order and
+    process, in ``search._order``, which keeps them for every scan; a corpus
+    scan computes them for its graphs.
     """
     out = np.empty(len(graphs))
     n = graphs[0].n if graphs else 0

@@ -117,9 +117,86 @@ def test_a_short_or_missing_catalogue_file_is_an_error(monkeypatch, tmp_path):
     (tmp_path / "graphs5.g6").write_bytes(b"\n".join(_catalogue_lines(5)[:-1]) + b"\n")
     monkeypatch.setattr(S, "CATALOGUE_DIR", str(tmp_path))
     with pytest.raises(ValueError, match="holds 33 graphs, not the 34 classes of order 5"):
-        _classes.__wrapped__(5)
+        S._order.__wrapped__(5)
     with pytest.raises(FileNotFoundError):
-        _classes.__wrapped__(4)
+        S._order.__wrapped__(4)
+
+
+def _corrupted(lines, lineno, line):
+    return b"".join((line if k == lineno else old) + b"\n" for k, old in enumerate(lines, start=1))
+
+
+def test_corrupted_catalogue_lines_name_the_line(monkeypatch, tmp_path):
+    """Each corruption is refused with ``parse_graph6``'s error and offset,
+    naming the line."""
+    lines = _catalogue_lines(5)
+    monkeypatch.setattr(S, "CATALOGUE_DIR", str(tmp_path))
+    line = lines[6]  # order 5: a header byte and two payload bytes, the last with 4 padding bits
+    cases = [
+        (line[:1] + b"!" + line[2:], "bad payload byte 33"),
+        (line[:2] + bytes([line[2] + 1]), "nonzero padding bits"),
+        (line + b"?", "trailing bytes after bit payload"),
+        (line[:2], "truncated bit payload"),
+        (b"!" + line[1:], "bad header byte 33"),
+    ]
+    for bad, message in cases:
+        (tmp_path / "graphs5.g6").write_bytes(_corrupted(lines, 7, bad))
+        with pytest.raises(Graph6Error, match=f"^line 7: {message}") as got:
+            S._order.__wrapped__(5)
+        with pytest.raises(Graph6Error) as want:
+            parse_graph6(bad)
+        assert (got.value.message, got.value.offset) == ("line 7: " + want.value.message, want.value.offset)
+
+
+def test_order_records_carry_every_rank_key():
+    # keys and visit order bit for bit as each COLUMNS row ranks the classes
+    for n in range(1, S.CATALOGUE_MAX + 1):
+        record = S._order(n)
+        assert record.classes is _classes(n)
+        assert set(record.ranks) == set(S.COLUMNS)
+        for mode, (rank_keys, _, _) in S.COLUMNS.items():
+            want = rank_keys(record.classes)
+            keys, order = record.ranks[mode]
+            assert keys.dtype == want.dtype and keys.tobytes() == want.tobytes(), (n, mode)
+            assert np.array_equal(order, np.argsort(-want, kind="stable")), (n, mode)
+    assert S.COLUMNS["q"][0] is spectral.q_rank_bounds
+
+
+@pytest.fixture
+def fresh_orders():
+    """An empty order cache before and after the test, so that it builds
+    each order it reads and leaves no record built under a patch."""
+    S._order.cache_clear()
+    yield
+    S._order.cache_clear()
+
+
+def test_each_order_is_ranked_once_when_it_is_built(monkeypatch, fresh_orders):
+    # the build ranks, so enumerating ranks too and no scan ranks again
+    ranked = []
+    rank_keys, judge, scan = S.COLUMNS["q"]
+
+    def counted(graphs):
+        ranked.append(graphs[0].n)
+        return rank_keys(graphs)
+
+    monkeypatch.setitem(S.COLUMNS, "q", (counted, judge, scan))
+    for _ in range(2):
+        assert V.suite_q_turan(n_max=7).ok
+        extremal_q(7, F.wheel(1, 5))
+        extremal_edges(7, F.complete(4))
+    assert count_classes(2) == 2
+    assert sorted(ranked) == [2, 3, 4, 5, 6, 7]
+
+
+def test_augmented_orders_carry_the_same_record(monkeypatch):
+    want = S._order(6)
+    monkeypatch.setattr(S, "CATALOGUE_MAX", 5)
+    got = S._order.__wrapped__(6)
+    assert got.classes == want.classes
+    for mode in S.COLUMNS:
+        for a, b in zip(got.ranks[mode], want.ranks[mode]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), mode
 
 
 # SHA-256 of repr([g.rows for g in _classes(8)]) as produced before the
