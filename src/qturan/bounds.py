@@ -20,9 +20,9 @@ from .spectral import (
     Tolerance,
     degree_power,
     lambda_value,
+    multipartite_alpha,
     q_value,
     turan_q,
-    turan_quadratic,
 )
 
 
@@ -149,15 +149,13 @@ def check_fact21_margin(n: int, r: int, tol: Tolerance = DEFAULT_TOL) -> BoundEn
 
 
 def fact21_margin_exact(n: int, r: int) -> bool:
-    """Exact verdict of (n/4) q(T_{n,r}) < e(T_{n,r}) + 1, in integers.
-
-    With q(T_{n,r}) = (c + sqrt(disc)) / 2 the margin reads
-    n sqrt(disc) < t for t = 8 (e + 1) - n c, that is t > 0 and
-    n^2 disc < t^2.
-    """
+    """Exact verdict of (n/4) q(T_{n,r}) < e(T_{n,r}) + 1, in integers: with
+    q = (c + sqrt(disc)) / 2 (``multipartite_alpha`` at alpha = 1/2, den 4) it
+    reads n sqrt(disc) < t = 8 (e + 1) - n c, that is t > 0 and n^2 disc < t^2."""
     if not (2 <= r <= n):
         raise ValueError(f"needs 2 <= r <= n, got n={n}, r={r}")
-    c, disc = turan_quadratic(n, r)
+    b, s = divmod(n, r)
+    c, disc, _ = multipartite_alpha(s, b + 1, r - s, b, (1, 2))
     t = 8 * (turan_edges(n, r) + 1) - n * c
     return t > 0 and n * n * disc < t * t
 

@@ -10,8 +10,8 @@ of order <= 9, family specs of order <= 1,024); a dense G(5000, 1/2) takes
 about 13 s and 1 GiB. One builder, ``_matrices``, turns bit rows into
 every matrix: one component's for a solve, a block of same-order graphs'
 for ``q_rank_bounds``, which ``search`` runs once per class order, when it
-builds the order, and keeps with its classes. The Turán graphs T_{n,r} need
-no eigensolve: ``turan_q`` gives their q exactly, in integer arithmetic.
+builds the order, and keeps with its classes. ``multipartite_alpha`` gives the
+exact A_alpha radius of a complete multipartite graph with two part sizes.
 """
 
 from __future__ import annotations
@@ -179,45 +179,46 @@ def lambda_value(g: Graph) -> float:
     return adjacency_radius(g).radius
 
 
-# -- exact Turán radius --------------------------------------------------------
+# -- exact radius of complete multipartite graphs --------------------------------
 
 
-def turan_quadratic(n: int, r: int) -> Tuple[int, int]:
-    """Integers (c, disc) with q(T_{n,r}) = (c + sqrt(disc)) / 2.
+def multipartite_alpha(s: int, a: int, t: int, b: int, alpha: Tuple[int, int]) -> Tuple[int, int, int]:
+    """Integers (c, disc, den), x = (c + sqrt(disc)) / den the radius of A_alpha =
+    alpha D + (1 - alpha) A, alpha = p / d, on the complete multipartite graph with
+    s parts of size a and t of size b (a count 0 is no part). With e = d - p and
+    y = x - alpha n, sum a_i / (y + a_i) = d / e is d y^2 + B y + C = 0 for
+    B = d (a + b) - e n, C = ab (d - e (s + t)); C = 0 at alpha = 1 - 1 / (s + t)."""
+    p, d = alpha
+    a, b = (a if s else b), (b if t else a)
+    if not (0 <= p <= d and s >= 0 <= t and a > 0 < b and s + t):
+        raise ValueError(f"needs 0 <= p <= d, a part and sizes >= 1, got {(s, a, t, b, alpha)}")
+    n, e = s * a + t * b, d - p
+    B = d * (a + b) - e * n
+    C = a * b * (d - e * (s + t))
+    return 2 * p * n - B, B * B - 4 * d * C, 2 * d
 
-    T_{n,r} has s = n mod r parts of size a = b + (s > 0) and r - s of size
-    b = n // r. With u = q - n the quotient equation sum n_i / (u + 2 n_i) = 1
-    becomes u^2 + (2a + 2b - n) u - 2ab (r - 2) = 0, whose larger root is
-    (beta + sqrt(disc)) / 2 with beta = n - 2a - 2b and
-    disc = beta^2 + 8ab (r - 2); so c = 2n + beta. Valid for 1 <= r <= n.
-    """
-    if not (1 <= r <= n):
-        raise ValueError(f"turan graph needs 1 <= r <= n, got r={r}, n={n}")
-    b, s = divmod(n, r)
-    a = b + (s > 0)
-    beta = n - 2 * a - 2 * b
-    return 2 * n + beta, beta * beta + 8 * a * b * (r - 2)
 
-
-def turan_q(n: int, r: int) -> float:
-    """q(T_{n,r}) as the correctly rounded float of its exact value.
-
-    Integer arithmetic only: ``isqrt(disc * 4^k)`` brackets sqrt(disc) * 2^k
-    between root and root + 1, and CPython's int / int division rounds each
-    end of the bracket for q correctly; k doubles until both ends round to
-    the same float. The root is exact when root^2 = disc * 4^k.
-    """
-    c, disc = turan_quadratic(n, r)
+def root_float(c: int, disc: int, den: int) -> float:
+    """(c + sqrt(disc)) / den, den > 0, correctly rounded, in integers: k doubles
+    until ``isqrt``'s bracket [root, root + 1] of sqrt(disc) * 2^k rounds to one
+    float under int / int division, or root^2 = disc * 4^k makes root exact."""
     k = 64
     while True:
         scaled = disc << (2 * k)
         root = math.isqrt(scaled)
-        lo = (c << k) + root
-        den = 1 << (k + 1)
-        q = lo / den
-        if root * root == scaled or (lo + 1) / den == q:
-            return q
+        lo, scale = (c << k) + root, den << k
+        x = lo / scale
+        if (lo + 1) / scale == x or root * root == scaled:
+            return x
         k *= 2
+
+
+def turan_q(n: int, r: int) -> float:
+    """q(T_{n,r}) correctly rounded: twice its alpha = 1/2 root (doubling is exact)."""
+    if not (1 <= r <= n):
+        raise ValueError(f"turan graph needs 1 <= r <= n, got r={r}, n={n}")
+    b, s = divmod(n, r)
+    return 2 * root_float(*multipartite_alpha(s, b + 1, r - s, b, (1, 2)))
 
 
 # -- rigorous bounds -----------------------------------------------------------

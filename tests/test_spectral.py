@@ -123,6 +123,13 @@ def test_turan_q_closed_forms():
             S.turan_q(n, r)
 
 
+def _turan_alpha(n, r, alpha):
+    """``multipartite_alpha`` of T_{n,r}: n mod r parts of size n // r + 1,
+    the rest of size n // r."""
+    b, s = divmod(n, r)
+    return S.multipartite_alpha(s, b + 1, r - s, b, alpha)
+
+
 def test_turan_q_is_correctly_rounded():
     # a second route to the same root: 60-digit decimal square root, then one
     # correctly rounded conversion
@@ -130,15 +137,19 @@ def test_turan_q_is_correctly_rounded():
         ctx.prec = 60
         for n in range(1, 121):
             for r in range(1, n + 1):
-                c, disc = S.turan_quadratic(n, r)
-                assert S.turan_q(n, r) == float((c + decimal.Decimal(disc).sqrt()) / 2), (n, r)
+                c, disc, den = _turan_alpha(n, r, (1, 2))
+                assert S.turan_q(n, r) == float(2 * (c + decimal.Decimal(disc).sqrt()) / den), (n, r)
 
 
 def test_turan_q_matches_dense_oracle():
+    # q and, at alpha = 0, lambda of T_{n,r} against eigvalsh of Q and A
     for n in range(1, 41):
         for r in range(1, n + 1):
-            want = np.linalg.eigvalsh(q_matrix(F.turan(n, r)))[-1]
-            assert abs(S.turan_q(n, r) - want) <= 1e-13 * max(1.0, want), (n, r)
+            q = q_matrix(F.turan(n, r))
+            lam = S.root_float(*_turan_alpha(n, r, (0, 1)))
+            for got, mat in [(S.turan_q(n, r), q), (lam, q - np.diag(q.diagonal()))]:
+                want = np.linalg.eigvalsh(mat)[-1]
+                assert abs(got - want) <= 1e-13 * max(1.0, want), (n, r)
 
 
 def test_turan_q_within_residual_bound_of_power_iteration():
@@ -197,18 +208,49 @@ def test_known_radii():
 
 
 def test_split_graph_closed_forms():
-    # split(n, k) = K_k joined to n - k independent vertices; the q form
-    # needs n >= 2, since it gives 1 at n = 1 where q(K_1) = 0
-    for n in range(2, 41):
+    # split(n, k) = K_k joined to n - k independent vertices, k parts of size 1
+    # and one of size n - k; K_{a,b} = K_{a, n-a}. The hand forms of q and
+    # lambda and the alpha = 1/2 and 0 roots of multipartite_alpha must agree
+    # with each other and with the eigensolves. The q form needs n >= 2, since
+    # it gives 1 at n = 1 where q(K_1) = 0
+    def agree(g, spec, q, lam):
+        closed_q = 2 * S.root_float(*S.multipartite_alpha(*spec, (1, 2)))
+        closed_lam = S.root_float(*S.multipartite_alpha(*spec, (0, 1)))
+        for got, want in [(S.q_value(g), q), (closed_q, q), (S.lambda_value(g), lam), (closed_lam, lam)]:
+            assert abs(got - want) <= 1e-9 * want, (g, spec, got, want)
+
+    for n in range(2, 61):
         for k in range(1, n + 1):
             g = F.split(n, k)
             c = n + 2 * k - 2
             q = (c + math.sqrt(c * c - 8 * k * (k - 1))) / 2
             lam = ((k - 1) + math.sqrt((k - 1) ** 2 + 4 * k * (n - k))) / 2
-            assert abs(S.q_value(g) - q) <= 1e-9 * q, (n, k)
-            assert abs(S.lambda_value(g) - lam) <= 1e-9 * lam, (n, k)
+            agree(g, (k, 1, int(n > k), n - k), q, lam)
             assert g.m == k * (k - 1) // 2 + k * (n - k), (n, k)
             assert S.degree_power(g) == k * (n - 1) ** 2 + (n - k) * k * k, (n, k)
+        for a in range(1, n // 2 + 1):
+            agree(F.complete_bipartite(a, n - a), (1, a, 1, n - a), n, math.sqrt(a * (n - a)))
+
+
+def test_alpha_boundary_ties_every_complete_r_partite_graph():
+    # A_alpha at alpha = 1 - 1/r: every complete r-partite graph with at most
+    # two part sizes has radius (r - 1) n / r exactly. Below it T_{n,r} is the
+    # strict maximum among them at alpha = 0 and 1/4, and at 1/2 when r >= 3;
+    # r = 2 at 1/2 is the boundary itself (every K_{a,n-a} has q = n)
+    for r in range(2, 6):
+        for n in range(r, 41):
+            specs = [(r, n // r, 0, 0)] if n % r == 0 else []
+            specs += [(s, a, r - s, (n - s * a) // (r - s)) for s in range(1, r) for a in range(1, n)
+                      if (n - s * a) % (r - s) == 0 and (n - s * a) // (r - s) > a]
+            turan = [spec for spec in specs if spec[-1] - spec[1] <= 1 or not spec[2]]
+            assert len(turan) == 1, (n, r, specs)
+            for spec in specs:
+                assert S.root_float(*S.multipartite_alpha(*spec, (r - 1, r))) == (r - 1) * n / r, (n, spec)
+            for alpha in [(0, 1), (1, 4)] + [(1, 2)] * (r >= 3):
+                top = S.root_float(*S.multipartite_alpha(*turan[0], alpha))
+                for spec in specs:
+                    if spec != turan[0]:
+                        assert S.root_float(*S.multipartite_alpha(*spec, alpha)) < top, (n, r, alpha, spec)
 
 
 def test_result_contract():
