@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", metavar="PATH", help="write bound entries as CSV")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("search", parents=[common], help="extremal edge- or q-search at order n")
+    p = sub.add_parser("search", parents=[common], help="extremal edge-, lambda- or q-search at order n")
     p.add_argument("n", type=int)
     p.add_argument("--forbid", required=True, help="forbidden subgraph (family spec or graph6)")
     p.add_argument("--mode", choices=sorted(COLUMNS), default="edges")

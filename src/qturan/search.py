@@ -8,7 +8,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,10 +36,10 @@ CORPUS_DIR_ENV = "QTURAN_CORPUS_DIR"
 class SearchReport:
     """Extremal scan result for (n, F).
 
-    ``mode`` says which quantity was maximized; the other field reports the
-    corresponding value over the winning graphs. ``extremal_graphs`` holds
-    graph6 strings: canonical for the built-in classes, and each graph as
-    given for a ``corpus`` scan.
+    ``mode`` says which quantity was maximized; ``ex_edges`` and ``max_q``
+    are the largest m and q over the winning graphs in every mode.
+    ``extremal_graphs`` holds graph6 strings: canonical for the built-in
+    classes, and each graph as given for a ``corpus`` scan.
     """
 
     n: int
@@ -73,7 +73,7 @@ def _in_orbit(gens: Sequence[Tuple[int, ...]], a: int, b: int) -> bool:
 
 class _Order(NamedTuple):
     """One order's classes and, per ``COLUMNS`` row, their rank keys and
-    visit order (``_rank``)."""
+    visit order (``_rank``); rows with one key function share one entry."""
 
     classes: Tuple[Graph, ...]
     ranks: Dict[str, Tuple[np.ndarray, np.ndarray]]
@@ -88,8 +88,8 @@ def _order(n: int) -> _Order:
     produces; higher orders are augmented from the order below. A missing
     catalogue file, or one whose class count is not ``CLASS_COUNTS[n]``, is
     an error: nothing falls back to augmentation. The classes are ranked
-    here by every ``COLUMNS`` row, so no scan of the order ranks; a caller
-    that only enumerates pays for the ranking too.
+    here once per ``COLUMNS`` key function, so no scan of the order ranks;
+    a caller that only enumerates pays for the ranking too.
     """
     if n > CATALOGUE_MAX:
         graphs = _augment(n)
@@ -101,7 +101,8 @@ def _order(n: int) -> _Order:
                 f"catalogue {path} holds {len(graphs)} graphs, "
                 f"not the {CLASS_COUNTS[n]} classes of order {n}"
             )
-    return _Order(graphs, {mode: _rank(graphs, mode) for mode in COLUMNS})
+    ranked = {keys: _rank(graphs, keys) for keys in {row[0] for row in COLUMNS.values()}}
+    return _Order(graphs, {mode: ranked[row[0]] for mode, row in COLUMNS.items()})
 
 
 def _classes(n: int) -> Tuple[Graph, ...]:
@@ -260,15 +261,10 @@ def resolve_corpus_path(path: str) -> str:
 # -- extremal scans --------------------------------------------------------------
 
 
-def _q_floor_value(g: Graph) -> Tuple[float, float]:
-    res = spectral.q_radius(g)  # via the module, so a traced q_radius sees it
-    return res.bracket[0], res.radius
-
-
-def _rank(graphs: Sequence[Graph], mode: str) -> Tuple[np.ndarray, np.ndarray]:
-    """The visiting keys of a scan and the indices in descending-key order,
-    ties in source order."""
-    keys = COLUMNS[mode][0](graphs)
+def _rank(graphs: Sequence[Graph], rank_keys: Callable) -> Tuple[np.ndarray, np.ndarray]:
+    """The visiting keys ``rank_keys(graphs)`` of a scan and the indices in
+    descending-key order, ties in source order."""
+    keys = rank_keys(graphs)
     return keys, np.argsort(-keys, kind="stable")
 
 
@@ -281,19 +277,20 @@ def _extremal(
     min_degree: int = 0,
 ) -> SearchReport:
     """The maximizer scan of the ``COLUMNS`` row ``mode``, behind
-    ``extremal_edges`` and ``extremal_q``.
+    ``extremal_edges``, ``extremal_lambda`` and ``extremal_q``.
 
     Each F-free class the scan visits gets its floor and value from the
-    row's judge: its edge count for both, or the lo of its ``q_radius``
-    bracket (lo <= q however wide the bracket) and that solve's radius, the
-    number ``q_value`` returns. Graphs are visited by descending key, the
-    row's upper bound on the value: the edge count itself, or the rank bound
-    hi(G) >= q(G) (``spectral.q_rank_bounds``). The built-in classes carry
-    their keys and visit order in ``_order(n)``, ranked when the order was
-    built; a corpus scan ranks its graphs itself. The scan stops at the first
-    key below best - tie_tol - 1e-9 * max(1, best), where best is the
-    largest floor seen so far and tie_tol, which the wrapper passes, is
-    cmp_tol for q and 0 for edge counts (for which the test is exactly
+    row's judge: its edge count for both, or the lo of its solve's bracket
+    (lo <= radius however wide the bracket) and that solve's radius, in
+    units of 2 lambda_alpha (``_spectral_row``). Graphs are visited by
+    descending key, the row's upper bound on the value: the edge count
+    itself, or the rank bound hi(G) >= q(G) >= 2 lambda(G)
+    (``spectral.q_rank_bounds``). The built-in classes carry their keys and
+    visit order in ``_order(n)``, ranked when the order was built; a corpus
+    scan ranks its graphs itself. The scan stops at the first key below
+    best - tie_tol - 1e-9 * max(1, best), where best is the largest floor
+    seen so far and tie_tol, which the wrapper passes, is cmp_tol for a
+    spectral row and 0 for edge counts (for which the test is exactly
     m >= best). Every graph past that point has a value below the final
     maximum by more than tie_tol. Classes with delta(G) < min_degree are
     skipped.
@@ -310,7 +307,7 @@ def _extremal(
         # corpus files may bundle several orders; an (n, F) report only
         # concerns order-n entries, but a malformed line of any order aborts
         graphs = [g for g in ingest_corpus(corpus) if g.n == n]
-        keys, order = _rank(graphs, mode)
+        keys, order = _rank(graphs, COLUMNS[mode][0])
     judge = COLUMNS[mode][1]
     best = float("-inf")
     found: List[Tuple[int, float]] = []
@@ -382,6 +379,27 @@ def extremal_q(
     return _extremal(n, f, "q", corpus, tol.cmp_tol, min_degree)
 
 
+def extremal_lambda(
+    n: int, f: Graph, corpus: Optional[str] = None, tol: Tolerance = DEFAULT_TOL
+) -> SearchReport:
+    """Max lambda(G) over F-free classes: the maximizers are the F-free
+    classes whose 2 lambda is within cmp_tol of the largest, in source
+    order. Classes are visited by the q rank bound, which bounds 2 lambda
+    too: for the Perron vector x of A, q >= x^T Q x = 2 lambda + x^T (D - A) x."""
+    return _extremal(n, f, "lambda", corpus, tol.cmp_tol)
+
+
+def _spectral_row(solve: str, scale: int, scan: Callable) -> Tuple[Callable, Callable, Callable]:
+    """The ``COLUMNS`` row of 2 lambda_alpha: keys ``q_rank_bounds``, judge ``scale`` x the
+    (bracket lo, radius) of ``spectral.<solve>``, looked up per call for a traced ``q_radius``."""
+
+    def judge(g: Graph) -> Tuple[float, float]:
+        res = getattr(spectral, solve)(g)
+        return scale * res.bracket[0], scale * res.radius
+
+    return q_rank_bounds, judge, scan
+
+
 # One row per scanned quantity, and one ``search --mode`` choice each:
 # keys(graphs) gives each graph an upper bound on its value, with no
 # eigensolve; judge(g) gives a visited F-free class its (floor, value),
@@ -392,7 +410,8 @@ COLUMNS = {
         lambda g: (g.m, g.m),
         extremal_edges,
     ),
-    "q": (q_rank_bounds, _q_floor_value, extremal_q),
+    "lambda": _spectral_row("adjacency_radius", 2, extremal_lambda),
+    "q": _spectral_row("q_radius", 1, extremal_q),
 }
 
 

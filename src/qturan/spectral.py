@@ -2,16 +2,17 @@
 vectors, Rayleigh quotients, eigenequation residuals, the sum of squared degrees.
 
 Every radius comes from one route: numpy's dense symmetric eigensolver
-(``eigh``, LAPACK) on each component, whose result a residual
-gate judges. The same solve certifies a bracket lo <= radius <= hi from its
-eigenvector, whose lo sets the record that stops a q-scan. Its O(k^3) time
-and O(k^2) memory per order-k component suit the desk-scale inputs (classes
-of order <= 9, family specs of order <= 1,024); a dense G(5000, 1/2) takes
-about 13 s and 1 GiB. One builder, ``_matrices``, turns bit rows into
-every matrix: one component's for a solve, a block of same-order graphs'
-for ``q_rank_bounds``, which ``search`` runs once per class order, when it
-builds the order, and keeps with its classes. ``multipartite_alpha`` gives the
-exact A_alpha radius of a complete multipartite graph with two part sizes.
+(``eigh``, LAPACK) on each component, whose result a residual gate judges.
+The same solve certifies a bracket lo <= radius <= hi from its eigenvector,
+whose lo sets the record that stops a spectral scan. Its O(k^3) time and
+O(k^2) memory per order-k component suit the desk-scale inputs (classes of
+order <= 9, family specs of order <= 1,024); a dense G(5000, 1/2) takes about
+13 s and 1 GiB. One builder, ``_matrices``, turns bit rows into every matrix:
+one component's for a solve, a block of same-order graphs' for
+``q_rank_bounds``, which ``search`` runs once per class order, when it builds
+the order, and keeps with its classes. ``multipartite_alpha`` gives the exact
+radius lambda_alpha of A_alpha = alpha D + (1 - alpha) A on a complete
+multipartite graph with two part sizes: q = 2 lambda_{1/2}, lambda = lambda_0.
 """
 
 from __future__ import annotations
@@ -112,10 +113,6 @@ def _matrices(rows: Sequence[int], n: int, cols: Sequence[int], mode: str) -> np
     return mats
 
 
-def _residual(mat: np.ndarray, lam: float, x: np.ndarray) -> float:
-    return float(np.max(np.abs(mat @ x - lam * x)))
-
-
 def _solve_radius(g: Graph, mode: str) -> SpectralResult:
     """The top eigenpair of the component with the largest radius, and a
     rigorous bracket lo <= radius <= hi from the same ``eigh``.
@@ -134,7 +131,7 @@ def _solve_radius(g: Graph, mode: str) -> SpectralResult:
     for comp in g.components():
         mat = _matrices([g.rows[v] for v in comp], g.n, comp, mode)[0]
         lam, x, (c_hi, c_lo) = _dense_largest(mat)
-        res = _residual(mat, lam, x)
+        res = float(np.max(np.abs(mat @ x - lam * x)))
         if res > _RESIDUAL_GATE:
             raise SpectralError(
                 f"eigensolve failed: residual {res:.3e} on component of order {len(comp)}"
@@ -238,8 +235,8 @@ _RANK_SWEEPS = 4
 
 
 def q_rank_bounds(graphs: Sequence[Graph]) -> np.ndarray:
-    """Rigorous upper bounds hi(G) >= q(G) for a list of graphs of one order,
-    with no eigensolve: the key the q-scans order classes by.
+    """Rigorous upper bounds hi(G) >= q(G) >= 2 lambda(G) for a list of graphs
+    of one order, with no eigensolve: the key of every scan in units of 2 lambda_alpha.
 
     ``_RANK_SWEEPS`` batched sweeps x <- (Q + I) x from x = 1, each divided
     by max(x), keep every entry at least (2n - 1)^-sweeps > 0, on isolated

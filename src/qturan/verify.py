@@ -17,8 +17,8 @@ from . import bounds as B
 from . import families as F
 from .chromatic import chromatic_number, is_color_critical
 from .graphs import Graph, parse_graph6, to_graph6
-from .search import ENUMERATION_CAP, enumerate_graphs, extremal_edges, extremal_q, sample_gnp
-from .spectral import DEFAULT_TOL, Tolerance, turan_q
+from .search import ENUMERATION_CAP, enumerate_graphs, extremal_edges, extremal_lambda, extremal_q, sample_gnp
+from .spectral import DEFAULT_TOL, Tolerance, lambda_value, multipartite_alpha, root_float, turan_q
 from .subgraph import is_free
 from .descent import lemma_min_check
 
@@ -279,21 +279,35 @@ def suite_simonovits(n_max: int = 8) -> VerifyResult:
     """The Q-Simonovits map over ``_critical_rows``: per row (r, F) and
     column, n0 is the least n from which T_{n,r} is the unique maximizer at
     every order |F|..n_max, or None if it loses at n_max. Edges are scanned
-    on every row, q on the r >= 3 rows only (every K_{a,n-a} ties at q = n).
-    The n0 and their histograms over the chi(F) >= 4 rows are report-only;
-    the hard check is that exact ex(n, F)/C(n, 2) never rises."""
+    on every row, lambda and q on the r >= 3 rows only (every K_{a,n-a} ties
+    at q = n). The n0 and their histograms over the chi(F) >= 4 rows are
+    report-only; the hard checks are that exact ex(n, F)/C(n, 2) never rises
+    and that T_{n,r}, where it wins, has its closed-form value within cmp_tol."""
     rows = _critical_rows()
-    q_rows = [(r, f) for r, f in rows if r >= 3]
+    high = [(r, f) for r, f in rows if r >= 3]
+    # column, rows, scan, and for a spectral column (a winning T_{n,r}'s value, its closed form)
+    columns = [
+        ("edges", rows, extremal_edges, None),
+        ("lambda", high, extremal_lambda, lambda n, r, rep: (
+            lambda_value(parse_graph6(rep.extremal_graphs[0].encode())),
+            root_float(*multipartite_alpha(n % r, n // r + 1, r - n % r, n // r, (0, 1))),
+        )),
+        ("q", high, extremal_q, lambda n, r, rep: (rep.max_q, turan_q(n, r))),
+    ]
     # a scan names its F by graph6; an F above n_max gets no points
     n0: Dict[str, Dict[str, Optional[int]]] = {to_graph6(f).decode(): {} for _, f in rows}
     points: Dict[str, List[Tuple[int, int, int]]] = {g6: [] for g6 in n0}
-    for col, col_rows, scan in [("edges", rows, extremal_edges), ("q", q_rows, extremal_q)]:
+    res = VerifyResult("simonovits", 0)
+    for col, col_rows, scan, exact in columns:
         for n, r, rep in _scans(n_max, col_rows, scan):
             wins = _maximizers_are(rep.extremal_graphs, [F.turan_parts(n, r)])
             n0[rep.forbidden][col] = (n0[rep.forbidden].get(col) or n) if wins else None
+            if wins and exact:
+                got, want = exact(n, r, rep)
+                if abs(got - want) > DEFAULT_TOL.cmp_tol:
+                    res.violations.append(f"{col}(T_{{{n},{r}}}) = {got!r} != closed form {want!r} ({rep.forbidden})")
             if col == "edges":
                 points[rep.forbidden].append((n, rep.ex_edges, n * (n - 1) // 2))
-    res = VerifyResult("simonovits", 0)
     for (r, _), (g6, pts) in zip(rows, points.items()):
         if not pts:
             continue
@@ -303,7 +317,7 @@ def suite_simonovits(n_max: int = 8) -> VerifyResult:
         cols = ", ".join(f"{col}={at}" for col, at in n0[g6].items())
         ratios = [f"{ex}/{pairs}" for _, ex, pairs in pts]
         res.findings.append(f"{g6} r={r} n0 {cols}: ratios {ratios} -> hint {1 - 1 / r:.4f}")
-    for col in ("edges", "q"):
+    for col, *_ in columns:
         got = [n0[g6][col] for (r, _), g6 in zip(rows, n0) if r >= 3 and points[g6]]
         hist = {at: got.count(at) for at in sorted(set(got), key=lambda at: (at is None, at or 0))}
         res.findings.append(f"n0 histogram {col} over chi(F) >= 4: {hist}")

@@ -194,9 +194,9 @@ def test_search_modes_are_the_column_rows(capsys):
     (mode,) = [a for a in sub.choices["search"]._actions if a.dest == "mode"]
     assert mode.choices == sorted(S.COLUMNS)
     with pytest.raises(SystemExit) as ei:
-        main(["search", "6", "--forbid", "clique:3", "--mode", "lambda"])
+        main(["search", "6", "--forbid", "clique:3", "--mode", "vertices"])
     assert ei.value.code == 2
-    assert "invalid choice: 'lambda'" in capsys.readouterr().err
+    assert "invalid choice: 'vertices'" in capsys.readouterr().err
 
 
 def test_search_mode_runs_its_row_scan(capsys, monkeypatch):

@@ -38,11 +38,12 @@ from qturan.search import (
     count_classes,
     enumerate_graphs,
     extremal_edges,
+    extremal_lambda,
     extremal_q,
     ingest_corpus,
     sample_gnp,
 )
-from qturan.spectral import DEFAULT_TOL, Tolerance, q_value, turan_q
+from qturan.spectral import DEFAULT_TOL, Tolerance, lambda_value, q_value, turan_q
 from qturan.subgraph import is_free
 
 
@@ -392,10 +393,13 @@ def _unranked_edges(n, f, corpus=None):
     )
 
 
-def _unranked_q(n, f, corpus=None, tol=DEFAULT_TOL, min_degree=0):
-    """extremal_q as a plain loop: containment and q_value on every graph of
-    the source, the accumulate rule in source order, then one q_value per
-    winner, which sets max_q and drops a winner more than cmp_tol below it."""
+def _unranked_q(n, f, corpus=None, tol=DEFAULT_TOL, min_degree=0, mode="q"):
+    """extremal_q, or extremal_lambda for mode "lambda", as a plain loop:
+    containment and the value (q, or 2 lambda) of every graph of the source,
+    the accumulate rule in source order, then one value per winner, which
+    drops a winner more than cmp_tol below the largest; max_q is the
+    winners' largest q_value."""
+    value = q_value if mode == "q" else lambda g: 2 * lambda_value(g)
     graphs = _source(n, corpus)
     best, winners = float("-inf"), []
     for g in graphs:
@@ -403,22 +407,22 @@ def _unranked_q(n, f, corpus=None, tol=DEFAULT_TOL, min_degree=0):
             continue
         if not is_free(g, f):
             continue
-        q = q_value(g)
+        q = value(g)
         if q > best + tol.cmp_tol:
             best, winners = q, [g]
         elif q >= best - tol.cmp_tol:
             winners.append(g)
             best = max(best, q)
     if winners:
-        refined = [(q_value(g), g) for g in winners]
+        refined = [(value(g), g) for g in winners]
         best = max(q for q, _ in refined)
         winners = [g for q, g in refined if q >= best - tol.cmp_tol]
     return SearchReport(
         n=n,
         forbidden=to_graph6(f).decode("ascii"),
-        mode="q",
+        mode=mode,
         ex_edges=max((g.m for g in winners), default=None),
-        max_q=best if winners else None,
+        max_q=max((q_value(g) for g in winners), default=None),
         extremal_graphs=[to_graph6(g).decode("ascii") for g in winners],
         scanned=len(graphs),
         elapsed=0.0,
@@ -460,6 +464,10 @@ def test_ranked_scans_match_unranked_loop():
                         _unranked_q(n, f, tol=tol, min_degree=d)
                     ), (tag, tol.cmp_tol, d)
                     tied += tol in wide and len(got.extremal_graphs) > 1
+                got = extremal_lambda(n, f, tol=tol)
+                assert _without_elapsed(got) == _without_elapsed(
+                    _unranked_q(n, f, tol=tol, mode="lambda")
+                ), (tag, tol.cmp_tol, "lambda")
     assert tied == 179
 
 
@@ -549,6 +557,27 @@ def test_scans_bracket_only_the_classes_they_decide(monkeypatch, fresh_brackets)
     extremal_q(7, F.generalized_book(3, 2))
     assert len(solved) == len(set(solved)) and set(solved) == set(decided)
     assert (len(decided), len(set(decided))) == (23, 22)
+
+
+def test_lambda_scans_visit_by_the_q_rank_bound(monkeypatch):
+    """A lambda scan reads the q row's keys and visit order, which bound
+    2 lambda: the containment tests at n = 8 for K4, W6, B_{3,2}, K5 and
+    B_{3,3}, pinned, and the order record holds one ranking for both rows."""
+    calls = []
+    inner_free = S.is_free
+
+    def free(g, f):
+        calls.append(g)
+        return inner_free(g, f)
+
+    monkeypatch.setattr(S, "is_free", free)
+    visits = {}
+    for g6 in ("C~", "E|fG", "D~w", "D~{", "E~z_"):
+        calls.clear()
+        extremal_lambda(8, parse_graph6(g6.encode()))
+        visits[g6] = len(calls)
+    assert visits == {"C~": 516, "E|fG": 516, "D~w": 516, "D~{": 36, "E~z_": 36}
+    assert S._order(8).ranks["lambda"] is S._order(8).ranks["q"]
 
 
 def test_ranked_scans_match_unranked_loop_on_mixed_corpus(tmp_path):
